@@ -201,16 +201,29 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
+class UsageError(Exception):
+    """Malformed command-line or environment input; main exits 2."""
+
+
+def _parse_range(flag: str, text: str) -> list[int]:
     """Accept '7', '4..9', or '2,3,5'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise UsageError(
+            f"--{flag} expects N, LO..HI or N,N,...; got {text!r}"
+        ) from None
 
 
 def _enum_guard() -> int:
-    cap = int(os.environ.get("DEGPOW_MAX_N", "8"))
+    raw = os.environ.get("DEGPOW_MAX_N", "8")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise UsageError(f"DEGPOW_MAX_N must be an integer, got {raw!r}") from None
     return max(1, min(cap, 10))
 
 
@@ -229,10 +242,10 @@ def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
         # the acceptance grid is fixed and opts into its own n=9 search
         return suite_tasks("all-desk", large=True)
     guard = _enum_guard()
-    n_values = _parse_range(args.n) if args.n else None
-    p_values = tuple(_parse_range(args.p)) if args.p else None
-    k_values = tuple(_parse_range(args.k)) if args.k else None
-    q_values = _parse_range(args.q) if args.q else None
+    n_values = _parse_range("n", args.n) if args.n else None
+    p_values = tuple(_parse_range("p", args.p)) if args.p else None
+    k_values = tuple(_parse_range("k", args.k)) if args.k else None
+    q_values = _parse_range("q", args.q) if args.q else None
     tasks: list[tuple[str, dict]] = []
     if suite in _THEOREM_GRIDS:
         thm, default_n, default_p = _THEOREM_GRIDS[suite]
@@ -377,7 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"degpow: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,14 +5,21 @@ string (graph6 column order) over all vertex relabelings, found by
 backtracking.  At each position only vertices attaining the minimal next
 column can start an optimal completion, which prunes the search to those
 ties; ties that are swappable by a transposition automorphism collapse to
-one branch, so highly symmetric graphs stay cheap.
+one branch, so highly symmetric graphs stay cheap.  The same search yields
+generators of the automorphism group: every leaf equal to the incumbent
+gives one, and the collapsed transpositions give the rest.
 
-Generation walks edge counts level by level from the empty graph: every
-class at level m+1 has a parent at level m under any hereditary filter, so
-expanding each canonical representative by one edge (modulo detected
-transposition automorphisms) and deduplicating children by canonical form
-visits exactly one representative per class, in a deterministic
-(edge count, canonical form) order.
+Generation is McKay's canonical augmentation (J. Algorithms 26 (1998)
+306-324), depth first from the empty graph.  A canonical parent is extended
+by one non-edge per orbit of its automorphism group.  A child is kept only
+if the added edge lies in the orbit of the child's canonical deletion edge:
+among the edges maximising (degree sum, smaller degree, common neighbours),
+the one whose pair of canonical positions is largest.  The invariant
+rejects most children before any search, as in nauty's geng; a surviving
+child costs one canonical search, which also relabels it and supplies its
+automorphisms for its own expansion.  The filters are closed under edge
+deletion, so every class passing them is reached exactly once, from the
+class obtained by deleting its canonical deletion edge.
 """
 
 from __future__ import annotations
@@ -27,11 +34,24 @@ ENUM_HARD_CAP = 10
 ENUM_FAST_CAP = 8  # beyond this an explicit opt-in is required
 
 
-def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Minimal column sequence and the permutation (position -> vertex)."""
+def _canon_search(
+    n: int, adj: tuple[int, ...]
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Minimal column sequence, the permutation (position -> vertex), and
+    generators (vertex -> vertex) of the automorphism group."""
     if n == 1:
-        return [0], [0]
+        return [0], [0], []
     tau = _transposition_automorphisms(n, adj)
+    # twins form equivalence classes, so transpositions from each class's
+    # least vertex generate every transposition the search collapses
+    gens: list[list[int]] = []
+    for v in range(n):
+        lower = tau[v] & ((1 << v) - 1)
+        if lower:
+            swap = list(range(n))
+            u = (lower & -lower).bit_length() - 1
+            swap[u], swap[v] = v, u
+            gens.append(swap)
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
     gen = 0
@@ -45,6 +65,13 @@ def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
                 best_cols = cols.copy()
                 best_perm = perm.copy()
                 gen += 1
+            else:
+                # equal to the incumbent: best_perm[i] -> perm[i] preserves
+                # adjacency, and stays an automorphism if the incumbent changes
+                gamma = [0] * n
+                for b, v in zip(best_perm, perm):
+                    gamma[b] = v
+                gens.append(gamma)
             return
         # one pass: minimal column value and its tau-deduplicated attainers
         m = 1 << 60
@@ -92,8 +119,9 @@ def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
         cols.pop()
 
     dfs(0, 0, [0] * n, (1 << n) - 1)
-    assert best_cols is not None and best_perm is not None
-    return best_cols, best_perm
+    if best_cols is None or best_perm is None:
+        raise RuntimeError(f"canonical search reached no leaf for n={n}")
+    return best_cols, best_perm, gens
 
 
 def _transposition_automorphisms(n: int, adj: tuple[int, ...]) -> list[int]:
@@ -116,7 +144,7 @@ def canonical_form(g: Graph, limit: int = ENUM_HARD_CAP) -> bytes:
     """
     if g.n > limit:
         raise ValueError(f"canonical form limited to n <= {limit}, got n={g.n}")
-    cols, _ = _canon_search(g.n, g.adj)
+    cols, _, _ = _canon_search(g.n, g.adj)
     return bytes([g.n]) + _pack_cols(g.n, cols)
 
 
@@ -135,13 +163,15 @@ def canonical_graph(g: Graph, limit: int = ENUM_HARD_CAP) -> Graph:
     return _canon_pair(g)[1]
 
 
-def _canon_pair(g: Graph) -> tuple[bytes, Graph]:
-    # canonical form and relabeled graph from a single search
-    cols, perm = _canon_search(g.n, g.adj)
+def _canon_pair(g: Graph) -> tuple[bytes, Graph, list[int], list[list[int]]]:
+    """Canonical form, the relabeled graph, the relabeling (vertex ->
+    position) and automorphism generators of the relabeled graph."""
+    cols, perm, gens = _canon_search(g.n, g.adj)
     sigma = [0] * g.n
     for pos, v in enumerate(perm):
         sigma[v] = pos
-    return bytes([g.n]) + _pack_cols(g.n, cols), permute(g, sigma)
+    conjugated = [[sigma[gamma[v]] for v in perm] for gamma in gens]
+    return bytes([g.n]) + _pack_cols(g.n, cols), permute(g, sigma), sigma, conjugated
 
 
 @dataclass(frozen=True)
@@ -215,36 +245,61 @@ def _creates_c4(adj: tuple[int, ...], u: int, v: int) -> bool:
     return False
 
 
-def _pair_equiv(tau: list[int], a: int, b: int, u: int, v: int) -> bool:
-    # is some product of detected transpositions mapping {a,b} to {u,v}?
-    if a == u:
-        return b == v or bool((tau[b] >> v) & 1)
-    if b == v:
-        return bool((tau[a] >> u) & 1)
-    if a in (b, v) or u in (b, v):
-        return False
-    return bool((tau[a] >> u) & 1) and bool((tau[b] >> v) & 1)
+def _pair_orbit(gens: list[list[int]], pair: tuple[int, int]) -> set[tuple[int, int]]:
+    """The orbit of a vertex pair (u < v) under the group gens generate."""
+    orbit = {pair}
+    frontier = [pair]
+    while frontier:
+        a, b = frontier.pop()
+        for gamma in gens:
+            x, y = gamma[a], gamma[b]
+            image = (x, y) if x < y else (y, x)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
-def _candidate_edges(g: Graph) -> list[tuple[int, int]]:
-    """Non-edges, one per orbit of the detected transposition automorphisms."""
-    tau = _transposition_automorphisms(g.n, g.adj)
+def _non_edge_orbits(g: Graph, gens: list[list[int]]) -> list[tuple[int, int]]:
+    """One non-edge per orbit of the automorphism group gens generate."""
+    adj = g.adj
     non_edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not (g.adj[u] >> v) & 1
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not (adj[u] >> v) & 1
     ]
-    if not any(tau):
+    if not gens:
         return non_edges
-    kept: list[tuple[int, int]] = []
-    for u, v in non_edges:
-        if not any(
-            _pair_equiv(tau, a, b, u, v) or _pair_equiv(tau, a, b, v, u)
-            for a, b in kept
-        ):
-            kept.append((u, v))
-    return kept
+    seen: set[tuple[int, int]] = set()
+    reps: list[tuple[int, int]] = []
+    for pair in non_edges:
+        if pair not in seen:
+            reps.append(pair)
+            seen |= _pair_orbit(gens, pair)
+    return reps
+
+
+def _deletion_ties(adj: tuple[int, ...], u: int, v: int) -> list[tuple[int, int]] | None:
+    """Edges xy (x < y) whose invariant equals uv's, or None if some edge's
+    invariant exceeds it.  The invariant orders edges by degree sum, then
+    smaller degree, then common neighbours."""
+    deg = [a.bit_count() for a in adj]
+    du, dv = deg[u], deg[v]
+    target = ((du + dv) << 8) | (min(du, dv) << 4) | (adj[u] & adj[v]).bit_count()
+    ties: list[tuple[int, int]] = []
+    for x, ax in enumerate(adj):
+        dx = deg[x]
+        mask = ax >> (x + 1)
+        y = x + 1
+        while mask:
+            if mask & 1:
+                dy = deg[y]
+                value = ((dx + dy) << 8) | (min(dx, dy) << 4) | (ax & adj[y]).bit_count()
+                if value > target:
+                    return None
+                if value == target:
+                    ties.append((x, y))
+            mask >>= 1
+            y += 1
+    return ties
 
 
 def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
@@ -254,29 +309,32 @@ def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
     if cached is not None:
         return cached
     c4f, ecf, cap = hkey
-    accepted: list[Graph] = []
-    level: dict[bytes, Graph] = {canonical_form(new_graph(n, [])): new_graph(n, [])}
-    m = 0
-    while level:
-        reps = [level[key] for key in sorted(level)]
-        accepted.extend(reps)
-        if m == cap:
-            break
-        nxt: dict[bytes, Graph] = {}
-        for g in reps:
-            for u, v in _candidate_edges(g):
-                if c4f and _creates_c4(g.adj, u, v):
+    key, root, _, gens = _canon_pair(new_graph(n, []))
+    found: list[tuple[int, bytes, Graph]] = [(0, key, root)]
+    stack = [(root, gens, 0)] if cap > 0 else []
+    while stack:
+        g, gens, m = stack.pop()
+        for u, v in _non_edge_orbits(g, gens):
+            if c4f and _creates_c4(g.adj, u, v):
+                continue
+            child = add_edge(g, u, v)
+            if ecf and structure.has_even_cycle(child):
+                continue
+            ties = _deletion_ties(child.adj, u, v)
+            if ties is None:
+                continue
+            key, rep, sigma, child_gens = _canon_pair(child)
+            if len(ties) > 1:
+                # the canonical deletion edge: largest pair of positions
+                best = max(tuple(sorted((sigma[x], sigma[y]))) for x, y in ties)
+                added = tuple(sorted((sigma[u], sigma[v])))
+                if added not in _pair_orbit(child_gens, best):
                     continue
-                child = add_edge(g, u, v)
-                if ecf and structure.has_even_cycle(child):
-                    continue
-                key, rep = _canon_pair(child)
-                if key not in nxt:
-                    nxt[key] = rep
-        level = nxt
-        m += 1
-    assert len({canonical_form(g) for g in accepted}) == len(accepted)
-    result = tuple(accepted)
+            found.append((m + 1, key, rep))
+            if m + 1 < cap:
+                stack.append((rep, child_gens, m + 1))
+    found.sort(key=lambda item: item[:2])
+    result = tuple(rep for _, _, rep in found)
     _CLASS_CACHE[(n, *hkey)] = result
     return result
 

@@ -172,6 +172,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "thm1", "--n", "4", "--p", "2")
         assert code == 0
 
+    def test_malformed_range_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "thm2", "--n", "4..x")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--n" in err and "4..x" in err
+
+    def test_malformed_env_guard_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEGPOW_MAX_N", "abc")
+        code, out, err = run_cli(capsys, "verify", "thm1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "DEGPOW_MAX_N" in err and "abc" in err
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "verify", "nosuchsuite")

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from degpow import enumeration
 from degpow.enumeration import (
     ExtremalReport,
     SearchPredicate,
@@ -13,7 +16,7 @@ from degpow.enumeration import (
     enumerate_graphs,
     extremal_ep,
 )
-from degpow.families import complete_bipartite, friendship
+from degpow.families import complete_bipartite, cycle_graph, friendship, split_graph, wheel
 from degpow.graphs import from_graph6, new_graph, permute, to_graph6
 from degpow.structure import has_c4
 
@@ -21,6 +24,35 @@ from helpers import all_labeled_graphs
 
 # distinct isomorphism classes of simple graphs, n = 1..8
 CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
+
+# Every (n, c4_free, even_cycle_free, edge cap) the verification suites
+# enumerate -- all graphs for n = 1..8, theorem 1's C4-free classes with
+# at most 3(n-1)/2 edges for n = 4..9, and the even-cycle-free classes for
+# n = 4..8 -- mapped to (class count, sha256 of the concatenated sorted
+# canonical forms).  The digests were taken from the level-by-level
+# generator with per-level deduplication by canonical form, so they pin the
+# class sets independently of the generator that produces them now.
+PINNED_CLASS_SETS = {
+    (1, False, False, 0): (1, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
+    (2, False, False, 1): (2, "e14b77bb203317724ad98b20cf058c977a65f1fbb20c40b5b71b9f063f68c64a"),
+    (3, False, False, 3): (4, "4baf3bbd7d9d9c85b869d826c8d834a5c0f4f20f80dd1e5743a3b195210fa833"),
+    (4, False, False, 6): (11, "36aae959a2f5d52433edea3c64bf7dd30283d8441398217ad4577344c745680f"),
+    (5, False, False, 10): (34, "859f46efecd46312016052c63d001b25967af7b67b1251143dbc795ec4ff43d4"),
+    (6, False, False, 15): (156, "9a4165fc39443def0e1a304144703837e1c3805ed276020000b8fc295d110e57"),
+    (7, False, False, 21): (1044, "f13b5d9342945face76d4008b29c7aa211b48bfd9e8501739d5f230a12e1a199"),
+    (8, False, False, 28): (12346, "5c492e6c82ac0d0f121104418034e6d94949c955bfe574a48f4535821051b474"),
+    (4, True, False, 4): (8, "803a3530333b6705e7a75dc2ce213c18e2daabbc62f47b3fe6007607eff8f451"),
+    (5, True, False, 6): (18, "d54edae64f057892500b2815f9ed978a2abbb202b113ee453d30acdc5626275a"),
+    (6, True, False, 7): (44, "94f6869afdfc5039eddd90fb47c9c1798721f28755c220d6cd1a6f4376daf69b"),
+    (7, True, False, 9): (117, "2eb2cd36894c1d0a5237e6dceb0d25e3687e1bb505d68e45e712d9c0628684d5"),
+    (8, True, False, 10): (346, "49a1c4f436602a5ba7aef3a96d0fd1c48a0365048ded7a0b64e979f9a3c4c330"),
+    (9, True, False, 12): (1220, "b7d11c7f5180dc10377a07d92ae20a2d368bb6b2d12fd0c3e83b6099876b129b"),
+    (4, False, True, 6): (8, "803a3530333b6705e7a75dc2ce213c18e2daabbc62f47b3fe6007607eff8f451"),
+    (5, False, True, 10): (18, "d54edae64f057892500b2815f9ed978a2abbb202b113ee453d30acdc5626275a"),
+    (6, False, True, 15): (42, "1bbce2579ca205700e1cb5b2d27d17cce0498e30840ed25d2d8ac11246d06b7a"),
+    (7, False, True, 21): (105, "6c252a7bb34e05267d6030b276b4c5c2522b50bdd9eab62343fed67f4973331f"),
+    (8, False, True, 28): (273, "185f8a444a46215aa4495b8ca0bdaffc17ecd5a42d897530ff79be3096680b38"),
+}
 
 
 def triangle_bit_string(g):
@@ -98,6 +130,63 @@ class TestCanonicalForm:
             canonical_form(new_graph(11, []))
 
 
+def pair_orbits(n, perms):
+    """Partition of the vertex pairs into orbits of the group perms generate."""
+    parent = {pair: pair for pair in itertools.combinations(range(n), 2)}
+
+    def find(pair):
+        while parent[pair] != pair:
+            pair = parent[pair]
+        return pair
+
+    for perm in perms:
+        for a, b in parent:
+            image = tuple(sorted((perm[a], perm[b])))
+            parent[find(image)] = find((a, b))
+    classes = {}
+    for pair in parent:
+        classes.setdefault(find(pair), set()).add(pair)
+    return {frozenset(c) for c in classes.values()}
+
+
+def brute_automorphisms(g):
+    edges = list(g.edges())
+    return [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(g.has_edge(perm[u], perm[v]) for u, v in edges)
+    ]
+
+
+class TestAutomorphismGenerators:
+    def check(self, g):
+        _, _, gens = enumeration._canon_search(g.n, g.adj)
+        for gamma in gens:
+            assert sorted(gamma) == list(range(g.n))
+            assert permute(g, gamma) == g
+        assert pair_orbits(g.n, gens) == pair_orbits(g.n, brute_automorphisms(g))
+
+    def test_exhaustive_small(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                self.check(g)
+
+    def test_sampled_n6_n7(self):
+        rng = random.Random(2024)
+        named = [cycle_graph(6), cycle_graph(7), wheel(7), friendship(7),
+                 complete_bipartite(3, 7), split_graph(7, 2)]
+        samples = []
+        for n in (6, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for _ in range(25):
+                density = rng.random()
+                samples.append(new_graph(n, [e for e in pairs if rng.random() < density]))
+        for g in named + samples:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self.check(permute(g, perm))
+
+
 class TestEnumeration:
     def test_unfiltered_counts_small(self):
         for n in range(1, 7):
@@ -151,6 +240,58 @@ class TestEnumeration:
         forms = []
         enumerate_graphs(5, pred, forms.append)
         assert canonical_form(friendship(5)) in {canonical_form(g) for g in forms}
+
+
+class TestClassSets:
+    @pytest.mark.parametrize("key", list(PINNED_CLASS_SETS), ids=str)
+    def test_pinned_class_set(self, key):
+        n, c4_free, even_cycle_free, cap = key
+        pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
+        reps = []
+        enumerate_graphs(n, pred, reps.append, large=n > 8)
+        forms = [canonical_form(g) for g in reps]
+        count, digest = PINNED_CLASS_SETS[key]
+        if not (c4_free or even_cycle_free):
+            assert count == CLASS_COUNTS[n - 1]
+        # one canonical representative per class, in (edge count, form) order
+        assert len(set(forms)) == len(reps) == count
+        assert all(canonical_graph(g) == g for g in reps)
+        order = [(g.edge_count(), f) for g, f in zip(reps, forms)]
+        assert order == sorted(order)
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == digest
+
+
+    def test_canonical_searches_per_class(self, monkeypatch):
+        calls = 0
+        search = enumeration._canon_search
+
+        def counting(n, adj):
+            nonlocal calls
+            calls += 1
+            return search(n, adj)
+
+        monkeypatch.setattr(enumeration, "_canon_search", counting)
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        count = enumerate_graphs(7)
+        assert count == CLASS_COUNTS[6]
+        assert calls <= 1.5 * count
+
+
+class TestNetworkxOracle:
+    def test_atlas_matches_enumeration(self):
+        nx = pytest.importorskip("networkx")
+        atlas = {}
+        for h in nx.graph_atlas_g():
+            atlas.setdefault(h.number_of_nodes(), []).append(h)
+        for n in range(1, 8):
+            atlas_forms = [canonical_form(new_graph(n, h.edges())) for h in atlas[n]]
+            reps = []
+            enumerate_graphs(n, visit=reps.append)
+            assert len(set(atlas_forms)) == len(atlas_forms)
+            assert set(atlas_forms) == {canonical_form(g) for g in reps}
+            assert Counter(h.number_of_edges() for h in atlas[n]) == Counter(
+                g.edge_count() for g in reps
+            )
 
 
 class TestExtremalSearch:
