@@ -4,7 +4,9 @@ JSON reports are byte-identical across runs with the same parameters and
 --jobs value; run timestamps are therefore omitted (null) unless
 --timestamps is passed.  Exit status is 0 iff every record passes.
 The env var DEGPOW_MAX_N (default 8, max 10) raises the enumeration guard
-for the slow n=9,10 searches; the fixed all-desk grid opts in by itself.
+for the slow n=9,10 searches (n=10 only for the C4-free and even-cycle-free
+classes); the fixed all-desk grid opts in by itself.  Default grids are
+verify.SUITES with the flags applied.
 """
 
 from __future__ import annotations
@@ -22,14 +24,10 @@ from datetime import datetime, timezone
 from . import structure
 from .families import FamilyId, construct
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
-from .verify import VerificationRecord, run_task, suite_tasks
+from .verify import (SUITES, GridRow, VerificationRecord, grid_tasks, run_task, suite_tasks,
+                     validate_task)
 
 FORMAT_VERSION = 1
-
-SUITES = (
-    "thm1", "cor1", "thm2", "thm3", "thm4",
-    "lemma1", "lemma12", "appendixA", "thresholds", "polarity", "all-desk",
-)
 
 
 @dataclass
@@ -90,8 +88,11 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
     if args.file == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file) as fh:
-            text = fh.read()
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --file {args.file}: {exc.strerror}") from None
     fmt = args.format
     if fmt == "auto":
         first = text.split(None, 1)
@@ -206,16 +207,18 @@ class UsageError(Exception):
 
 
 def _parse_range(flag: str, text: str) -> list[int]:
-    """Accept '7', '4..9', or '2,3,5'."""
+    """Accept '7', '4..9', or '2,3,5'; an empty selection is an error."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise UsageError(
-            f"--{flag} expects N, LO..HI or N,N,...; got {text!r}"
-        ) from None
+        values = []
+    if not values:
+        raise UsageError(f"--{flag} expects N, LO..HI or N,N,...; got {text!r}")
+    return values
 
 
 def _enum_guard() -> int:
@@ -227,71 +230,55 @@ def _enum_guard() -> int:
     return max(1, min(cap, 10))
 
 
-_THEOREM_GRIDS = {
-    "thm1": ("t1", range(4, 10), (2, 3)),
-    "cor1": ("c1", range(4, 9), (2, 3)),
-    "thm2": ("t2", range(4, 9), (2, 3, 4, 5)),
-    "thm3": ("t3", (8,), (2,)),
-    "thm4": ("t4", range(2, 9), (2, 3)),
-}
+def _admitted(default: object, values: list[int]) -> list[int]:
+    """The explicit values an axis keeps: where a default range, extended
+    upward, reaches (see verify.SUITES); all of them for a listed axis."""
+    if not isinstance(default, range):
+        return values
+    return [v for v in values if v >= default.start and (v - default.start) % default.step == 0]
+
+
+def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int) -> GridRow:
+    """The row with the parsed --n/--p/--k/--q and --pmax/--nmax applied."""
+    axes = {name: _admitted(default, given[name]) if name in given else default
+            for name, default in row.axes.items()}
+    fixed = dict(row.fixed)
+    for key, flag in (("p_values", "p"), ("k_values", "k")):
+        if key in fixed and flag in given:
+            fixed[key] = tuple(given[flag])
+    if args.pmax and "pair" in fixed and "p" not in given:
+        axes["p"] = range(row.axes["p"].start, args.pmax + 1)
+    if args.nmax is not None and "n_max" in fixed:
+        fixed["n_max"] = args.nmax
+    if row.kind == "theorem":
+        # default orders clamp to the enumeration guard; explicit ones may not pass it
+        too_large = [n for n in axes["n"] if n > guard]
+        if "n" in given and too_large:
+            raise SystemExit(f"n={too_large[0]} exceeds the enumeration guard; "
+                             f"set DEGPOW_MAX_N={too_large[0]}")
+        axes["n"] = [n for n in axes["n"] if n <= guard]
+    return GridRow(row.kind, fixed, axes)
 
 
 def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
-    suite = args.suite
-    if suite == "all-desk":
+    if args.suite == "all-desk":
         # the acceptance grid is fixed and opts into its own n=9 search
-        return suite_tasks("all-desk", large=True)
-    guard = _enum_guard()
-    n_values = _parse_range("n", args.n) if args.n else None
-    p_values = tuple(_parse_range("p", args.p)) if args.p else None
-    k_values = tuple(_parse_range("k", args.k)) if args.k else None
-    q_values = _parse_range("q", args.q) if args.q else None
-    tasks: list[tuple[str, dict]] = []
-    if suite in _THEOREM_GRIDS:
-        thm, default_n, default_p = _THEOREM_GRIDS[suite]
-        for n in n_values if n_values is not None else default_n:
-            if n > guard:
-                if n_values is None:
-                    continue  # default grids clamp to the enumeration guard
-                raise SystemExit(
-                    f"n={n} exceeds the enumeration guard; set DEGPOW_MAX_N={n}"
-                )
-            kw: dict = {"thm": thm, "n": n,
-                        "p_values": p_values or default_p, "large": n > 8}
-            if thm == "t4":
-                kw["k_values"] = k_values or (1, 2, 3)
-            tasks.append(("theorem", kw))
-    elif suite in ("lemma1", "lemma12"):
-        default_n = range(7, 62, 2) if suite == "lemma1" else range(6, 61, 2)
-        parity, n_min = (1, 7) if suite == "lemma1" else (0, 6)
-        for n in n_values if n_values is not None else default_n:
-            if n % 2 != parity or n < n_min:
-                continue
-            for p in p_values or range(2, 9):
-                tasks.append(("lemma", {"lemma": suite, "n": n, "p": p}))
-    elif suite == "thresholds":
-        for pair in (args.pair,) if args.pair else ("W_vs_K3", "F_vs_K2"):
-            default_p = range(2, 12) if pair == "W_vs_K3" else range(2, 9)
-            ps = p_values or (range(2, args.pmax + 1) if args.pmax else default_p)
-            for p in ps:
-                kw = {"pair": pair, "p": p}
-                if args.nmax is not None:
-                    kw["n_max"] = args.nmax
-                tasks.append(("threshold", kw))
-    elif suite == "appendixA":
-        for part, default_p in (("i", range(5, 13)), ("ii", range(12, 17))):
-            for p in p_values or default_p:
-                kw = {"part": part, "p": p}
-                if args.nmax is not None:
-                    kw["n_max"] = args.nmax
-                if (part == "i" and p >= 5) or (part == "ii" and p >= 12):
-                    tasks.append(("appendixA", kw))
-    elif suite == "polarity":
-        for q in q_values if q_values is not None else (2, 3, 4, 5, 7, 8, 9, 11):
-            for p in p_values or range(2, 7):
-                tasks.append(("polarity", {"q": q, "p": p}))
-    if not tasks:
-        raise SystemExit("no verification tasks match the given grid")
+        tasks = suite_tasks("all-desk", large=True)
+    else:
+        guard = _enum_guard()
+        given = {flag: _parse_range(flag, getattr(args, flag))
+                 for flag in ("n", "p", "k", "q") if getattr(args, flag)}
+        # the guard already bounds n, so every order left may run
+        tasks = [task for row in SUITES[args.suite]
+                 if not args.pair or row.fixed.get("pair", args.pair) == args.pair
+                 for task in grid_tasks(_apply_flags(args, row, given, guard), large=True)]
+        if not tasks:
+            raise SystemExit("no verification tasks match the given grid")
+    try:
+        for task in tasks:
+            validate_task(task)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return tasks
 
 
@@ -370,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(func=cmd_check)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=SUITES)
+    p_ver.add_argument("suite", choices=(*SUITES, "all-desk"))
     p_ver.add_argument("--n")
     p_ver.add_argument("--p")
     p_ver.add_argument("--k")

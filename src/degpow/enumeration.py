@@ -25,7 +25,7 @@ class obtained by deleting its canonical deletion edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import structure
 from .graphs import Graph, add_edge, ep, new_graph, permute, to_graph6
@@ -190,6 +190,10 @@ class SearchPredicate:
     minimally_edge_connected: int | None = None
     degenerate: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_edges is not None and self.max_edges < 0:
+            raise ValueError(f"max_edges must be >= 0, got {self.max_edges}")
+
     def hereditary_key(self, n: int) -> tuple[bool, bool, int]:
         cap = n * (n - 1) // 2
         if self.max_edges is not None:
@@ -339,6 +343,25 @@ def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
     return result
 
 
+def check_enumerable(n: int, pred: SearchPredicate, large: bool) -> None:
+    """Raise ValueError unless enumerate_graphs can run at this order.
+
+    n=9,10 must be opted into via large, and n=10 only runs C4-free or
+    even-cycle-free classes: all graphs on 10 vertices cannot finish.
+    """
+    if not 1 <= n <= ENUM_HARD_CAP:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_HARD_CAP}")
+    if n > ENUM_FAST_CAP and not large:
+        raise ValueError(
+            f"n={n} enumeration is slow; pass large=True (CLI: set DEGPOW_MAX_N)"
+        )
+    if n == ENUM_HARD_CAP and not (pred.c4_free or pred.even_cycle_free):
+        raise ValueError(
+            f"n={n} enumeration needs a C4-free or even-cycle-free class; "
+            "all graphs on 10 vertices are 12,005,168 classes"
+        )
+
+
 def enumerate_graphs(
     n: int,
     pred: SearchPredicate = SearchPredicate(),
@@ -349,14 +372,10 @@ def enumerate_graphs(
     """Visit one canonical representative per isomorphism class passing pred.
 
     Returns the number visited.  Visit order is deterministic: increasing
-    edge count, then canonical form.  n=9,10 must be opted into via large.
+    edge count, then canonical form.  Orders check_enumerable rejects raise
+    before anything is generated.
     """
-    if not 1 <= n <= ENUM_HARD_CAP:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_HARD_CAP}")
-    if n > ENUM_FAST_CAP and not large:
-        raise ValueError(
-            f"n={n} enumeration is slow; pass large=True (CLI: set DEGPOW_MAX_N)"
-        )
+    check_enumerable(n, pred, large)
     count = 0
     for g in _classes(n, pred.hereditary_key(n)):
         if pred.leaf_ok(g):
@@ -364,6 +383,34 @@ def enumerate_graphs(
             if visit is not None:
                 visit(g)
     return count
+
+
+class ExtremalTracker:
+    """Every maximiser of e_p over the visited graphs, for several p at once.
+
+    Pass visit to enumerate_graphs; ties are all kept.  best[p] is None
+    until a graph is visited, and max_edges is the largest edge count seen.
+    """
+
+    def __init__(self, p_values: Sequence[int]) -> None:
+        self.best: dict[int, int | None] = dict.fromkeys(p_values)
+        self._wits: dict[int, list[Graph]] = {p: [] for p in self.best}
+        self.max_edges = 0
+
+    def visit(self, g: Graph) -> None:
+        self.max_edges = max(self.max_edges, g.edge_count())
+        for p, best in self.best.items():
+            value = ep(g, p)
+            if best is None or value > best:
+                self.best[p] = value
+                self._wits[p] = [g]
+            elif value == best:
+                self._wits[p].append(g)
+
+    def witnesses(self, p: int) -> tuple[str, ...]:
+        """graph6 of the maximisers at p, sorted by canonical form."""
+        ordered = sorted(self._wits[p], key=canonical_form)
+        return tuple(to_graph6(w).decode("ascii") for w in ordered)
 
 
 @dataclass(frozen=True)
@@ -400,26 +447,13 @@ def extremal_ep(
     """Maximize the degree power over the predicate class, keeping all ties."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    best: int | None = None
-    wits: list[Graph] = []
-
-    def visit(g: Graph) -> None:
-        nonlocal best
-        value = ep(g, p)
-        if best is None or value > best:
-            best = value
-            wits.clear()
-            wits.append(g)
-        elif value == best:
-            wits.append(g)
-
-    examined = enumerate_graphs(n, pred, visit, large=large)
-    ordered = sorted(wits, key=canonical_form)
+    tracker = ExtremalTracker((p,))
+    examined = enumerate_graphs(n, pred, tracker.visit, large=large)
     return ExtremalReport(
         n=n,
         p=p,
         predicate=pred.describe(),
-        max_value=best,
-        witnesses=tuple(to_graph6(w).decode("ascii") for w in ordered),
+        max_value=tracker.best[p],
+        witnesses=tracker.witnesses(p),
         graphs_examined=examined,
     )

@@ -149,10 +149,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def neg(self, a: int) -> int:
-        row = self.add_table[a]
-        return row.index(0)
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")

@@ -142,11 +142,6 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> Graph:
     return Graph(len(sel), tuple(adj))
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~a & ~(1 << v)) for v, a in enumerate(g.adj)))
-
-
 # -- graph6 ------------------------------------------------------------------
 #
 # Published format: N(n) is chr(63+n) for n <= 62, else '~' followed by three

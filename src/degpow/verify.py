@@ -1,27 +1,37 @@
 """Executable verification: theorem brute force, tuple scans, identities.
 
 Every check returns a VerificationRecord; a failing record always carries a
-witness (offending tuple or graph6 counterexample).  All comparisons are
+witness (offending tuple or graph6 counterexample), also when a displayed
+tuple or a family's construction is itself wrong.  All comparisons are
 exact integer comparisons.  Threshold scans report the smallest n0 such
 that the inequality holds for every scanned n in [n0, n_max] -- a tail
 property, not the first success.
+
+THEOREMS holds the brute-forced statements: per check id its least order,
+its graph class and its claimed extremal families.  A theorem task
+enumerates each check's class once (once per k for t4) and scores every p
+in that pass.  SUITES is the one default grid; the CLI only filters and
+overrides its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import product
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .enumeration import (
+    ENUM_FAST_CAP,
+    ExtremalTracker,
     SearchPredicate,
-    canonical_form,
     canonical_graph,
+    check_enumerable,
     enumerate_graphs,
-    extremal_ep,
 )
 from .families import (
     FamilyId,
     _prime_power,
+    construct,
     ep_closed_form,
     polarity_graph,
 )
@@ -31,6 +41,7 @@ from .structure import has_c4
 
 WHEEL_TABLE_N_MAX = 200  # scan window for the wheel-vs-bipartite table
 FRIENDSHIP_TABLE_N_MAX = 201
+APPENDIX_N_MAX = 401
 
 # thresholds reported in the source tables, reproduced by exact scan
 WHEEL_THRESHOLDS = {2: 8, 3: 9, 4: 10, 5: 12, 6: 13, 7: 15, 8: 17, 9: 19, 10: 21, 11: 23}
@@ -118,53 +129,53 @@ def valid_q_range(lemma: str, n: int) -> range:
     return range(2, n // 2 - 1)
 
 
-def lemma_tuple_build(spec: LemmaTupleSpec) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The three displayed n-tuples; sums and monotonicity are asserted."""
-    n, q, r, eps = spec.n, spec.q, spec.r, spec.epsilon
-    if spec.lemma == "lemma1":
-        t1 = (n - 1,) + (2,) * (n - 1)
+def _part_i_tuples(lemma: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two displayed tuples of part (i); they do not involve q."""
+    if lemma == "lemma1":
         half = (n + 1) // 2
-        t2 = (half, half, half, half - 1) + (1,) * (n - 4)
-        total = 3 * (n - 1)
-    else:
-        t1 = (n - 1,) + (2,) * (n - 2) + (1,)
-        t2 = (n // 2 + 1, n // 2, n // 2, n // 2 - 1) + (1,) * (n - 4)
-        total = 3 * n - 4
+        return (n - 1,) + (2,) * (n - 1), (half, half, half, half - 1) + (1,) * (n - 4)
+    return (
+        (n - 1,) + (2,) * (n - 2) + (1,),
+        (n // 2 + 1, n // 2, n // 2, n // 2 - 1) + (1,) * (n - 4),
+    )
+
+
+def lemma_tuple_build(spec: LemmaTupleSpec) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The three displayed n-tuples; lemma_tuple_check checks their shape."""
+    n, q, r, eps = spec.n, spec.q, spec.r, spec.epsilon
     t3 = (n - q,) + (q + 1,) * (n - r - 2) + (q + 1 - eps,) + (1,) * r
-    for t in (t1, t2, t3):
-        assert len(t) == n and sum(t) == total
-        assert all(a >= b for a, b in zip(t, t[1:]))
-    return t1, t2, t3
+    return *_part_i_tuples(spec.lemma, n), t3
+
+
+def _malformed(t: tuple[int, ...], n: int, total: int) -> bool:
+    """Not an n-tuple summing to total in non-increasing order."""
+    return len(t) != n or sum(t) != total or any(a < b for a, b in zip(t, t[1:]))
 
 
 def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
     """Part (i) once, part (ii) for every admitted q; empty ranges pass (ii)
     vacuously.  lemma1 part (i) is non-strict (equality occurs at p=2),
-    everything else is strict."""
+    everything else is strict.  A tuple that is not an n-tuple with the
+    lemma's sum in non-increasing order fails the check as its witness."""
     _validate_lemma_n(lemma, n)
     if p < 2:
         raise ValueError("p must be > 1")
-    qs = list(valid_q_range(lemma, n))
-    # part (i) does not involve q; build with any q, or directly when empty
-    if qs:
-        t1, t2, _ = lemma_tuple_build(LemmaTupleSpec(lemma, n, qs[0]))
-    else:
-        if lemma == "lemma1":
-            half = (n + 1) // 2
-            t1 = (n - 1,) + (2,) * (n - 1)
-            t2 = (half, half, half, half - 1) + (1,) * (n - 4)
-        else:
-            t1 = (n - 1,) + (2,) * (n - 2) + (1,)
-            t2 = (n // 2 + 1, n // 2, n // 2, n // 2 - 1) + (1,) * (n - 4)
+    params = {"n": n, "p": p}
+    total = 3 * (n - 1) if lemma == "lemma1" else 3 * n - 4
+    t1, t2 = _part_i_tuples(lemma, n)
+    part_ii = {q: lemma_tuple_build(LemmaTupleSpec(lemma, n, q))[2] for q in valid_q_range(lemma, n)}
+    for t in (t1, t2, *part_ii.values()):
+        if _malformed(t, n, total):
+            return VerificationRecord(check=lemma, params=params, verdict="fail",
+                                      witness={"malformed": list(t), "sum": total})
     norm1 = p_power_norm(t1, p)
     norm2 = p_power_norm(t2, p)
     ok_i = norm2 <= norm1 if lemma == "lemma1" else norm2 < norm1
-    params = {"n": n, "p": p}
     detail = {
         "norm1": norm1,
         "norm2": norm2,
         "equality_i": norm2 == norm1,
-        "q_checked": len(qs),
+        "q_checked": len(part_ii),
     }
     if not ok_i:
         return VerificationRecord(
@@ -172,8 +183,7 @@ def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
             witness={"part": "i", "tuple": list(t2), "norm": norm2},
             detail=detail,
         )
-    for q in qs:
-        _, _, t3 = lemma_tuple_build(LemmaTupleSpec(lemma, n, q))
+    for q, t3 in part_ii.items():
         norm3 = p_power_norm(t3, p)
         if not norm3 < norm1:
             return VerificationRecord(
@@ -188,16 +198,133 @@ def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
 # -- theorem brute force -------------------------------------------------------
 
 
-def _friendship_id() -> FamilyId:
-    return FamilyId("friendship")
+def _edge_cap(n: int) -> int:
+    # theorem 1's edge bound; also the most edges an even-cycle-free graph
+    # on n vertices has, attained by F_n
+    return 3 * (n - 1) // 2
 
 
-def _expected_set(candidates: list[tuple[str, Graph, int]]) -> tuple[int, list[tuple[str, str]]]:
-    """Max value over the eligible extremal candidates and its attainers."""
-    best = max(v for _, _, v in candidates)
-    att = [(name, to_graph6(canonical_graph(g)).decode("ascii"))
-           for name, g, v in candidates if v == best]
-    return best, att
+_F = FamilyId("friendship")
+_K2 = FamilyId("complete_bipartite", t=2)
+
+
+class TheoremSpec(NamedTuple):
+    """One brute-forced extremal statement.
+
+    The check runs at n >= least_n, plus k where it takes a degeneracy
+    bound k.  predicate and families take (n, k), k None unless taken;
+    families are the claimed extremal graphs of order n.  With borrowed
+    facts, the same pass also confirms the two facts the statement
+    borrows: at most _edge_cap(n) edges, and the min-degree >= 1 subclass
+    has the same extremal set.
+    """
+
+    title: str
+    least_n: int
+    predicate: Callable[[int, int | None], SearchPredicate]
+    families: Callable[[int, int | None], tuple[FamilyId, ...]]
+    takes_k: bool = False
+    borrowed_facts: bool = False
+
+
+THEOREMS: dict[str, TheoremSpec] = {
+    "t1": TheoremSpec("theorem 1", 4, lambda n, k: SearchPredicate(
+        c4_free=True, max_edges=_edge_cap(n), min_degree=1), lambda n, k: (_F,)),
+    "c1": TheoremSpec("corollary 1", 4, lambda n, k: SearchPredicate(even_cycle_free=True),
+                      lambda n, k: (_F,), borrowed_facts=True),
+    "t2i": TheoremSpec("theorem 2", 4, lambda n, k: SearchPredicate(minimally_connected=2),
+                       lambda n, k: (_K2,)),
+    # F_n belongs to the 2-edge-connected class only at odd n
+    "t2ii": TheoremSpec("theorem 2", 4, lambda n, k: SearchPredicate(minimally_edge_connected=2),
+                        lambda n, k: (_K2, _F) if n % 2 else (_K2,)),
+    "t3": TheoremSpec("theorem 3", 8, lambda n, k: SearchPredicate(minimally_connected=3),
+                      lambda n, k: (FamilyId("wheel"), FamilyId("complete_bipartite", t=3))),
+    "t4": TheoremSpec("theorem 4", 1, lambda n, k: SearchPredicate(degenerate=k),
+                      lambda n, k: (FamilyId("split", k=k),), takes_k=True),
+}
+
+
+def _theorem_checks(thm: str, n: int, k_values: Sequence[int] | None) -> list[tuple[str, int | None]]:
+    """The (check, k) passes of one grid task: t2 is t2i and t2ii, and a
+    check taking k runs once per k with n >= least_n + k."""
+    checks: list[tuple[str, int | None]] = []
+    for check in ("t2i", "t2ii") if thm == "t2" else (thm,):
+        spec = THEOREMS.get(check)
+        if spec is not None and spec.takes_k:
+            checks += [(check, k) for k in k_values or () if n >= spec.least_n + k]
+        else:
+            checks.append((check, None))
+    return checks
+
+
+def _theorem_plan(
+    thm: str, n: int, p_values: Sequence[int], k: int | None, large: bool
+) -> tuple[TheoremSpec, SearchPredicate]:
+    """Validate one check instance without enumerating anything."""
+    spec = THEOREMS.get(thm)
+    if spec is None:
+        raise ValueError(f"unknown theorem id {thm!r}")
+    if any(p < 2 for p in p_values):
+        raise ValueError("p must be > 1")
+    if spec.takes_k and (k is None or k < 1):
+        raise ValueError(f"{spec.title} needs a degeneracy bound k >= 1")
+    least = spec.least_n + (k if spec.takes_k else 0)
+    if n < least:
+        raise ValueError(f"{spec.title} needs n >= {least}")
+    pred = spec.predicate(n, k)
+    check_enumerable(n, pred, large)
+    return spec, pred
+
+
+def _theorem_pass(
+    thm: str, n: int, p_values: Sequence[int], k: int | None, large: bool
+) -> list[VerificationRecord]:
+    """One enumeration of the check's class, scored at every p.
+
+    For each p the maximum and the complete witness set must equal those of
+    the claimed extremal families (uniqueness included), and each family's
+    closed form must equal e_p of its construction.
+    """
+    spec, pred = _theorem_plan(thm, n, p_values, k, large)
+    claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
+    tracker = ExtremalTracker(p_values)
+    visit = tracker.visit
+    if spec.borrowed_facts:
+        restricted_pred, restricted = replace(pred, min_degree=1), ExtremalTracker(p_values)
+
+        def visit(g: Graph) -> None:
+            tracker.visit(g)
+            if restricted_pred.leaf_ok(g):
+                restricted.visit(g)
+
+    examined = enumerate_graphs(n, pred, visit, large=large)
+    records = []
+    for p in p_values:
+        values = [(to_graph6(g).decode("ascii"), ep_closed_form(fam, n, p), ep(g, p))
+                  for fam, g in claimed]
+        mismatch = [{"graph6": g6, "closed_form": v, "ep": e} for g6, v, e in values if v != e]
+        expected_max = max(v for _, v, _ in values)
+        expected = tuple(sorted(g6 for g6, v, _ in values if v == expected_max))
+        best, found = tracker.best[p], tracker.witnesses(p)
+        ok = not mismatch and best == expected_max and found == expected
+        detail: dict = {"predicate": pred.describe(), "graphs_examined": examined}
+        if spec.borrowed_facts:
+            agrees = restricted.best[p] == best and restricted.witnesses(p) == found
+            ok = ok and tracker.max_edges <= _edge_cap(n) and agrees
+            detail = {"graphs_examined": examined, "max_edges_seen": tracker.max_edges,
+                      "edge_cap": _edge_cap(n), "min_degree_filter_agrees": agrees}
+        detail.update(expected_max=expected_max, expected_witnesses=list(expected),
+                      found_witnesses=list(found))
+        witness = mismatch[0] if mismatch else {"found": list(found), "expected": list(expected)}
+        records.append(VerificationRecord(
+            check=thm,
+            params={"n": n, "p": p, **({"k": k} if spec.takes_k else {})},
+            verdict="pass" if ok else "fail",
+            value=best,
+            witness=None if ok else witness,
+            detail=detail,
+        ))
+    return records
 
 
 def brute_force_theorem(
@@ -207,148 +334,9 @@ def brute_force_theorem(
 
     Runs the extremal search for the theorem's graph class and compares the
     maximum and the complete witness set against the claimed extremal
-    family (uniqueness included).  The friendship graph participates in the
-    2-edge-connected bound only at odd n, where it belongs to the class.
+    families of THEOREMS[thm].
     """
-    if p < 2:
-        raise ValueError("p must be > 1")
-    from .families import complete_bipartite, friendship, split_graph, wheel
-
-    params: dict = {"n": n, "p": p}
-    if thm == "t1":
-        if n < 4:
-            raise ValueError("theorem 1 needs n >= 4")
-        cap = 3 * (n - 1) // 2
-        pred = SearchPredicate(c4_free=True, max_edges=cap, min_degree=1)
-        expected_max = ep_closed_form(_friendship_id(), n, p)
-        candidates = [("F_n", friendship(n), expected_max)]
-    elif thm == "c1":
-        if n < 4:
-            raise ValueError("corollary 1 needs n >= 4")
-        return _check_corollary1(n, p, large)
-    elif thm == "t2i":
-        if n < 4:
-            raise ValueError("theorem 2 needs n >= 4")
-        pred = SearchPredicate(minimally_connected=2)
-        value = ep_closed_form(FamilyId("complete_bipartite", t=2), n, p)
-        candidates = [("K_{2,n-2}", complete_bipartite(2, n), value)]
-    elif thm == "t2ii":
-        if n < 4:
-            raise ValueError("theorem 2 needs n >= 4")
-        pred = SearchPredicate(minimally_edge_connected=2)
-        candidates = [
-            ("K_{2,n-2}", complete_bipartite(2, n),
-             ep_closed_form(FamilyId("complete_bipartite", t=2), n, p)),
-        ]
-        if n % 2:
-            candidates.append(
-                ("F_n", friendship(n), ep_closed_form(_friendship_id(), n, p)))
-    elif thm == "t3":
-        if n < 8:
-            raise ValueError("theorem 3 needs n >= 8")
-        pred = SearchPredicate(minimally_connected=3)
-        candidates = [
-            ("W_n", wheel(n), ep_closed_form(FamilyId("wheel"), n, p)),
-            ("K_{3,n-3}", complete_bipartite(3, n),
-             ep_closed_form(FamilyId("complete_bipartite", t=3), n, p)),
-        ]
-    elif thm == "t4":
-        if k is None or k < 1:
-            raise ValueError("theorem 4 needs a degeneracy bound k >= 1")
-        if n < k + 1:
-            raise ValueError("theorem 4 needs n >= k+1")
-        params["k"] = k
-        pred = SearchPredicate(degenerate=k)
-        value = ep_closed_form(FamilyId("split", k=k), n, p)
-        candidates = [("S_{n,k}", split_graph(n, k), value)]
-    else:
-        raise ValueError(f"unknown theorem id {thm!r}")
-
-    for _, g, value in candidates:
-        assert ep(g, p) == value  # closed form must match the construction
-    expected_max, attainers = _expected_set(candidates)
-    expected_wits = tuple(sorted(g6 for _, g6 in attainers))
-    report = extremal_ep(n, p, pred, large=large)
-    ok = report.max_value == expected_max and report.witnesses == expected_wits
-    detail = {
-        "predicate": report.predicate,
-        "graphs_examined": report.graphs_examined,
-        "expected_max": expected_max,
-        "expected_witnesses": list(expected_wits),
-        "found_witnesses": list(report.witnesses),
-    }
-    return VerificationRecord(
-        check=thm,
-        params=params,
-        verdict="pass" if ok else "fail",
-        value=report.max_value,
-        witness=None if ok else {"found": list(report.witnesses), "expected": list(expected_wits)},
-        detail=detail,
-    )
-
-
-def _check_corollary1(n: int, p: int, large: bool) -> VerificationRecord:
-    """Even-cycle-free extremal search.
-
-    The two facts the corollary borrows -- every even-cycle-free graph on n
-    vertices has at most floor(3(n-1)/2) edges, and the extremal graph has
-    no isolated vertex -- are asserted over the enumerated class rather
-    than assumed: the search runs without them and must agree with the
-    min-degree-filtered search.
-    """
-    from .families import friendship
-
-    cap = 3 * (n - 1) // 2
-    pred_all = SearchPredicate(even_cycle_free=True)
-    max_m = 0
-    best: int | None = None
-    wits: list[Graph] = []
-
-    def visit(g: Graph) -> None:
-        nonlocal max_m, best
-        max_m = max(max_m, g.edge_count())
-        value = ep(g, p)
-        if best is None or value > best:
-            best = value
-            wits.clear()
-            wits.append(g)
-        elif value == best:
-            wits.append(g)
-
-    examined = enumerate_graphs(n, pred_all, visit, large=large)
-    found = tuple(
-        to_graph6(w).decode("ascii") for w in sorted(wits, key=canonical_form)
-    )
-    restricted = extremal_ep(
-        n, p, SearchPredicate(even_cycle_free=True, min_degree=1), large=large
-    )
-    expected_max = ep_closed_form(_friendship_id(), n, p)
-    expected_wits = (to_graph6(canonical_graph(friendship(n))).decode("ascii"),)
-    edge_fact = max_m <= cap
-    delta_fact = restricted.max_value == best and restricted.witnesses == found
-    ok = (
-        edge_fact
-        and delta_fact
-        and best == expected_max
-        and found == expected_wits
-    )
-    detail = {
-        "graphs_examined": examined,
-        "max_edges_seen": max_m,
-        "edge_cap": cap,
-        "expected_max": expected_max,
-        "expected_witnesses": list(expected_wits),
-        "found_witnesses": list(found),
-        "min_degree_filter_agrees": delta_fact,
-    }
-    return VerificationRecord(
-        check="c1",
-        params={"n": n, "p": p},
-        verdict="pass" if ok else "fail",
-        value=best,
-        witness=None if ok else {"found": list(found), "expected": list(expected_wits)},
-        detail=detail,
-    )
+    return _theorem_pass(thm, n, (p,), k, large)[0]
 
 
 # -- closed-form scans ---------------------------------------------------------
@@ -356,8 +344,8 @@ def _check_corollary1(n: int, p: int, large: bool) -> VerificationRecord:
 
 def _threshold_values(pair: str, n: int, p: int) -> tuple[int, int]:
     if pair == "F_vs_K2":
-        lhs = ep_closed_form(_friendship_id(), n, p)
-        rhs = ep_closed_form(FamilyId("complete_bipartite", t=2), n, p)
+        lhs = ep_closed_form(_F, n, p)
+        rhs = ep_closed_form(_K2, n, p)
     elif pair == "W_vs_K3":
         lhs = ep_closed_form(FamilyId("wheel"), n, p)
         rhs = ep_closed_form(FamilyId("complete_bipartite", t=3), n, p)
@@ -426,7 +414,7 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
     )
 
 
-def appendix_a_scan(part: str, p: int, n_max: int = 401) -> VerificationRecord:
+def appendix_a_scan(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> VerificationRecord:
     """Exact positivity scan of the two tail inequalities.
 
     Part i: 2(n-2)^p - (n-1)^p - 2^p > 0 over odd n in [2p-1, n_max], p >= 5.
@@ -493,12 +481,12 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
     if e2_pg != q * q * (q + 1) * (q + 2):  # (c)
         problems.append({"identity": "c", "e2_pg": e2_pg})
     if p == 2:  # (a)
-        diff = e2_pg - ep_closed_form(_friendship_id(), n, 2)
+        diff = e2_pg - ep_closed_form(_F, n, 2)
         detail["difference"] = diff
         if diff != q * (q + 1) * (q - 4):
             problems.append({"identity": "a", "difference": diff})
     else:  # (b)
-        diff = ep_closed_form(_friendship_id(), n, p) - ep_closed_form(pg, q, p)
+        diff = ep_closed_form(_F, n, p) - ep_closed_form(pg, q, p)
         formula = q * (q + 1) * 2**p + q * q * (q + 1) * (
             (q ** (p - 2) - 1) * ((q + 1) ** (p - 1) - 1) - 1
         )
@@ -545,19 +533,15 @@ def theorem_records(
     k_values: Sequence[int] | None = None,
     large: bool = False,
 ) -> list[VerificationRecord]:
-    """All records for one theorem at one order (enumeration is shared)."""
-    records = []
-    for p in p_values:
-        if thm == "t2":
-            records.append(brute_force_theorem("t2i", n, p, large=large))
-            records.append(brute_force_theorem("t2ii", n, p, large=large))
-        elif thm == "t4":
-            for k in k_values or ():
-                if n >= k + 1:
-                    records.append(brute_force_theorem("t4", n, p, k=k, large=large))
-        else:
-            records.append(brute_force_theorem(thm, n, p, large=large))
-    return records
+    """All records for one theorem at one order.
+
+    t2 stands for t2i and t2ii, and t4 runs once per k in k_values.  Each
+    check (and k) enumerates its class once and scores every p in that one
+    pass; the records come out p-major: for each p, every check and k.
+    """
+    passes = [_theorem_pass(check, n, p_values, k, large)
+              for check, k in _theorem_checks(thm, n, k_values)]
+    return [records[i] for i in range(len(p_values)) for records in passes]
 
 
 def run_task(task: tuple[str, dict]) -> list[VerificationRecord]:
@@ -576,46 +560,68 @@ def run_task(task: tuple[str, dict]) -> list[VerificationRecord]:
     raise ValueError(f"unknown task kind {kind!r}")
 
 
-def suite_tasks(suite: str, large: bool = False) -> list[tuple[str, dict]]:
-    """The desk-scale verification grid, one task per enumeration unit."""
-    tasks: list[tuple[str, dict]] = []
-    if suite in ("thm1", "all-desk"):
-        for n in range(4, 10):
-            tasks.append(("theorem", {"thm": "t1", "n": n, "p_values": (2, 3), "large": large}))
-    if suite in ("cor1", "all-desk"):
-        for n in range(4, 9):
-            tasks.append(("theorem", {"thm": "c1", "n": n, "p_values": (2, 3), "large": large}))
-    if suite in ("thm2", "all-desk"):
-        for n in range(4, 9):
-            tasks.append(("theorem", {"thm": "t2", "n": n, "p_values": (2, 3, 4, 5), "large": large}))
-    if suite in ("thm3", "all-desk"):
-        tasks.append(("theorem", {"thm": "t3", "n": 8, "p_values": (2,), "large": large}))
-    if suite in ("thm4", "all-desk"):
-        for n in range(2, 9):
-            tasks.append(("theorem", {"thm": "t4", "n": n, "p_values": (2, 3),
-                                      "k_values": (1, 2, 3), "large": large}))
-    if suite in ("lemma1", "all-desk"):
-        for n in range(7, 62, 2):
-            for p in range(2, 9):
-                tasks.append(("lemma", {"lemma": "lemma1", "n": n, "p": p}))
-    if suite in ("lemma12", "all-desk"):
-        for n in range(6, 61, 2):
-            for p in range(2, 9):
-                tasks.append(("lemma", {"lemma": "lemma12", "n": n, "p": p}))
-    if suite in ("thresholds", "all-desk"):
-        for p in range(2, 12):
-            tasks.append(("threshold", {"pair": "W_vs_K3", "p": p}))
-        for p in range(2, 9):
-            tasks.append(("threshold", {"pair": "F_vs_K2", "p": p}))
-    if suite in ("appendixA", "all-desk"):
-        for p in range(5, 13):
-            tasks.append(("appendixA", {"part": "i", "p": p}))
-        for p in range(12, 17):
-            tasks.append(("appendixA", {"part": "ii", "p": p}))
-    if suite in ("polarity", "all-desk"):
-        for q in (2, 3, 4, 5, 7, 8, 9, 11):
-            for p in range(2, 7):
-                tasks.append(("polarity", {"q": q, "p": p}))
-    if not tasks:
-        raise ValueError(f"unknown suite {suite!r}")
+def validate_task(task: tuple[str, dict]) -> None:
+    """Raise ValueError for a theorem task that cannot run, before any
+    enumeration: an unknown id, n below the statement's least order, p < 2,
+    or an order enumerate_graphs refuses."""
+    kind, kw = task
+    if kind == "theorem":
+        for check, k in _theorem_checks(kw["thm"], kw["n"], kw.get("k_values")):
+            _theorem_plan(check, kw["n"], kw["p_values"], k, kw.get("large", False))
+
+
+class GridRow(NamedTuple):
+    """Tasks of one kind: every task gets the fixed keywords plus one point
+    of the product of the axes, in axis order."""
+
+    kind: str
+    fixed: dict
+    axes: dict
+
+
+# The desk-scale grid, one task per enumeration unit: a theorem task covers
+# one order n and all its p.  Each axis range starts at the least value its
+# check admits and steps through the admitted values (odd n for lemma1).
+SUITES: dict[str, tuple[GridRow, ...]] = {
+    "thm1": (GridRow("theorem", {"thm": "t1", "p_values": (2, 3)}, {"n": range(4, 10)}),),
+    "cor1": (GridRow("theorem", {"thm": "c1", "p_values": (2, 3)}, {"n": range(4, 9)}),),
+    "thm2": (GridRow("theorem", {"thm": "t2", "p_values": (2, 3, 4, 5)}, {"n": range(4, 9)}),),
+    "thm3": (GridRow("theorem", {"thm": "t3", "p_values": (2,)}, {"n": range(8, 9)}),),
+    "thm4": (GridRow("theorem", {"thm": "t4", "p_values": (2, 3), "k_values": (1, 2, 3)},
+                     {"n": range(2, 9)}),),
+    "lemma1": (GridRow("lemma", {"lemma": "lemma1"}, {"n": range(7, 62, 2), "p": range(2, 9)}),),
+    "lemma12": (GridRow("lemma", {"lemma": "lemma12"}, {"n": range(6, 61, 2), "p": range(2, 9)}),),
+    "thresholds": (
+        GridRow("threshold", {"pair": "W_vs_K3", "n_max": WHEEL_TABLE_N_MAX}, {"p": range(2, 12)}),
+        GridRow("threshold", {"pair": "F_vs_K2", "n_max": FRIENDSHIP_TABLE_N_MAX},
+                {"p": range(2, 9)}),
+    ),
+    "appendixA": (
+        GridRow("appendixA", {"part": "i", "n_max": APPENDIX_N_MAX}, {"p": range(5, 13)}),
+        GridRow("appendixA", {"part": "ii", "n_max": APPENDIX_N_MAX}, {"p": range(12, 17)}),
+    ),
+    "polarity": (GridRow("polarity", {}, {"q": (2, 3, 4, 5, 7, 8, 9, 11), "p": range(2, 7)}),),
+}
+
+
+def grid_tasks(row: GridRow, large: bool = False) -> list[tuple[str, dict]]:
+    """One task per point of the row's axes; large opts theorem tasks with
+    n > ENUM_FAST_CAP into their slow enumeration."""
+    tasks = []
+    for point in product(*row.axes.values()):
+        kw = {**row.fixed, **dict(zip(row.axes, point))}
+        if row.kind == "theorem":
+            kw["large"] = large and kw["n"] > ENUM_FAST_CAP
+        tasks.append((row.kind, kw))
     return tasks
+
+
+def suite_tasks(suite: str, large: bool = False) -> list[tuple[str, dict]]:
+    """The grid of one suite; all-desk is every suite in table order."""
+    if suite == "all-desk":
+        rows = [row for rows in SUITES.values() for row in rows]
+    elif suite in SUITES:
+        rows = list(SUITES[suite])
+    else:
+        raise ValueError(f"unknown suite {suite!r}")
+    return [task for row in rows for task in grid_tasks(row, large)]

@@ -1,13 +1,24 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from degpow.cli import main
+from degpow.cli import _build_tasks, build_parser, main
 from degpow.graphs import degree_sequence, from_graph6
+from degpow.verify import SUITES, suite_tasks
+
+# sha256 of `verify ... --json`, pinned from the reports before the theorem
+# table replaced the per-theorem code
+REPORT_DIGESTS = {
+    ("thm1", "--n", "4..8"): "27a6d052df3f665130cfb22386817c271070b97c0d9b6becd86b77143bd43ead",
+    ("cor1",): "402e5d84f50bde42dde6a3b8d95e2fc9151bb3f3fa377897fd2fc2801fd5bd21",
+    ("thm2", "--n", "4..7"): "3e6490b306241566c5b85d96f1b910d848241349d5bc5349cd062bb421071345",
+    ("thm4", "--n", "2..7"): "2aef61a27fe9ec5154d87118c774e36878bbb39b9b70d4c019ba2c5edbba99bf",
+}
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +83,12 @@ class TestEp:
     def test_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "ep", "--g6", "C\x01", "--p", "2")
         assert code == 1 and "error" in err
+
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent" / "g.g6")
+        code, out, err = run_cli(capsys, "ep", "--file", missing, "--p", "2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("degpow: error: ") and missing in err
 
 
 class TestCheck:
@@ -176,6 +193,47 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "thm2", "--n", "4..x")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--n" in err and "4..x" in err
+
+    def test_empty_range_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "thm2", "--p", "5..2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--p" in err and "5..2" in err
+
+    def test_invalid_theorem_task_exits_two_before_running(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "thm1", "--n", "4", "--p", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "p must be > 1" in err
+
+    def test_n10_all_graphs_refused(self, capsys, monkeypatch):
+        # all graphs on 10 vertices are 12,005,168 classes; only the C4-free
+        # and even-cycle-free searches may run at n=10
+        monkeypatch.setenv("DEGPOW_MAX_N", "10")
+        code, out, err = run_cli(capsys, "verify", "thm2", "--n", "10")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "n=10" in err
+
+    def test_explicit_values_outside_an_axis_are_dropped(self):
+        args = build_parser().parse_args(["verify", "lemma1", "--n", "4..9", "--p", "1..2"])
+        assert [kw["n"] for _, kw in _build_tasks(args)] == [7, 9]
+
+    @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+    def test_report_digests_pinned(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+        path = tmp_path / "r.json"
+        code, _, _ = run_cli(capsys, "verify", *argv, "--json", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+
+    @pytest.mark.parametrize("suite", [*SUITES, "all-desk"])
+    def test_default_grid_is_the_suite_table(self, monkeypatch, suite):
+        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+        tasks = _build_tasks(build_parser().parse_args(["verify", suite]))
+        if suite == "all-desk":
+            assert tasks == suite_tasks("all-desk", large=True)
+        else:
+            # default orders clamp to the guard of 8
+            assert tasks == [(kind, kw) for kind, kw in suite_tasks(suite)
+                             if kind != "theorem" or kw["n"] <= 8]
 
     def test_malformed_env_guard_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGPOW_MAX_N", "abc")

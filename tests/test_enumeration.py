@@ -294,6 +294,22 @@ class TestNetworkxOracle:
             )
 
 
+class TestOrderAndCapChecks:
+    def test_negative_edge_cap_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_graphs(4, SearchPredicate(max_edges=-1))
+
+    def test_n10_needs_a_cycle_prune(self, monkeypatch):
+        def no_generation(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(enumeration, "_classes", no_generation)
+        for pred in (SearchPredicate(), SearchPredicate(max_edges=3),
+                     SearchPredicate(minimally_connected=2)):
+            with pytest.raises(ValueError, match="n=10"):
+                enumerate_graphs(10, pred, large=True)
+
+
 class TestExtremalSearch:
     def test_theorem1_n5(self):
         pred = SearchPredicate(c4_free=True, max_edges=6, min_degree=1)

@@ -223,6 +223,30 @@ class TestBruteForce:
             brute_force_theorem("t1", 9, 2)  # needs large=True
 
 
+class TestGuardsWithoutAsserts:
+    def test_closed_form_mismatch_fails_with_witness(self, monkeypatch):
+        import degpow.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "ep_closed_form",
+                            lambda family, n, p: ep_closed_form(family, n, p) + 1)
+        rec = brute_force_theorem("t2i", 5, 2)
+        assert rec.verdict == "fail"
+        assert rec.witness == {"graph6": rec.detail["expected_witnesses"][0],
+                               "closed_form": 31, "ep": 30}
+
+    def test_malformed_lemma_tuple_fails_with_witness(self, monkeypatch):
+        import degpow.verify as verify_mod
+
+        def build(spec):
+            t1, t2, t3 = lemma_tuple_build(spec)
+            return t1, t2, t3[::-1]
+
+        monkeypatch.setattr(verify_mod, "lemma_tuple_build", build)
+        rec = lemma_tuple_check("lemma1", 9, 2)
+        assert rec.verdict == "fail"
+        assert rec.witness == {"malformed": [1, 1, 1, 2, 3, 3, 3, 3, 7], "sum": 24}
+
+
 class TestSuites:
     def test_task_lists_deterministic(self):
         assert suite_tasks("polarity") == suite_tasks("polarity")
@@ -234,5 +258,9 @@ class TestSuites:
         assert len(records) == 1 and records[0].verdict == "pass"
         records = run_task(("theorem", {"thm": "t2", "n": 4, "p_values": (2,)}))
         assert [r.check for r in records] == ["t2i", "t2ii"]
+        records = run_task(("theorem", {"thm": "t4", "n": 3, "p_values": (2, 3),
+                                        "k_values": (1, 2, 3)}))
+        # p-major: for each p, every k that n >= k+1 admits
+        assert [(r.params["p"], r.params["k"]) for r in records] == [(2, 1), (2, 2), (3, 1), (3, 2)]
         with pytest.raises(ValueError):
             run_task(("nope", {}))
