@@ -3,8 +3,8 @@
 
 This is the CI entry point: every theorem brute force (including the slow
 C4-free search at n=9), the comparison-tuple scans, the threshold tables,
-the appendix inequalities, and the polarity identities.  Expect a few
-minutes of runtime; pass --jobs to spread grid points over processes.
+the appendix inequalities, and the polarity identities.  Expect about
+15 s of runtime; pass --jobs to spread grid points over processes.
 
 Usage:
     python scripts/run_all_desk.py [--jobs N] [--out-dir reports]

@@ -277,6 +277,10 @@ def edge_connectivity(g: Graph) -> int:
 def _has_vertex_connectivity(g: Graph, t: int) -> bool:
     if t <= 0:
         return True
+    # the neighbourhood of a vertex of degree < t separates it (or the
+    # graph is complete on at most t vertices)
+    if min(a.bit_count() for a in g.adj) < t:
+        return False
     if _is_complete(g):
         return g.n - 1 >= t
     net, _ = _vertex_net(g)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .enumeration import (
     ENUM_FAST_CAP,
@@ -152,14 +152,18 @@ def _malformed(t: tuple[int, ...], n: int, total: int) -> bool:
     return len(t) != n or sum(t) != total or any(a < b for a, b in zip(t, t[1:]))
 
 
+def _check_lemma_args(lemma: str, n: int, p: int) -> None:
+    _validate_lemma_n(lemma, n)
+    if p < 2:
+        raise ValueError("p must be > 1")
+
+
 def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
     """Part (i) once, part (ii) for every admitted q; empty ranges pass (ii)
     vacuously.  lemma1 part (i) is non-strict (equality occurs at p=2),
     everything else is strict.  A tuple that is not an n-tuple with the
     lemma's sum in non-increasing order fails the check as its witness."""
-    _validate_lemma_n(lemma, n)
-    if p < 2:
-        raise ValueError("p must be > 1")
+    _check_lemma_args(lemma, n, p)
     params = {"n": n, "p": p}
     total = 3 * (n - 1) if lemma == "lemma1" else 3 * n - 4
     t1, t2 = _part_i_tuples(lemma, n)
@@ -344,28 +348,40 @@ def brute_force_theorem(
 
 def _threshold_values(pair: str, n: int, p: int) -> tuple[int, int]:
     if pair == "F_vs_K2":
-        lhs = ep_closed_form(_F, n, p)
-        rhs = ep_closed_form(_K2, n, p)
-    elif pair == "W_vs_K3":
-        lhs = ep_closed_form(FamilyId("wheel"), n, p)
-        rhs = ep_closed_form(FamilyId("complete_bipartite", t=3), n, p)
-    else:
+        return ep_closed_form(_F, n, p), ep_closed_form(_K2, n, p)
+    return (ep_closed_form(FamilyId("wheel"), n, p),
+            ep_closed_form(FamilyId("complete_bipartite", t=3), n, p))
+
+
+def _table_n_max(pair: str) -> int:
+    return FRIENDSHIP_TABLE_N_MAX if pair == "F_vs_K2" else WHEEL_TABLE_N_MAX
+
+
+def _threshold_window(pair: str, p: int, n_max: int | None = None) -> range:
+    """The orders a threshold scan covers (n_max None: the table's window).
+
+    F_vs_K2 scans odd n from 5 (the comparison with the friendship graph
+    concerns odd orders); W_vs_K3 scans every n from 6.  Raises for an
+    unknown pair, p < 2, or a window too small to see the tail.
+    """
+    if pair not in ("F_vs_K2", "W_vs_K3"):
         raise ValueError(f"unknown pair {pair!r}")
-    return lhs, rhs
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if n_max is None:
+        n_max = _table_n_max(pair)
+    if n_max < 2 * p + 4:
+        raise ValueError("n_max too small to see the tail; need n_max >= 2p+4")
+    return range(5, n_max + 1, 2) if pair == "F_vs_K2" else range(6, n_max + 1)
 
 
 def threshold_scan(pair: str, p: int, n_max: int) -> int:
     """Smallest n0 with lhs < rhs for every scanned n in [n0, n_max].
 
-    F_vs_K2 scans odd n from 5 (the comparison with the friendship graph
-    concerns odd orders); W_vs_K3 scans every n from 6.  Raises if the top
-    of the window still fails.
+    Raises if the window is invalid (see _threshold_window) or if its top
+    still fails.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if n_max < 2 * p + 4:
-        raise ValueError("n_max too small to see the tail; need n_max >= 2p+4")
-    ns = range(5, n_max + 1, 2) if pair == "F_vs_K2" else range(6, n_max + 1)
+    ns = _threshold_window(pair, p, n_max)
     last_fail = None
     for n in ns:
         lhs, rhs = _threshold_values(pair, n, p)
@@ -384,7 +400,7 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
     """Scan and compare against the table value (p >= 5 friendship scans
     instead check the tail starts no later than 2p-1, per the analytic bound)."""
     if n_max is None:
-        n_max = FRIENDSHIP_TABLE_N_MAX if pair == "F_vs_K2" else WHEEL_TABLE_N_MAX
+        n_max = _table_n_max(pair)
     params = {"pair": pair, "p": p, "n_max": n_max}
     try:
         n0 = threshold_scan(pair, p, n_max)
@@ -414,30 +430,38 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
     )
 
 
+def _appendix_window(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> range:
+    """The orders an appendix scan covers; raises for an unknown part, p
+    below the part's least exponent, or a window holding no order."""
+    if part == "i":
+        if p < 5:
+            raise ValueError("part i needs p >= 5")
+        ns = range(2 * p - 1, n_max + 1, 2)
+    elif part == "ii":
+        if p < 12:
+            raise ValueError("part ii needs p >= 12")
+        ns = range(2 * p, n_max + 1)
+    else:
+        raise ValueError(f"unknown part {part!r}")
+    if not ns:
+        raise ValueError(f"n_max={n_max} leaves nothing to scan; part {part} at p={p} "
+                         f"needs n_max >= {ns.start}")
+    return ns
+
+
 def appendix_a_scan(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> VerificationRecord:
     """Exact positivity scan of the two tail inequalities.
 
     Part i: 2(n-2)^p - (n-1)^p - 2^p > 0 over odd n in [2p-1, n_max], p >= 5.
     Part ii: 3(n-3)^p - (n-1)^p - 2*3^p > 0 over n in [2p, n_max], p >= 12.
     """
-    if part == "i":
-        if p < 5:
-            raise ValueError("part i needs p >= 5")
-        ns: Iterable[int] = range(2 * p - 1, n_max + 1, 2)
+    ns = _appendix_window(part, p, n_max)
 
-        def h(n: int) -> int:
+    def h(n: int) -> int:
+        if part == "i":
             return 2 * (n - 2) ** p - (n - 1) ** p - 2**p
+        return 3 * (n - 3) ** p - (n - 1) ** p - 2 * 3**p
 
-    elif part == "ii":
-        if p < 12:
-            raise ValueError("part ii needs p >= 12")
-        ns = range(2 * p, n_max + 1)
-
-        def h(n: int) -> int:
-            return 3 * (n - 3) ** p - (n - 1) ** p - 2 * 3**p
-
-    else:
-        raise ValueError(f"unknown part {part!r}")
     params = {"part": part, "p": p, "n_max": n_max}
     min_val: int | None = None
     scanned = 0
@@ -457,6 +481,13 @@ def appendix_a_scan(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> Verificat
     )
 
 
+def _check_polarity_args(q: int, p: int) -> None:
+    if _prime_power(q) is None:
+        raise ValueError(f"{q} is not a prime power")
+    if p < 2:
+        raise ValueError("p must be >= 2")
+
+
 def polarity_check(q: int, p: int) -> VerificationRecord:
     """Identities tying the polarity graph to the friendship graph.
 
@@ -467,10 +498,7 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
     For q with q^2+q+1 <= 64 the graph is built and cross-checked: vertex
     count, the q+1/q^2 degree split, C4-freeness, and direct e_p agreement.
     """
-    if _prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    _check_polarity_args(q, p)
     n = q * q + q + 1
     params = {"q": q, "p": p}
     pg = FamilyId("polarity")
@@ -544,30 +572,48 @@ def theorem_records(
     return [records[i] for i in range(len(p_values)) for records in passes]
 
 
+def _check_theorem_task(thm: str, n: int, p_values: Sequence[int],
+                        k_values: Sequence[int] | None = None, large: bool = False) -> None:
+    for check, k in _theorem_checks(thm, n, k_values):
+        _theorem_plan(check, n, p_values, k, large)
+
+
+class _TaskKind(NamedTuple):
+    """check raises ValueError for the task's keywords where run would,
+    without running anything."""
+
+    check: Callable[..., object]
+    run: Callable[..., list[VerificationRecord]]
+
+
+_TASK_KINDS = {
+    "theorem": _TaskKind(_check_theorem_task, theorem_records),
+    "lemma": _TaskKind(_check_lemma_args, lambda **kw: [lemma_tuple_check(**kw)]),
+    "threshold": _TaskKind(_threshold_window, lambda **kw: [threshold_record(**kw)]),
+    "appendixA": _TaskKind(_appendix_window, lambda **kw: [appendix_a_scan(**kw)]),
+    "polarity": _TaskKind(_check_polarity_args, lambda **kw: [polarity_check(**kw)]),
+}
+
+
+def _task_kind(kind: str) -> _TaskKind:
+    if kind not in _TASK_KINDS:
+        raise ValueError(f"unknown task kind {kind!r}")
+    return _TASK_KINDS[kind]
+
+
 def run_task(task: tuple[str, dict]) -> list[VerificationRecord]:
     """Dispatch one grid task (picklable, for process pools)."""
     kind, kw = task
-    if kind == "theorem":
-        return theorem_records(**kw)
-    if kind == "lemma":
-        return [lemma_tuple_check(**kw)]
-    if kind == "threshold":
-        return [threshold_record(**kw)]
-    if kind == "appendixA":
-        return [appendix_a_scan(**kw)]
-    if kind == "polarity":
-        return [polarity_check(**kw)]
-    raise ValueError(f"unknown task kind {kind!r}")
+    return _task_kind(kind).run(**kw)
 
 
 def validate_task(task: tuple[str, dict]) -> None:
-    """Raise ValueError for a theorem task that cannot run, before any
-    enumeration: an unknown id, n below the statement's least order, p < 2,
-    or an order enumerate_graphs refuses."""
+    """Raise ValueError for a task that cannot run, before any of it runs:
+    for theorems an unknown id, n below the least order, p < 2 or an order
+    enumerate_graphs refuses; a lemma n of the wrong parity; a threshold or
+    appendix window too small; a polarity q that is not a prime power."""
     kind, kw = task
-    if kind == "theorem":
-        for check, k in _theorem_checks(kw["thm"], kw["n"], kw.get("k_values")):
-            _theorem_plan(check, kw["n"], kw["p_values"], k, kw.get("large", False))
+    _task_kind(kind).check(**kw)
 
 
 class GridRow(NamedTuple):

@@ -204,6 +204,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "p must be > 1" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("polarity", "--q", "6", "--p", "2"), "6 is not a prime power"),
+        (("appendixA", "--p", "5", "--nmax", "5"), "needs n_max >= 9"),
+        (("thresholds", "--pair", "W_vs_K3", "--nmax", "9"), "need n_max >= 2p+4"),
+    ], ids=["polarity", "appendixA", "thresholds"])
+    def test_invalid_scan_task_exits_two_before_running(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("degpow: error:") and message in err
+
     def test_n10_all_graphs_refused(self, capsys, monkeypatch):
         # all graphs on 10 vertices are 12,005,168 classes; only the C4-free
         # and even-cycle-free searches may run at n=10

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from degpow import enumeration
+from degpow.verify import THEOREMS
 from degpow.enumeration import (
     ExtremalReport,
     SearchPredicate,
@@ -53,6 +54,24 @@ PINNED_CLASS_SETS = {
     (7, False, True, 21): (105, "6c252a7bb34e05267d6030b276b4c5c2522b50bdd9eab62343fed67f4973331f"),
     (8, False, True, 28): (273, "185f8a444a46215aa4495b8ca0bdaffc17ecd5a42d897530ff79be3096680b38"),
 }
+
+
+EVEN_CYCLE_FREE_KEYS = [key for key in PINNED_CLASS_SETS if key[2]]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A cold class cache, and a counter of the canonical searches run."""
+    counter = Counter()
+    search = enumeration._canon_search
+
+    def counting(n, adj):
+        counter["calls"] += 1
+        return search(n, adj)
+
+    monkeypatch.setattr(enumeration, "_canon_search", counting)
+    monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+    return counter
 
 
 def triangle_bit_string(g):
@@ -245,6 +264,27 @@ class TestEnumeration:
 class TestClassSets:
     @pytest.mark.parametrize("key", list(PINNED_CLASS_SETS), ids=str)
     def test_pinned_class_set(self, key):
+        self.check_pinned(key)
+
+    @pytest.mark.parametrize("route", ["own", "filtered"])
+    @pytest.mark.parametrize("key", EVEN_CYCLE_FREE_KEYS, ids=str)
+    def test_pinned_class_set_by_route(self, key, route, monkeypatch):
+        # own: a cold cache, so the class is generated with its own prune;
+        # filtered: it is read out of a cached C4-free family.  The other
+        # keys are only ever read out of their own family, which
+        # test_pinned_class_set covers.
+        n = key[0]
+        full = n * (n - 1) // 2
+        c4_free = (n, enumeration.C4_FREE, full)
+        cache = {} if route == "own" else {c4_free: enumeration._generate(*c4_free)}
+        cached_before = list(cache)
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", cache)
+        self.check_pinned(key)
+        # only whole families are cached, never a filtered tuple
+        assert list(cache) == (cached_before or [(n, enumeration.EVEN_CYCLE_FREE, full)])
+
+    @staticmethod
+    def check_pinned(key):
         n, c4_free, even_cycle_free, cap = key
         pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
         reps = []
@@ -261,20 +301,39 @@ class TestClassSets:
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == digest
 
 
-    def test_canonical_searches_per_class(self, monkeypatch):
-        calls = 0
-        search = enumeration._canon_search
-
-        def counting(n, adj):
-            nonlocal calls
-            calls += 1
-            return search(n, adj)
-
-        monkeypatch.setattr(enumeration, "_canon_search", counting)
-        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+    def test_canonical_searches_per_class(self, searches):
         count = enumerate_graphs(7)
         assert count == CLASS_COUNTS[6]
-        assert calls <= 1.5 * count
+        assert searches["calls"] <= 1.5 * count
+
+    def test_even_cycle_free_searches_per_class(self, searches):
+        count = enumerate_graphs(8, THEOREMS["c1"].predicate(8, None))
+        assert count == PINNED_CLASS_SETS[(8, False, True, 28)][0]
+        assert searches["calls"] <= 1.5 * count
+
+    def test_capped_all_graphs_keep_the_prune(self, searches):
+        count = enumerate_graphs(8, SearchPredicate(max_edges=3))
+        assert count == 9
+        assert searches["calls"] <= 1.5 * count
+        # cached per cap, so the same request runs no search again
+        assert list(enumeration._CLASS_CACHE) == [(8, enumeration.ALL_GRAPHS, 3)]
+        calls = searches["calls"]
+        assert enumerate_graphs(8, SearchPredicate(max_edges=3)) == count
+        assert searches["calls"] == calls
+
+    def test_even_cycle_free_not_read_out_of_all_graphs(self, searches):
+        enumerate_graphs(6)
+        enumerate_graphs(6, THEOREMS["c1"].predicate(6, None))
+        assert list(enumeration._CLASS_CACHE) == [(6, enumeration.ALL_GRAPHS, 15),
+                                                  (6, enumeration.EVEN_CYCLE_FREE, 15)]
+
+    def test_c1_reads_t1_generation(self, searches):
+        enumerate_graphs(7, THEOREMS["t1"].predicate(7, None))
+        generated = searches["calls"]
+        assert generated > 0
+        count = enumerate_graphs(7, THEOREMS["c1"].predicate(7, None))
+        assert count == PINNED_CLASS_SETS[(7, False, True, 21)][0]
+        assert searches["calls"] == generated
 
 
 class TestNetworkxOracle:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from degpow.families import complete_bipartite, cycle_graph, friendship, split_graph, wheel
@@ -19,7 +21,9 @@ from degpow.structure import (
     vertex_connectivity,
 )
 
-from degpow.graphs import remove_edge
+from degpow import structure
+from degpow.enumeration import enumerate_graphs
+from degpow.graphs import permute, remove_edge
 
 from helpers import (
     all_labeled_graphs,
@@ -225,3 +229,36 @@ class TestCycles:
                 ref = oracle_cycles(g)
                 assert len(ours) == len(ref)
                 assert edge_sets(ours) == edge_sets(ref)
+
+
+def oracle_sample():
+    """Every class for n = 2..6, and 80 seeded n=7 classes, randomly relabeled."""
+    graphs = []
+    for n in range(2, 7):
+        enumerate_graphs(n, visit=graphs.append)
+    at7 = []
+    enumerate_graphs(7, visit=at7.append)
+    rng = random.Random(17)
+    for g in rng.sample(at7, 80):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        graphs.append(permute(g, perm))
+    return graphs
+
+
+class TestNetworkxOracle:
+    def test_connectivity_and_degeneracy(self):
+        nx = pytest.importorskip("networkx")
+        for g in oracle_sample():
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            kappa, lam = nx.node_connectivity(h), nx.edge_connectivity(h)
+            assert vertex_connectivity(g) == kappa
+            assert edge_connectivity(g) == lam
+            assert degeneracy(g) == max(nx.core_number(h).values())
+            # the threshold tests behind the minimality checks, including
+            # their min-degree shortcut
+            for t in range(1, 5):
+                assert structure._has_vertex_connectivity(g, t) == (kappa >= t)
+                assert structure._has_edge_connectivity(g, t) == (lam >= t)

@@ -17,6 +17,7 @@ from degpow.verify import (
     threshold_record,
     threshold_scan,
     valid_q_range,
+    validate_task,
 )
 
 
@@ -150,6 +151,14 @@ class TestAppendixA:
         with pytest.raises(ValueError):
             appendix_a_scan("iii", 12, 401)
 
+    def test_empty_window_rejected(self):
+        # part i at p=5 starts at n=9, part ii at p=12 at n=24
+        with pytest.raises(ValueError, match="n_max >= 9"):
+            appendix_a_scan("i", 5, 8)
+        with pytest.raises(ValueError, match="n_max >= 24"):
+            appendix_a_scan("ii", 12, 23)
+        assert appendix_a_scan("i", 5, 9).detail["scanned"] == 1
+
 
 class TestPolarity:
     def test_q5(self):
@@ -264,3 +273,23 @@ class TestSuites:
         assert [(r.params["p"], r.params["k"]) for r in records] == [(2, 1), (2, 2), (3, 1), (3, 2)]
         with pytest.raises(ValueError):
             run_task(("nope", {}))
+
+    def test_every_suite_task_validates(self):
+        for task in suite_tasks("all-desk", large=True):
+            validate_task(task)
+
+    @pytest.mark.parametrize("task", [
+        ("polarity", {"q": 6, "p": 2}),
+        ("polarity", {"q": 5, "p": 1}),
+        ("lemma", {"lemma": "lemma1", "n": 8, "p": 2}),
+        ("lemma", {"lemma": "lemma12", "n": 6, "p": 1}),
+        ("threshold", {"pair": "W_vs_K3", "p": 5, "n_max": 13}),
+        ("threshold", {"pair": "nope", "p": 5, "n_max": 200}),
+        ("appendixA", {"part": "i", "p": 5, "n_max": 5}),
+        ("appendixA", {"part": "ii", "p": 11}),
+        ("theorem", {"thm": "t1", "n": 4, "p_values": (1,)}),
+        ("nope", {}),
+    ], ids=str)
+    def test_invalid_task_rejected_before_running(self, task):
+        with pytest.raises(ValueError):
+            validate_task(task)
