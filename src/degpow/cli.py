@@ -138,6 +138,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_ep(args: argparse.Namespace) -> int:
+    if args.p < 1:
+        raise UsageError(f"--p must be >= 1, got {args.p}")
     try:
         graphs = _read_graphs(args)
     except ValueError as exc:
@@ -246,8 +248,10 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
     for key, flag in (("p_values", "p"), ("k_values", "k")):
         if key in fixed and flag in given:
             fixed[key] = tuple(given[flag])
-    if args.pmax and "pair" in fixed and "p" not in given:
+    if args.pmax is not None and "pair" in fixed and "p" not in given:
         axes["p"] = range(row.axes["p"].start, args.pmax + 1)
+        if not axes["p"]:
+            raise UsageError(f"--pmax must be >= {row.axes['p'].start}, got {args.pmax}")
     if args.nmax is not None and "n_max" in fixed:
         fixed["n_max"] = args.nmax
     if row.kind == "theorem":
@@ -283,6 +287,8 @@ def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = _build_tasks(args)
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     if args.jobs > 1:

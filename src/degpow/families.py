@@ -9,7 +9,6 @@ of GF(q)^3 in lexicographic order, adjacent when their dot product vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .graphs import Graph, new_graph
@@ -155,7 +154,6 @@ class FiniteField:
         return self.mul_table[a].index(1)
 
 
-@lru_cache(maxsize=None)
 def finite_field(q: int) -> FiniteField:
     """Field tables for GF(q), q = p**k a prime power with q <= 64."""
     pk = _prime_power(q)

@@ -2,16 +2,20 @@
 
 Connectivity follows Menger: local vertex connectivity is a unit-capacity
 max-flow in the vertex-split network, local edge connectivity a max-flow on
-the graph itself.  Flows are capped where only a threshold is needed, which
-keeps the minimality checks (one flow per deleted edge) cheap at desk scale.
-Even-cycle detection goes through the block decomposition: a graph has no
-even cycle exactly when every block is an edge or an odd cycle.
+the graph itself.  Flows are capped at the threshold t being tested, which
+keeps the minimality checks (one flow per deleted edge) cheap at desk scale;
+the connectivity itself is the largest t <= min degree that the threshold
+test accepts.  Degeneracy is a bitset k-core peel (Matula & Beck, J. ACM 30
+(1983) 417-427): g is k-degenerate iff repeatedly dropping every vertex with
+at most k surviving neighbours empties it.  Even-cycle detection goes
+through the block decomposition: a graph has no even cycle exactly when
+every block is an edge or an odd cycle.  Nothing is memoised; every call
+recomputes from the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph
@@ -240,43 +244,7 @@ def _is_complete(g: Graph) -> bool:
     return all(a == full & ~(1 << v) for v, a in enumerate(g.adj))
 
 
-@lru_cache(maxsize=None)
-def vertex_connectivity(g: Graph) -> int:
-    """Menger: min over non-adjacent pairs of split-network max-flow.
-
-    Complete graphs get the n-1 convention; disconnected graphs give 0.
-    """
-    if _is_complete(g):
-        return g.n - 1
-    net, _ = _vertex_net(g)
-    best = g.n - 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            best = min(best, net.max_flow(net.caps.copy(), 2 * u + 1, 2 * v, best))
-            if best == 0:
-                return 0
-    return best
-
-
-@lru_cache(maxsize=None)
-def edge_connectivity(g: Graph) -> int:
-    """Min s-t edge max-flow with s fixed at vertex 0, t ranging."""
-    if g.n < 2:
-        raise ValueError("edge connectivity needs n >= 2")
-    net, _ = _edge_net(g)
-    best = min(a.bit_count() for a in g.adj)
-    for t in range(1, g.n):
-        best = min(best, net.max_flow(net.caps.copy(), 0, t, best))
-        if best == 0:
-            return 0
-    return best
-
-
 def _has_vertex_connectivity(g: Graph, t: int) -> bool:
-    if t <= 0:
-        return True
     # the neighbourhood of a vertex of degree < t separates it (or the
     # graph is complete on at most t vertices)
     if min(a.bit_count() for a in g.adj) < t:
@@ -294,17 +262,29 @@ def _has_vertex_connectivity(g: Graph, t: int) -> bool:
 
 
 def _has_edge_connectivity(g: Graph, t: int) -> bool:
-    if t <= 0:
-        return True
-    if g.n < 2:
-        return False
     if min(a.bit_count() for a in g.adj) < t:
         return False
     net, _ = _edge_net(g)
     return all(net.max_flow(net.caps.copy(), 0, v, t) == t for v in range(1, g.n))
 
 
-@lru_cache(maxsize=None)
+def vertex_connectivity(g: Graph) -> int:
+    """The largest t <= min degree that the threshold test accepts.
+
+    Complete graphs get the n-1 convention; disconnected graphs give 0.
+    """
+    delta = min(a.bit_count() for a in g.adj)
+    return next((t for t in range(delta, 0, -1) if _has_vertex_connectivity(g, t)), 0)
+
+
+def edge_connectivity(g: Graph) -> int:
+    """The largest t <= min degree that the threshold test accepts."""
+    if g.n < 2:
+        raise ValueError("edge connectivity needs n >= 2")
+    delta = min(a.bit_count() for a in g.adj)
+    return next((t for t in range(delta, 0, -1) if _has_edge_connectivity(g, t)), 0)
+
+
 def is_minimally_t_connected(g: Graph, t: int) -> bool:
     """t-connected, and deleting any single edge breaks t-connectivity.
 
@@ -325,7 +305,6 @@ def is_minimally_t_connected(g: Graph, t: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def is_minimally_t_edge_connected(g: Graph, t: int) -> bool:
     """t-edge-connected, and every single edge deletion breaks it."""
     if t < 1:
@@ -341,26 +320,33 @@ def is_minimally_t_edge_connected(g: Graph, t: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+def _peels(g: Graph, k: int) -> bool:
+    """True iff the (k+1)-core of g is empty (one round drops every
+    surviving vertex with at most k surviving neighbours)."""
+    adj, alive = g.adj, (1 << g.n) - 1
+    while alive:
+        drop = 0
+        for v in _bits(alive):
+            if (adj[v] & alive).bit_count() <= k:
+                drop |= 1 << v
+        if not drop:
+            return False
+        alive ^= drop
+    return True
+
+
 def degeneracy(g: Graph) -> int:
-    """Max over min-degree peeling steps of the current minimum degree."""
-    deg = [a.bit_count() for a in g.adj]
-    alive = (1 << g.n) - 1
+    """The least k whose peel empties the graph."""
     k = 0
-    for _ in range(g.n):
-        v = min(_bits(alive), key=deg.__getitem__)
-        if deg[v] > k:
-            k = deg[v]
-        alive &= ~(1 << v)
-        for w in _bits(g.adj[v] & alive):
-            deg[w] -= 1
+    while not _peels(g, k):
+        k += 1
     return k
 
 
 def is_k_degenerate(g: Graph, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return degeneracy(g) <= k
+    return _peels(g, k)
 
 
 def is_maximal_k_degenerate(g: Graph, k: int) -> bool:

@@ -90,6 +90,13 @@ class TestEp:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("degpow: error: ") and missing in err
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_p_below_one_exits_two_before_reading(self, tmp_path, capsys, p):
+        missing = str(tmp_path / "nonexistent" / "g.g6")
+        code, out, err = run_cli(capsys, "ep", "--file", missing, "--p", p)
+        assert code == 2 and out == ""
+        assert err == f"degpow: error: --p must be >= 1, got {p}\n"
+
 
 class TestCheck:
     def test_c4free_friendship(self, capsys):
@@ -208,11 +215,18 @@ class TestVerify:
         (("polarity", "--q", "6", "--p", "2"), "6 is not a prime power"),
         (("appendixA", "--p", "5", "--nmax", "5"), "needs n_max >= 9"),
         (("thresholds", "--pair", "W_vs_K3", "--nmax", "9"), "need n_max >= 2p+4"),
-    ], ids=["polarity", "appendixA", "thresholds"])
+        (("thresholds", "--pmax", "0"), "--pmax must be >= 2, got 0"),
+    ], ids=["polarity", "appendixA", "thresholds", "pmax0"])
     def test_invalid_scan_task_exits_two_before_running(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("degpow: error:") and message in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_two(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "thm2", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"degpow: error: --jobs must be >= 1, got {jobs}\n"
 
     def test_n10_all_graphs_refused(self, capsys, monkeypatch):
         # all graphs on 10 vertices are 12,005,168 classes; only the C4-free

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degpow.enumeration import enumerate_graphs
 from degpow.families import complete_bipartite, friendship, wheel
 from degpow.graphs import (
     Graph,
@@ -160,6 +161,25 @@ class TestGraph6:
     def test_empty_string(self):
         with pytest.raises(ValueError):
             from_graph6(b"")
+
+    def test_against_networkx(self):
+        # every class for n <= 6, and a seeded sample up to n = 64 that
+        # includes the long header at n >= 63
+        nx = pytest.importorskip("networkx")
+        graphs = []
+        for n in range(1, 7):
+            enumerate_graphs(n, visit=graphs.append)
+        rng = random.Random(64)
+        graphs += [random_graph(rng, rng.randint(7, 64), rng.random()) for _ in range(40)]
+        graphs += [random_graph(rng, n, rng.random()) for n in (62, 63, 63, 64, 64)]
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert nx.to_graph6_bytes(h, header=False).rstrip(b"\n") == to_graph6(g)
+            back = nx.from_graph6_bytes(to_graph6(g))
+            assert back.number_of_nodes() == g.n
+            assert {(min(e), max(e)) for e in back.edges()} == set(g.edges())
 
 
 class TestInducedSubgraph:

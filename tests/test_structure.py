@@ -195,7 +195,10 @@ class TestDegeneracy:
     def test_against_induced_subgraph_oracle(self):
         for n in range(1, 6):
             for g in all_labeled_graphs(n):
-                assert degeneracy(g) == oracle_degeneracy(g)
+                d = oracle_degeneracy(g)
+                assert degeneracy(g) == d
+                for k in range(1, 5):
+                    assert is_k_degenerate(g, k) == (d <= k)
 
 
 class TestCycles:
@@ -256,7 +259,10 @@ class TestNetworkxOracle:
             kappa, lam = nx.node_connectivity(h), nx.edge_connectivity(h)
             assert vertex_connectivity(g) == kappa
             assert edge_connectivity(g) == lam
-            assert degeneracy(g) == max(nx.core_number(h).values())
+            core = max(nx.core_number(h).values())
+            assert degeneracy(g) == core
+            for k in range(1, 5):
+                assert is_k_degenerate(g, k) == (core <= k)
             # the threshold tests behind the minimality checks, including
             # their min-degree shortcut
             for t in range(1, 5):
