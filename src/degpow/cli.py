@@ -2,7 +2,13 @@
 
 JSON reports are byte-identical across runs with the same parameters and
 --jobs value; run timestamps are therefore omitted (null) unless
---timestamps is passed.  Exit status is 0 iff every record passes.
+--timestamps is passed.
+
+Exit status: 0 when every record passes, 1 when a verification record
+fails (its witness is printed), 2 on bad input.  Bad input leaves every
+subcommand as a UsageError, which main prints as one "degpow: error: ..."
+line on stderr.
+
 The env var DEGPOW_MAX_N (default 8, max 10) raises the enumeration guard
 for the slow n=9,10 searches (n=10 only for the C4-free and even-cycle-free
 classes); the fixed all-desk grid opts in by itself.  Default grids are
@@ -17,11 +23,14 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import structure
+from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from .families import FamilyId, construct
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
 from .verify import (SUITES, GridRow, VerificationRecord, grid_tasks, run_task, suite_tasks,
@@ -65,6 +74,19 @@ class ReportEnvelope:
         return buf.getvalue()
 
 
+class UsageError(Exception):
+    """Malformed command-line or environment input; main exits 2."""
+
+
+@contextmanager
+def _bad_input() -> Iterator[None]:
+    """A ValueError raised on the user's input is a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 # -- graph input ----------------------------------------------------------------
 
 
@@ -81,25 +103,26 @@ def _parse_edgelist(text: str) -> Graph:
 
 
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
-    if args.g6 is not None:
-        return [from_graph6(args.g6)]
-    if args.file is None:
-        raise SystemExit("provide a graph via --g6 or --file")
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read --file {args.file}: {exc.strerror}") from None
-    fmt = args.format
-    if fmt == "auto":
-        first = text.split(None, 1)
-        fmt = "edgelist" if first and first[0].isdigit() else "g6"
-    if fmt == "edgelist":
-        return [_parse_edgelist(text)]
-    return [from_graph6(line.strip()) for line in text.splitlines() if line.strip()]
+    if args.g6 is None and args.file is None:
+        raise UsageError("provide a graph via --g6 or --file")
+    with _bad_input():
+        if args.g6 is not None:
+            return [from_graph6(args.g6)]
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            try:
+                with open(args.file) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise UsageError(f"cannot read --file {args.file}: {exc.strerror}") from None
+        fmt = args.format
+        if fmt == "auto":
+            first = text.split(None, 1)
+            fmt = "edgelist" if first and first[0].isdigit() else "g6"
+        if fmt == "edgelist":
+            return [_parse_edgelist(text)]
+        return [from_graph6(line.strip()) for line in text.splitlines() if line.strip()]
 
 
 def _emit_graph(g: Graph, out: str) -> str:
@@ -111,28 +134,24 @@ def _emit_graph(g: Graph, out: str) -> str:
 
 # -- subcommands ----------------------------------------------------------------
 
-
-def _family_from_args(name: str, params: list[int]) -> tuple[FamilyId, int]:
-    arity = {"star": 1, "cycle": 1, "friendship": 1, "wheel": 1, "polarity": 1,
-             "complete_bipartite": 2, "split": 2}
-    if name not in arity:
-        raise SystemExit(f"unknown family {name!r}; choose from {sorted(arity)}")
-    if len(params) != arity[name]:
-        raise SystemExit(f"family {name} takes {arity[name]} parameter(s)")
-    if name == "complete_bipartite":
-        return FamilyId(name, t=params[0]), params[1]
-    if name == "split":
-        return FamilyId(name, k=params[1]), params[0]
-    return FamilyId(name), params[0]
+_FAMILY_ARITY = {"star": 1, "cycle": 1, "friendship": 1, "wheel": 1, "polarity": 1,
+                 "complete_bipartite": 2, "split": 2}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    family, size = _family_from_args(args.family, args.params)
-    try:
+    name, params = args.family, args.params
+    if name not in _FAMILY_ARITY:
+        raise UsageError(f"unknown family {name!r}; choose from {sorted(_FAMILY_ARITY)}")
+    if len(params) != _FAMILY_ARITY[name]:
+        raise UsageError(f"family {name} takes {_FAMILY_ARITY[name]} parameter(s)")
+    if name == "complete_bipartite":
+        family, size = FamilyId(name, t=params[0]), params[1]
+    elif name == "split":
+        family, size = FamilyId(name, k=params[1]), params[0]
+    else:
+        family, size = FamilyId(name), params[0]
+    with _bad_input():
         g = construct(family, size)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(_emit_graph(g, args.out))
     return 0
 
@@ -140,61 +159,35 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_ep(args: argparse.Namespace) -> int:
     if args.p < 1:
         raise UsageError(f"--p must be >= 1, got {args.p}")
-    try:
-        graphs = _read_graphs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for g in graphs:
+    for g in _read_graphs(args):
         print(ep(g, args.p))
     return 0
 
 
-_CHECKS = (
-    "c4free", "even-cycle-free", "connectivity", "edge-connectivity",
-    "min-t-conn", "min-t-edge-conn", "degeneracy", "k-degenerate",
-    "max-k-degenerate", "degrees",
-)
+# property -> (the --t/--k flag it takes, or None; the function of the graph
+# and that flag's value)
+_CHECKS: dict[str, tuple[str | None, Callable[..., object]]] = {
+    "c4free": (None, lambda g: not structure.has_c4(g)),
+    "even-cycle-free": (None, lambda g: not structure.has_even_cycle(g)),
+    "connectivity": (None, structure.vertex_connectivity),
+    "edge-connectivity": (None, structure.edge_connectivity),
+    "min-t-conn": ("t", structure.is_minimally_t_connected),
+    "min-t-edge-conn": ("t", structure.is_minimally_t_edge_connected),
+    "degeneracy": (None, structure.degeneracy),
+    "k-degenerate": ("k", structure.is_k_degenerate),
+    "max-k-degenerate": ("k", structure.is_maximal_k_degenerate),
+    "degrees": (None, degree_sequence),
+}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        graphs = _read_graphs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    def need(flag: str, value: int | None) -> int:
-        if value is None:
-            raise SystemExit(f"property {args.property} needs --{flag}")
-        return value
-
-    for g in graphs:
-        try:
-            prop = args.property
-            if prop == "c4free":
-                out: object = not structure.has_c4(g)
-            elif prop == "even-cycle-free":
-                out = not structure.has_even_cycle(g)
-            elif prop == "connectivity":
-                out = structure.vertex_connectivity(g)
-            elif prop == "edge-connectivity":
-                out = structure.edge_connectivity(g)
-            elif prop == "min-t-conn":
-                out = structure.is_minimally_t_connected(g, need("t", args.t))
-            elif prop == "min-t-edge-conn":
-                out = structure.is_minimally_t_edge_connected(g, need("t", args.t))
-            elif prop == "degeneracy":
-                out = structure.degeneracy(g)
-            elif prop == "k-degenerate":
-                out = structure.is_k_degenerate(g, need("k", args.k))
-            elif prop == "max-k-degenerate":
-                out = structure.is_maximal_k_degenerate(g, need("k", args.k))
-            else:
-                out = degree_sequence(g)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    flag, fn = _CHECKS[args.property]
+    extra = () if flag is None else (getattr(args, flag),)
+    if None in extra:
+        raise UsageError(f"property {args.property} needs --{flag}")
+    for g in _read_graphs(args):
+        with _bad_input():
+            out = fn(g, *extra)
         if isinstance(out, bool):
             print("true" if out else "false")
         elif isinstance(out, tuple):
@@ -202,10 +195,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             print(out)
     return 0
-
-
-class UsageError(Exception):
-    """Malformed command-line or environment input; main exits 2."""
 
 
 def _parse_range(flag: str, text: str) -> list[int]:
@@ -224,12 +213,12 @@ def _parse_range(flag: str, text: str) -> list[int]:
 
 
 def _enum_guard() -> int:
-    raw = os.environ.get("DEGPOW_MAX_N", "8")
+    raw = os.environ.get("DEGPOW_MAX_N", str(ENUM_FAST_CAP))
     try:
         cap = int(raw)
     except ValueError:
         raise UsageError(f"DEGPOW_MAX_N must be an integer, got {raw!r}") from None
-    return max(1, min(cap, 10))
+    return max(1, min(cap, ENUM_HARD_CAP))
 
 
 def _admitted(default: object, values: list[int]) -> list[int]:
@@ -258,7 +247,7 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
         # default orders clamp to the enumeration guard; explicit ones may not pass it
         too_large = [n for n in axes["n"] if n > guard]
         if "n" in given and too_large:
-            raise SystemExit(f"n={too_large[0]} exceeds the enumeration guard; "
+            raise UsageError(f"n={too_large[0]} exceeds the enumeration guard; "
                              f"set DEGPOW_MAX_N={too_large[0]}")
         axes["n"] = [n for n in axes["n"] if n <= guard]
     return GridRow(row.kind, fixed, axes)
@@ -277,12 +266,10 @@ def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
                  if not args.pair or row.fixed.get("pair", args.pair) == args.pair
                  for task in grid_tasks(_apply_flags(args, row, given, guard), large=True)]
         if not tasks:
-            raise SystemExit("no verification tasks match the given grid")
-    try:
+            raise UsageError("no verification tasks match the given grid")
+    with _bad_input():
         for task in tasks:
             validate_task(task)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     return tasks
 
 
@@ -290,9 +277,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = _build_tasks(args)
+    # open the report files before the run, so that a bad path is bad input
+    reports = []
+    for path, render in ((args.json, ReportEnvelope.to_json), (args.csv, ReportEnvelope.to_csv)):
+        if path:
+            try:
+                reports.append((open(path, "w"), render))
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # never more workers than tasks: the pool forks all of them up front
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_task, tasks))
     else:
         chunks = [run_task(t) for t in tasks]
@@ -309,12 +306,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         started_at=started,
         finished_at=finished,
     )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(envelope.to_json())
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(envelope.to_csv())
+    for fh, render in reports:
+        with fh:
+            fh.write(render(envelope))
     failures = 0
     for rec in records:
         params = ";".join(f"{k}={v}" for k, v in sorted(rec.params.items()))

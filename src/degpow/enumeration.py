@@ -150,13 +150,13 @@ def _transposition_automorphisms(n: int, adj: tuple[int, ...]) -> list[int]:
     return tau
 
 
-def canonical_form(g: Graph, limit: int = ENUM_HARD_CAP) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: order byte, then the minimal packed triangle.
 
     Two graphs have equal canonical form iff they are isomorphic.
     """
-    if g.n > limit:
-        raise ValueError(f"canonical form limited to n <= {limit}, got n={g.n}")
+    if g.n > ENUM_HARD_CAP:
+        raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={g.n}")
     cols, _, _ = _canon_search(g.n, g.adj)
     return bytes([g.n]) + _pack_cols(g.n, cols)
 
@@ -169,10 +169,10 @@ def _pack_cols(n: int, cols: list[int]) -> bytes:
     return big.to_bytes((nbits + 7) // 8, "big")
 
 
-def canonical_graph(g: Graph, limit: int = ENUM_HARD_CAP) -> Graph:
+def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g."""
-    if g.n > limit:
-        raise ValueError(f"canonical form limited to n <= {limit}, got n={g.n}")
+    if g.n > ENUM_HARD_CAP:
+        raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={g.n}")
     return _canon_pair(g)[1]
 
 

@@ -7,7 +7,9 @@ import json
 
 import pytest
 
-from degpow.cli import _build_tasks, build_parser, main
+import degpow.cli as cli_mod
+from degpow.cli import _build_tasks, _enum_guard, build_parser, main
+from degpow.enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from degpow.graphs import degree_sequence, from_graph6
 from degpow.verify import SUITES, suite_tasks
 
@@ -40,8 +42,9 @@ class TestConstruct:
         assert lines[0] == "7" and len(lines) == 1 + 9
 
     def test_wheel_too_small(self, capsys):
-        code, _, err = run_cli(capsys, "construct", "wheel", "3")
-        assert code == 1 and "wheel" in err
+        code, out, err = run_cli(capsys, "construct", "wheel", "3")
+        assert code == 2 and out == ""
+        assert err == "degpow: error: wheel needs n >= 4\n"
 
     def test_bipartite_params(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "complete_bipartite", "2", "5")
@@ -81,8 +84,9 @@ class TestEp:
         assert code == 0 and out.split() == ["36", "12"]
 
     def test_parse_failure(self, capsys):
-        code, _, err = run_cli(capsys, "ep", "--g6", "C\x01", "--p", "2")
-        assert code == 1 and "error" in err
+        code, out, err = run_cli(capsys, "ep", "--g6", "C\x01", "--p", "2")
+        assert code == 2 and out == ""
+        assert err == "degpow: error: graph6 byte outside [63, 126]\n"
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent" / "g.g6")
@@ -114,8 +118,40 @@ class TestCheck:
         assert code == 0 and out.strip() == "4"
 
     def test_missing_param(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "check", "min-t-conn", "--g6", "C~")
+        code, out, err = run_cli(capsys, "check", "min-t-conn", "--g6", "C~")
+        assert code == 2 and out == ""
+        assert err == "degpow: error: property min-t-conn needs --t\n"
+
+    @pytest.mark.parametrize("prop, flag", [
+        ("min-t-conn", "t"), ("min-t-edge-conn", "t"),
+        ("k-degenerate", "k"), ("max-k-degenerate", "k"),
+    ])
+    def test_missing_param_reported_before_reading(self, tmp_path, capsys, prop, flag):
+        missing = str(tmp_path / "nonexistent" / "g.g6")
+        code, out, err = run_cli(capsys, "check", prop, "--file", missing)
+        assert code == 2 and out == ""
+        assert err == f"degpow: error: property {prop} needs --{flag}\n"
+
+    @pytest.mark.parametrize("prop, flags, expected", [
+        ("c4free", (), "false"),
+        ("even-cycle-free", (), "false"),
+        ("connectivity", (), "3"),
+        ("edge-connectivity", (), "3"),
+        ("min-t-conn", ("--t", "3"), "true"),
+        ("min-t-edge-conn", ("--t", "2"), "false"),
+        ("degeneracy", (), "3"),
+        ("k-degenerate", ("--k", "2"), "false"),
+        ("max-k-degenerate", ("--k", "3"), "true"),
+        ("degrees", (), "3 3 3 3"),
+    ])
+    def test_every_property_on_k4(self, capsys, prop, flags, expected):
+        code, out, err = run_cli(capsys, "check", prop, *flags, "--g6", "C~")
+        assert code == 0 and err == "" and out == expected + "\n"
+
+    def test_value_error_on_a_graph_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "check", "edge-connectivity", "--g6", "@")
+        assert code == 2 and out == ""
+        assert err == "degpow: error: edge connectivity needs n >= 2\n"
 
     def test_false_result_still_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "check", "c4free", "--g6", "C~")
@@ -174,8 +210,16 @@ class TestVerify:
         for record in payload["records"]:
             assert set(record) == {"check", "params", "verdict", "value", "witness", "detail"}
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_unwritable_report_exits_two_before_running(self, tmp_path, capsys, monkeypatch,
+                                                        flag):
+        monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
+        path = str(tmp_path / "nonexistent" / "r.out")
+        code, out, err = run_cli(capsys, "verify", "lemma1", "--n", "7", "--p", "2", flag, path)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("degpow: error: cannot write ")
+
     def test_failing_record_exits_one_with_witness(self, capsys, monkeypatch):
-        import degpow.cli as cli_mod
         from degpow.verify import VerificationRecord
 
         bad = VerificationRecord(
@@ -188,8 +232,20 @@ class TestVerify:
 
     def test_enumeration_guard(self, capsys, monkeypatch):
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "verify", "thm1", "--n", "9", "--p", "2")
+        code, out, err = run_cli(capsys, "verify", "thm1", "--n", "9", "--p", "2")
+        assert code == 2 and out == ""
+        assert err == ("degpow: error: n=9 exceeds the enumeration guard; "
+                       "set DEGPOW_MAX_N=9\n")
+
+    @pytest.mark.parametrize("raw, guard", [
+        (None, ENUM_FAST_CAP), ("9", 9), ("99", ENUM_HARD_CAP), ("0", 1),
+    ])
+    def test_guard_bounds_come_from_enumeration(self, monkeypatch, raw, guard):
+        if raw is None:
+            monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("DEGPOW_MAX_N", raw)
+        assert _enum_guard() == guard
 
     def test_guard_lifted_by_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGPOW_MAX_N", "9")
@@ -268,3 +324,58 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "verify", "nosuchsuite")
+
+
+
+@pytest.mark.parametrize("argv, max_n", [
+    (("verify", "thm1", "--n", "9", "--p", "2"), None),
+    (("verify", "thm2", "--n", "10"), None),
+    (("verify", "thm2", "--n", "10"), "10"),
+    (("verify", "thm1", "--n", "3", "--p", "2"), None),
+    (("check", "min-t-conn", "--g6", "C~"), None),
+    (("construct", "wheel", "3"), None),
+    (("construct", "nosuch", "3"), None),
+    (("construct", "star"), None),
+    (("ep", "--p", "2"), None),
+    (("ep", "--g6", "C\x01", "--p", "2"), None),
+], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
+        "no-size", "no-graph", "bad-g6"])
+def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
+    # exit 1 is kept for a failed verification record
+    if max_n is None:
+        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("DEGPOW_MAX_N", max_n)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("degpow: error: ")
+
+
+@pytest.mark.parametrize("argv, jobs, workers", [
+    (("thm2", "--n", "4..7"), "5000", [4]),
+    (("thm2", "--n", "4..7"), "2", [2]),
+    (("thm2", "--n", "4..5"), "3", [2]),
+    (("thm2", "--n", "4"), "8", []),
+    (("thm2", "--n", "4..7"), "1", []),
+])
+def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
+    built = []
+
+    class RecordingPool:
+        """Records max_workers and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    code, _, _ = run_cli(capsys, "verify", *argv, "--p", "2", "--jobs", jobs)
+    assert code == 0 and built == workers

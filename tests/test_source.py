@@ -8,12 +8,42 @@ import degpow
 SOURCE = Path(degpow.__file__).parent
 
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips asserts, so a guard written as one silently vanishes
+def _nodes(match) -> list[str]:
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Assert):
+            if match(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert (SOURCE / "verify.py").exists()
-    assert found == []
+    return found
+
+
+def _raises_system_exit_with_argument(node: ast.AST) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id == "SystemExit" and bool(exc.args or exc.keywords))
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts, so a guard written as one silently vanishes
+    assert _nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_no_system_exit_with_a_message_in_the_package():
+    # bad input leaves the CLI as a UsageError (exit 2, one stderr line);
+    # SystemExit("...") would exit 1 and bypass that path
+    assert _nodes(_raises_system_exit_with_argument) == []
+
+
+def test_system_exit_detector():
+    cases = {
+        "raise SystemExit('bad')": True,
+        "raise SystemExit(code=3)": True,
+        "raise SystemExit": False,
+        "raise SystemExit()": False,
+        "sys.exit(main())": False,
+        "raise UsageError('bad')": False,
+    }
+    for source, expected in cases.items():
+        nodes = ast.walk(ast.parse(source))
+        assert any(map(_raises_system_exit_with_argument, nodes)) is expected, source
