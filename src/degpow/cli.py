@@ -9,10 +9,12 @@ fails (its witness is printed), 2 on bad input.  Bad input leaves every
 subcommand as a UsageError, which main prints as one "degpow: error: ..."
 line on stderr.
 
-The env var DEGPOW_MAX_N (default 8, max 10) raises the enumeration guard
-for the slow n=9,10 searches (n=10 only for the C4-free and even-cycle-free
-classes); the fixed all-desk grid opts in by itself.  Default grids are
-verify.SUITES with the flags applied.
+The env var DEGPOW_MAX_N (default ENUM_FAST_CAP = 8, max 10) is the one
+guard on how large an order a verify grid may enumerate: default grids
+clamp to it and an explicit order above it is bad input.  The fixed
+all-desk grid is not guarded.  The enumeration module's own limits (n=10
+only for the C4-free and even-cycle-free classes) still apply.  Default
+grids are verify.SUITES with the flags applied.
 """
 
 from __future__ import annotations
@@ -122,7 +124,10 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
             fmt = "edgelist" if first and first[0].isdigit() else "g6"
         if fmt == "edgelist":
             return [_parse_edgelist(text)]
-        return [from_graph6(line.strip()) for line in text.splitlines() if line.strip()]
+        graphs = [from_graph6(line.strip()) for line in text.splitlines() if line.strip()]
+    if not graphs:
+        raise UsageError(f"no graph in --file {args.file}")
+    return graphs
 
 
 def _emit_graph(g: Graph, out: str) -> str:
@@ -185,9 +190,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     extra = () if flag is None else (getattr(args, flag),)
     if None in extra:
         raise UsageError(f"property {args.property} needs --{flag}")
-    for g in _read_graphs(args):
-        with _bad_input():
-            out = fn(g, *extra)
+    # every graph is evaluated before anything is printed
+    with _bad_input():
+        results = [fn(g, *extra) for g in _read_graphs(args)]
+    for out in results:
         if isinstance(out, bool):
             print("true" if out else "false")
         elif isinstance(out, tuple):
@@ -255,16 +261,15 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
 
 def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
     if args.suite == "all-desk":
-        # the acceptance grid is fixed and opts into its own n=9 search
-        tasks = suite_tasks("all-desk", large=True)
+        # the acceptance grid is fixed, its n=9 search included
+        tasks = suite_tasks("all-desk")
     else:
         guard = _enum_guard()
         given = {flag: _parse_range(flag, getattr(args, flag))
                  for flag in ("n", "p", "k", "q") if getattr(args, flag)}
-        # the guard already bounds n, so every order left may run
         tasks = [task for row in SUITES[args.suite]
                  if not args.pair or row.fixed.get("pair", args.pair) == args.pair
-                 for task in grid_tasks(_apply_flags(args, row, given, guard), large=True)]
+                 for task in grid_tasks(_apply_flags(args, row, given, guard))]
         if not tasks:
             raise UsageError("no verification tasks match the given grid")
     with _bad_input():

@@ -32,6 +32,10 @@ C4-free family it would be read out of.  No narrower request reads the
 all-graph family (filtering it costs more than generating a pruned family),
 so an all-graph request keeps the edge-cap prune and is cached per cap.
 Derived tuples are not cached.
+
+The limits are resource limits only: orders 1 to ENUM_HARD_CAP, and the
+top order only for the C4-free and even-cycle-free families (all graphs on
+10 vertices are 12,005,168 classes).  Anything below that runs when asked.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from . import structure
 from .graphs import Graph, add_edge, ep, new_graph, permute, to_graph6
 
 ENUM_HARD_CAP = 10
-ENUM_FAST_CAP = 8  # beyond this an explicit opt-in is required
+ENUM_FAST_CAP = 8  # the CLI's default guard
 
 
 def _canon_search(
@@ -52,6 +56,8 @@ def _canon_search(
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Minimal column sequence, the permutation (position -> vertex), and
     generators (vertex -> vertex) of the automorphism group."""
+    if n > ENUM_HARD_CAP:
+        raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={n}")
     if n == 1:
         return [0], [0], []
     tau = _transposition_automorphisms(n, adj)
@@ -155,8 +161,6 @@ def canonical_form(g: Graph) -> bytes:
 
     Two graphs have equal canonical form iff they are isomorphic.
     """
-    if g.n > ENUM_HARD_CAP:
-        raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={g.n}")
     cols, _, _ = _canon_search(g.n, g.adj)
     return bytes([g.n]) + _pack_cols(g.n, cols)
 
@@ -171,8 +175,6 @@ def _pack_cols(n: int, cols: list[int]) -> bytes:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g."""
-    if g.n > ENUM_HARD_CAP:
-        raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={g.n}")
     return _canon_pair(g)[1]
 
 
@@ -380,18 +382,15 @@ def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
     return classes
 
 
-def check_enumerable(n: int, pred: SearchPredicate, large: bool) -> None:
+def check_enumerable(n: int, pred: SearchPredicate) -> None:
     """Raise ValueError unless enumerate_graphs can run at this order.
 
-    n=9,10 must be opted into via large, and n=10 only runs C4-free or
-    even-cycle-free classes: all graphs on 10 vertices cannot finish.
+    n=10 only runs C4-free or even-cycle-free classes: all graphs on 10
+    vertices cannot finish.  n=9 over all graphs runs, slowly; how large an
+    order a run may ask for is the caller's choice (the CLI's guard).
     """
     if not 1 <= n <= ENUM_HARD_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_HARD_CAP}")
-    if n > ENUM_FAST_CAP and not large:
-        raise ValueError(
-            f"n={n} enumeration is slow; pass large=True (CLI: set DEGPOW_MAX_N)"
-        )
     if n == ENUM_HARD_CAP and not (pred.c4_free or pred.even_cycle_free):
         raise ValueError(
             f"n={n} enumeration needs a C4-free or even-cycle-free class; "
@@ -403,8 +402,6 @@ def enumerate_graphs(
     n: int,
     pred: SearchPredicate = SearchPredicate(),
     visit: Callable[[Graph], None] | None = None,
-    *,
-    large: bool = False,
 ) -> int:
     """Visit one canonical representative per isomorphism class passing pred.
 
@@ -412,7 +409,7 @@ def enumerate_graphs(
     edge count, then canonical form.  Orders check_enumerable rejects raise
     before anything is generated.
     """
-    check_enumerable(n, pred, large)
+    check_enumerable(n, pred)
     count = 0
     for g in _classes(n, pred.hereditary_key(n)):
         if pred.leaf_ok(g):
@@ -445,9 +442,8 @@ class ExtremalTracker:
                 self._wits[p].append(g)
 
     def witnesses(self, p: int) -> tuple[str, ...]:
-        """graph6 of the maximisers at p, sorted by canonical form."""
-        ordered = sorted(self._wits[p], key=canonical_form)
-        return tuple(to_graph6(w).decode("ascii") for w in ordered)
+        """graph6 of the maximisers at p, sorted."""
+        return tuple(sorted(to_graph6(w).decode("ascii") for w in self._wits[p]))
 
 
 @dataclass(frozen=True)
@@ -455,9 +451,9 @@ class ExtremalReport:
     """Result of an extremal degree-power search over a predicate class.
 
     witnesses holds every extremal graph up to isomorphism as graph6 of the
-    canonical representative, sorted by canonical form; graphs_examined is
-    the number of classes that satisfied the predicate.  max_value is None
-    iff the class is empty.
+    canonical representative, sorted; graphs_examined is the number of
+    classes that satisfied the predicate.  max_value is None iff the class
+    is empty.
     """
 
     n: int
@@ -478,14 +474,12 @@ class ExtremalReport:
         }
 
 
-def extremal_ep(
-    n: int, p: int, pred: SearchPredicate = SearchPredicate(), *, large: bool = False
-) -> ExtremalReport:
+def extremal_ep(n: int, p: int, pred: SearchPredicate = SearchPredicate()) -> ExtremalReport:
     """Maximize the degree power over the predicate class, keeping all ties."""
     if p < 1:
         raise ValueError("p must be >= 1")
     tracker = ExtremalTracker((p,))
-    examined = enumerate_graphs(n, pred, tracker.visit, large=large)
+    examined = enumerate_graphs(n, pred, tracker.visit)
     return ExtremalReport(
         n=n,
         p=p,

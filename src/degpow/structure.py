@@ -239,18 +239,11 @@ def _edge_net(g: Graph) -> tuple[_FlowNet, dict[tuple[int, int], int]]:
     return net, edge_arcs
 
 
-def _is_complete(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return all(a == full & ~(1 << v) for v, a in enumerate(g.adj))
-
-
 def _has_vertex_connectivity(g: Graph, t: int) -> bool:
     # the neighbourhood of a vertex of degree < t separates it (or the
     # graph is complete on at most t vertices)
     if min(a.bit_count() for a in g.adj) < t:
         return False
-    if _is_complete(g):
-        return g.n - 1 >= t
     net, _ = _vertex_net(g)
     for u in range(g.n):
         for v in range(u + 1, g.n):

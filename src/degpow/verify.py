@@ -21,7 +21,6 @@ from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 from .enumeration import (
-    ENUM_FAST_CAP,
     ExtremalTracker,
     SearchPredicate,
     canonical_graph,
@@ -29,6 +28,7 @@ from .enumeration import (
     enumerate_graphs,
 )
 from .families import (
+    POLARITY_ORDERS,
     FamilyId,
     _prime_power,
     construct,
@@ -262,7 +262,7 @@ def _theorem_checks(thm: str, n: int, k_values: Sequence[int] | None) -> list[tu
 
 
 def _theorem_plan(
-    thm: str, n: int, p_values: Sequence[int], k: int | None, large: bool
+    thm: str, n: int, p_values: Sequence[int], k: int | None
 ) -> tuple[TheoremSpec, SearchPredicate]:
     """Validate one check instance without enumerating anything."""
     spec = THEOREMS.get(thm)
@@ -276,12 +276,12 @@ def _theorem_plan(
     if n < least:
         raise ValueError(f"{spec.title} needs n >= {least}")
     pred = spec.predicate(n, k)
-    check_enumerable(n, pred, large)
+    check_enumerable(n, pred)
     return spec, pred
 
 
 def _theorem_pass(
-    thm: str, n: int, p_values: Sequence[int], k: int | None, large: bool
+    thm: str, n: int, p_values: Sequence[int], k: int | None
 ) -> list[VerificationRecord]:
     """One enumeration of the check's class, scored at every p.
 
@@ -289,7 +289,7 @@ def _theorem_pass(
     the claimed extremal families (uniqueness included), and each family's
     closed form must equal e_p of its construction.
     """
-    spec, pred = _theorem_plan(thm, n, p_values, k, large)
+    spec, pred = _theorem_plan(thm, n, p_values, k)
     claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
     tracker = ExtremalTracker(p_values)
     visit = tracker.visit
@@ -301,7 +301,7 @@ def _theorem_pass(
             if restricted_pred.leaf_ok(g):
                 restricted.visit(g)
 
-    examined = enumerate_graphs(n, pred, visit, large=large)
+    examined = enumerate_graphs(n, pred, visit)
     records = []
     for p in p_values:
         values = [(to_graph6(g).decode("ascii"), ep_closed_form(fam, n, p), ep(g, p))
@@ -331,16 +331,14 @@ def _theorem_pass(
     return records
 
 
-def brute_force_theorem(
-    thm: str, n: int, p: int, *, k: int | None = None, large: bool = False
-) -> VerificationRecord:
+def brute_force_theorem(thm: str, n: int, p: int, *, k: int | None = None) -> VerificationRecord:
     """Exhaustive check of one theorem instance at order n, exponent p.
 
     Runs the extremal search for the theorem's graph class and compares the
     maximum and the complete witness set against the claimed extremal
     families of THEOREMS[thm].
     """
-    return _theorem_pass(thm, n, (p,), k, large)[0]
+    return _theorem_pass(thm, n, (p,), k)[0]
 
 
 # -- closed-form scans ---------------------------------------------------------
@@ -495,7 +493,7 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
     (b) at p>=3 the difference e_p(F_n) - e_p(PG) equals
         q(q+1)2^p + q^2(q+1)([q^(p-2)-1][(q+1)^(p-1)-1]-1) and is positive;
     (c) e_2(PG) = q^2(q+1)(q+2).
-    For q with q^2+q+1 <= 64 the graph is built and cross-checked: vertex
+    For q in POLARITY_ORDERS the graph is built and cross-checked: vertex
     count, the q+1/q^2 degree split, C4-freeness, and direct e_p agreement.
     """
     _check_polarity_args(q, p)
@@ -523,7 +521,7 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
         if diff != formula or not diff > 0:
             problems.append({"identity": "b", "difference": diff, "formula": formula})
 
-    if n <= 64:
+    if q in POLARITY_ORDERS:
         g = polarity_graph(q)
         degs = degree_sequence(g)
         built_ok = (
@@ -559,7 +557,6 @@ def theorem_records(
     n: int,
     p_values: Sequence[int],
     k_values: Sequence[int] | None = None,
-    large: bool = False,
 ) -> list[VerificationRecord]:
     """All records for one theorem at one order.
 
@@ -567,15 +564,15 @@ def theorem_records(
     check (and k) enumerates its class once and scores every p in that one
     pass; the records come out p-major: for each p, every check and k.
     """
-    passes = [_theorem_pass(check, n, p_values, k, large)
+    passes = [_theorem_pass(check, n, p_values, k)
               for check, k in _theorem_checks(thm, n, k_values)]
     return [records[i] for i in range(len(p_values)) for records in passes]
 
 
 def _check_theorem_task(thm: str, n: int, p_values: Sequence[int],
-                        k_values: Sequence[int] | None = None, large: bool = False) -> None:
+                        k_values: Sequence[int] | None = None) -> None:
     for check, k in _theorem_checks(thm, n, k_values):
-        _theorem_plan(check, n, p_values, k, large)
+        _theorem_plan(check, n, p_values, k)
 
 
 class _TaskKind(NamedTuple):
@@ -650,19 +647,13 @@ SUITES: dict[str, tuple[GridRow, ...]] = {
 }
 
 
-def grid_tasks(row: GridRow, large: bool = False) -> list[tuple[str, dict]]:
-    """One task per point of the row's axes; large opts theorem tasks with
-    n > ENUM_FAST_CAP into their slow enumeration."""
-    tasks = []
-    for point in product(*row.axes.values()):
-        kw = {**row.fixed, **dict(zip(row.axes, point))}
-        if row.kind == "theorem":
-            kw["large"] = large and kw["n"] > ENUM_FAST_CAP
-        tasks.append((row.kind, kw))
-    return tasks
+def grid_tasks(row: GridRow) -> list[tuple[str, dict]]:
+    """One task per point of the row's axes."""
+    return [(row.kind, {**row.fixed, **dict(zip(row.axes, point))})
+            for point in product(*row.axes.values())]
 
 
-def suite_tasks(suite: str, large: bool = False) -> list[tuple[str, dict]]:
+def suite_tasks(suite: str) -> list[tuple[str, dict]]:
     """The grid of one suite; all-desk is every suite in table order."""
     if suite == "all-desk":
         rows = [row for rows in SUITES.values() for row in rows]
@@ -670,4 +661,4 @@ def suite_tasks(suite: str, large: bool = False) -> list[tuple[str, dict]]:
         rows = list(SUITES[suite])
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [task for row in rows for task in grid_tasks(row, large)]
+    return [task for row in rows for task in grid_tasks(row)]

@@ -48,7 +48,7 @@ def _verdict(criterion: str, ok: bool, started: float) -> None:
 
 def _classes(n: int) -> list[Graph]:
     acc: list[Graph] = []
-    enumerate_graphs(n, visit=acc.append, large=n > 8)
+    enumerate_graphs(n, visit=acc.append)
     return acc
 
 
@@ -80,7 +80,7 @@ def test_criterion_03_theorem1_brute_force():
     ok = True
     for n in range(4, 10):
         for p in (2, 3):
-            rec = brute_force_theorem("t1", n, p, large=True)
+            rec = brute_force_theorem("t1", n, p)
             ok &= rec.verdict == "pass"
     _verdict("3 theorem 1 brute force (n<=9)", ok, t0)
 

@@ -122,6 +122,14 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == "degpow: error: property min-t-conn needs --t\n"
 
+    def test_later_rejected_graph_prints_nothing(self, tmp_path, capsys):
+        # C~ alone gives 3; the single vertex @ is rejected, so nothing is printed
+        path = tmp_path / "graphs.g6"
+        path.write_text("C~\n@\n")
+        code, out, err = run_cli(capsys, "check", "edge-connectivity", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == "degpow: error: edge connectivity needs n >= 2\n"
+
     @pytest.mark.parametrize("prop, flag", [
         ("min-t-conn", "t"), ("min-t-edge-conn", "t"),
         ("k-degenerate", "k"), ("max-k-degenerate", "k"),
@@ -309,7 +317,7 @@ class TestVerify:
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
         tasks = _build_tasks(build_parser().parse_args(["verify", suite]))
         if suite == "all-desk":
-            assert tasks == suite_tasks("all-desk", large=True)
+            assert tasks == suite_tasks("all-desk")
         else:
             # default orders clamp to the guard of 8
             assert tasks == [(kind, kw) for kind, kw in suite_tasks(suite)
@@ -338,10 +346,13 @@ class TestVerify:
     (("construct", "star"), None),
     (("ep", "--p", "2"), None),
     (("ep", "--g6", "C\x01", "--p", "2"), None),
+    (("ep", "--file", "-", "--p", "2"), None),
+    (("check", "degrees", "--file", "-", "--format", "g6"), None),
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
-        "no-size", "no-graph", "bad-g6"])
+        "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-g6"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     # exit 1 is kept for a failed verification record
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
     if max_n is None:
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
     else:

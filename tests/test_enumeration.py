@@ -217,10 +217,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_graphs(11)
 
-    def test_large_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_graphs(9)
-
     def test_visit_representatives_are_canonical_and_distinct(self):
         seen = []
         enumerate_graphs(5, visit=seen.append)
@@ -288,7 +284,7 @@ class TestClassSets:
         n, c4_free, even_cycle_free, cap = key
         pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
         reps = []
-        enumerate_graphs(n, pred, reps.append, large=n > 8)
+        enumerate_graphs(n, pred, reps.append)
         forms = [canonical_form(g) for g in reps]
         count, digest = PINNED_CLASS_SETS[key]
         if not (c4_free or even_cycle_free):
@@ -366,7 +362,25 @@ class TestOrderAndCapChecks:
         for pred in (SearchPredicate(), SearchPredicate(max_edges=3),
                      SearchPredicate(minimally_connected=2)):
             with pytest.raises(ValueError, match="n=10"):
-                enumerate_graphs(10, pred, large=True)
+                enumerate_graphs(10, pred)
+
+    def test_n9_all_graphs_admitted(self, monkeypatch):
+        # no opt-in: n=9 over all graphs reaches generation, nothing beyond
+        # the hard limits raises first
+        requested = []
+
+        def no_classes(n, hkey):
+            requested.append(n)
+            return ()
+
+        monkeypatch.setattr(enumeration, "_classes", no_classes)
+        assert enumerate_graphs(9, SearchPredicate()) == 0
+        assert requested == [9]
+        for n, pred in ((0, SearchPredicate()), (11, SearchPredicate(c4_free=True)),
+                        (10, SearchPredicate())):
+            with pytest.raises(ValueError):
+                enumerate_graphs(n, pred)
+        assert requested == [9]
 
 
 class TestExtremalSearch:
@@ -405,3 +419,12 @@ class TestExtremalSearch:
         for g6 in rep.witnesses:
             g = from_graph6(g6)
             assert ep_fn(g, 3) == rep.max_value
+
+    def test_graph6_order_is_canonical_form_order(self):
+        # witnesses are sorted by graph6; for canonical representatives of
+        # one order that is the canonical-form order, as the classes of every
+        # graph class at n <= 7 are a subset of these
+        for n in range(1, 8):
+            reps = []
+            enumerate_graphs(n, visit=reps.append)
+            assert sorted(reps, key=to_graph6) == sorted(reps, key=canonical_form)

@@ -35,6 +35,15 @@ def test_no_system_exit_with_a_message_in_the_package():
     assert _nodes(_raises_system_exit_with_argument) == []
 
 
+def test_no_parameter_named_large():
+    # how large an order may run is the CLI guard's decision (DEGPOW_MAX_N);
+    # the library keeps only its resource limits and takes no opt-in
+    def large_parameter(node: ast.AST) -> bool:
+        return isinstance(node, ast.arg) and node.arg == "large"
+
+    assert _nodes(large_parameter) == []
+
+
 def test_system_exit_detector():
     cases = {
         "raise SystemExit('bad')": True,

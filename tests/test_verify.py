@@ -228,8 +228,6 @@ class TestBruteForce:
             brute_force_theorem("t4", 5, 2)  # k missing
         with pytest.raises(ValueError):
             brute_force_theorem("t9", 5, 2)
-        with pytest.raises(ValueError):
-            brute_force_theorem("t1", 9, 2)  # needs large=True
 
 
 class TestGuardsWithoutAsserts:
@@ -275,7 +273,7 @@ class TestSuites:
             run_task(("nope", {}))
 
     def test_every_suite_task_validates(self):
-        for task in suite_tasks("all-desk", large=True):
+        for task in suite_tasks("all-desk"):
             validate_task(task)
 
     @pytest.mark.parametrize("task", [
