@@ -46,9 +46,7 @@ from .majorization import (
     weakly_majorizes,
 )
 from .structure import (
-    BlockDecomposition,
     all_cycles,
-    block_decomposition,
     cycle_has_chord,
     degeneracy,
     edge_connectivity,

@@ -50,11 +50,10 @@ class ReportEnvelope:
     records: list[VerificationRecord]
     started_at: str | None = None
     finished_at: str | None = None
-    format_version: int = FORMAT_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "command": self.command,
             "parameters": self.parameters,
             "started_at": self.started_at,

@@ -463,16 +463,6 @@ class ExtremalReport:
     witnesses: tuple[str, ...]
     graphs_examined: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "predicate": self.predicate,
-            "max_value": self.max_value,
-            "witnesses": list(self.witnesses),
-            "graphs_examined": self.graphs_examined,
-        }
-
 
 def extremal_ep(n: int, p: int, pred: SearchPredicate = SearchPredicate()) -> ExtremalReport:
     """Maximize the degree power over the predicate class, keeping all ties."""

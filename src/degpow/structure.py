@@ -7,15 +7,15 @@ keeps the minimality checks (one flow per deleted edge) cheap at desk scale;
 the connectivity itself is the largest t <= min degree that the threshold
 test accepts.  Degeneracy is a bitset k-core peel (Matula & Beck, J. ACM 30
 (1983) 417-427): g is k-degenerate iff repeatedly dropping every vertex with
-at most k surviving neighbours empties it.  Even-cycle detection goes
-through the block decomposition: a graph has no even cycle exactly when
-every block is an edge or an odd cycle.  Nothing is memoised; every call
-recomputes from the graph.
+at most k surviving neighbours empties it.  A graph has no even cycle
+exactly when it is an odd cactus, every block an edge or an odd cycle;
+one DFS decides this without finding the blocks: every back edge must
+close an odd cycle and no tree edge may lie on two of them.  Nothing is
+memoised; every call recomputes from the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph
@@ -32,75 +32,6 @@ def has_c4(g: Graph) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs and bridges) as vertex bitsets.
-
-    Every edge lies in exactly one block; two blocks share at most one
-    vertex, so a block's edges are exactly the edges inside its vertex set.
-    Blocks of size 2 are bridges.  Isolated vertices appear in no block.
-    """
-
-    blocks: tuple[int, ...]
-    cut_vertices: int
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    n, adj = g.n, g.adj
-    disc = [0] * n  # 0 = unvisited, else 1-based discovery time
-    low = [0] * n
-    timer = 1
-    blocks: list[int] = []
-    cut = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        edge_stack: list[tuple[int, int]] = []
-        # stack entries: (vertex, parent, iterator over neighbor bits)
-        stack = [(root, -1, _bits(adj[root]))]
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v == parent:
-                    continue
-                if not disc[v]:
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    if u == root:
-                        root_children += 1
-                    stack.append((v, u, _bits(adj[v])))
-                    advanced = True
-                    break
-                if disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                if low[u] < low[pu]:
-                    low[pu] = low[u]
-                if low[u] >= disc[pu]:
-                    # edges above (pu, u) form one block
-                    members = 0
-                    while True:
-                        a, b = edge_stack.pop()
-                        members |= (1 << a) | (1 << b)
-                        if (a, b) == (pu, u):
-                            break
-                    blocks.append(members)
-                    if pu != root or root_children >= 2:
-                        cut |= 1 << pu
-    return BlockDecomposition(tuple(blocks), cut)
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -109,19 +40,46 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def has_even_cycle(g: Graph) -> bool:
-    """True iff some block is neither a single edge nor an odd cycle.
+    """True iff some cycle has even length, by one DFS per component.
 
-    A 2-connected block with more edges than vertices contains a theta
-    subgraph, two of whose three cycles sum to even length; a cycle block
-    is even exactly when its length is.
+    Every non-tree edge of a DFS joins a vertex to an ancestor and closes
+    a fundamental cycle.  An even one is an answer.  Two fundamental
+    cycles that share a tree edge meet in one tree path, so together they
+    form a theta, and a theta always has an even cycle.  Otherwise the
+    fundamental cycles are edge-disjoint, every cycle is one of them, and
+    all of them are odd.
     """
-    for block in block_decomposition(g).blocks:
-        size = block.bit_count()
-        if size < 3:
+    n, adj = g.n, g.adj
+    depth = [0] * n
+    parent = [0] * n
+    seen = 0
+    on_cycle = 0  # vertices whose edge to their parent lies on a fundamental cycle
+    for root in range(n):
+        if (seen >> root) & 1:
             continue
-        m = sum((g.adj[v] & block).bit_count() for v in _bits(block)) // 2
-        if m > size or size % 2 == 0:
-            return True
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            fresh = adj[u] & ~seen
+            if not fresh:
+                stack.pop()
+                continue
+            v = (fresh & -fresh).bit_length() - 1
+            parent[v], depth[v] = u, depth[u] + 1
+            seen |= 1 << v
+            stack.append(v)
+            # v's visited neighbours other than u are its ancestors: a
+            # finished vertex adjacent to v would have discovered it
+            for w in _bits(adj[v] & seen & ~(1 << u)):
+                if (depth[v] - depth[w]) % 2:
+                    return True
+                x = v
+                while x != w:
+                    if (on_cycle >> x) & 1:
+                        return True
+                    on_cycle |= 1 << x
+                    x = parent[x]
     return False
 
 

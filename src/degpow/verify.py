@@ -395,8 +395,10 @@ def threshold_scan(pair: str, p: int, n_max: int) -> int:
 
 
 def threshold_record(pair: str, p: int, n_max: int | None = None) -> VerificationRecord:
-    """Scan and compare against the table value (p >= 5 friendship scans
-    instead check the tail starts no later than 2p-1, per the analytic bound)."""
+    """Scan and compare against the table value; where the table does not
+    list p, check that the tail starts no later than the Appendix A bound:
+    2p-1 for F_vs_K2 (part i), 2p for W_vs_K3 (part ii, whose h(n) is
+    e_p(K_{3,n-3}) - e_p(W_n))."""
     if n_max is None:
         n_max = _table_n_max(pair)
     params = {"pair": pair, "p": p, "n_max": n_max}
@@ -407,17 +409,15 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
             check="threshold", params=params, verdict="fail", witness=str(exc)
         )
     if pair == "W_vs_K3":
-        expected = WHEEL_THRESHOLDS.get(p)
-        ok = expected is None or n0 == expected
-        detail = {"expected": expected}
+        table, bound = WHEEL_THRESHOLDS, 2 * p
     else:
-        expected = FRIENDSHIP_THRESHOLDS.get(p)
-        if expected is not None:
-            ok = n0 == expected
-            detail = {"expected": expected}
-        else:
-            ok = n0 <= 2 * p - 1
-            detail = {"expected_at_most": 2 * p - 1}
+        table, bound = FRIENDSHIP_THRESHOLDS, 2 * p - 1
+    if p in table:
+        ok = n0 == table[p]
+        detail = {"expected": table[p]}
+    else:
+        ok = n0 <= bound
+        detail = {"expected_at_most": bound}
     return VerificationRecord(
         check="threshold",
         params=params,
@@ -571,7 +571,10 @@ def theorem_records(
 
 def _check_theorem_task(thm: str, n: int, p_values: Sequence[int],
                         k_values: Sequence[int] | None = None) -> None:
-    for check, k in _theorem_checks(thm, n, k_values):
+    checks = _theorem_checks(thm, n, k_values)
+    if not checks:
+        raise ValueError(f"{thm} runs no check at n={n} for k in {list(k_values or ())}")
+    for check, k in checks:
         _theorem_plan(check, n, p_values, k)
 
 
@@ -606,9 +609,10 @@ def run_task(task: tuple[str, dict]) -> list[VerificationRecord]:
 
 def validate_task(task: tuple[str, dict]) -> None:
     """Raise ValueError for a task that cannot run, before any of it runs:
-    for theorems an unknown id, n below the least order, p < 2 or an order
-    enumerate_graphs refuses; a lemma n of the wrong parity; a threshold or
-    appendix window too small; a polarity q that is not a prime power."""
+    for theorems an unknown id, n below the least order, p < 2, an order
+    enumerate_graphs refuses or no check to run (t4 with n < k+1 for every
+    k); a lemma n of the wrong parity; a threshold or appendix window too
+    small; a polarity q that is not a prime power."""
     kind, kw = task
     _task_kind(kind).check(**kw)
 
@@ -648,9 +652,12 @@ SUITES: dict[str, tuple[GridRow, ...]] = {
 
 
 def grid_tasks(row: GridRow) -> list[tuple[str, dict]]:
-    """One task per point of the row's axes."""
-    return [(row.kind, {**row.fixed, **dict(zip(row.axes, point))})
-            for point in product(*row.axes.values())]
+    """One task per point of the row's axes, less the theorem tasks that
+    run no check (t4 where n < k+1 for every k)."""
+    tasks = [(row.kind, {**row.fixed, **dict(zip(row.axes, point))})
+             for point in product(*row.axes.values())]
+    return [(kind, kw) for kind, kw in tasks
+            if kind != "theorem" or _theorem_checks(kw["thm"], kw["n"], kw.get("k_values"))]
 
 
 def suite_tasks(suite: str) -> list[tuple[str, dict]]:

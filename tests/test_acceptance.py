@@ -209,10 +209,10 @@ def test_criterion_11b_even_cycle_oracle():
     t0 = time.time()
     ok = all(
         has_even_cycle(g) == oracle_has_even_cycle(g)
-        for n in range(1, 8)
+        for n in range(1, 9)
         for g in _classes(n)
     )
-    _verdict("11b even-cycle detection vs DFS oracle (n<=7)", ok, t0)
+    _verdict("11b even-cycle detection vs DFS oracle (n<=8)", ok, t0)
 
 
 def test_criterion_11c_vertex_connectivity_oracle():

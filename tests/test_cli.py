@@ -304,6 +304,12 @@ class TestVerify:
         args = build_parser().parse_args(["verify", "lemma1", "--n", "4..9", "--p", "1..2"])
         assert [kw["n"] for _, kw in _build_tasks(args)] == [7, 9]
 
+    def test_theorem_tasks_running_no_check_are_dropped(self, monkeypatch):
+        # t4 with k runs at n >= k+1 only; the orders below run nothing
+        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+        args = build_parser().parse_args(["verify", "thm4", "--k", "3"])
+        assert [kw["n"] for _, kw in _build_tasks(args)] == [4, 5, 6, 7, 8]
+
     @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
     def test_report_digests_pinned(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
@@ -348,8 +354,11 @@ class TestVerify:
     (("ep", "--g6", "C\x01", "--p", "2"), None),
     (("ep", "--file", "-", "--p", "2"), None),
     (("check", "degrees", "--file", "-", "--format", "g6"), None),
+    (("verify", "thm4", "--k", "9"), None),
+    (("verify", "thm4", "--k", "4", "--n", "4"), None),
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
-        "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-g6"])
+        "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-g6", "t4-k-above-n",
+        "t4-n-below-k"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     # exit 1 is kept for a failed verification record
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import degpow
 
 SOURCE = Path(degpow.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _nodes(match) -> list[str]:
@@ -42,6 +44,19 @@ def test_no_parameter_named_large():
         return isinstance(node, ast.arg) and node.arg == "large"
 
     assert _nodes(large_parameter) == []
+
+
+def test_benchmark_trace_targets_exist():
+    # the traced benchmark pass wraps these functions by name at install;
+    # read the table without importing the tracer
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets
+    missing = [f"{mod}.{fn}" for mod, fn, _ in targets
+               if not callable(getattr(importlib.import_module(mod), fn, None))]
+    assert missing == []
 
 
 def test_system_exit_detector():

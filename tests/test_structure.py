@@ -8,7 +8,6 @@ from degpow.families import complete_bipartite, cycle_graph, friendship, split_g
 from degpow.graphs import new_graph
 from degpow.structure import (
     all_cycles,
-    block_decomposition,
     cycle_has_chord,
     degeneracy,
     edge_connectivity,
@@ -72,28 +71,39 @@ class TestEvenCycle:
             for g in all_labeled_graphs(n):
                 assert has_even_cycle(g) == oracle_has_even_cycle(g)
 
-
-class TestBlocks:
-    def test_two_triangles_share_cut_vertex(self):
-        g = friendship(5)
-        dec = block_decomposition(g)
-        assert len(dec.blocks) == 2
-        assert dec.cut_vertices == 1  # the center
-
-    def test_bridge_block(self):
-        dec = block_decomposition(P3)
-        assert sorted(b.bit_count() for b in dec.blocks) == [2, 2]
-
-    def test_every_edge_in_exactly_one_block(self):
-        for g in (friendship(6), wheel(7), complete_bipartite(2, 6)):
-            dec = block_decomposition(g)
-            for u, v in g.edges():
-                owners = [b for b in dec.blocks if (b >> u) & 1 and (b >> v) & 1]
-                assert len(owners) == 1
-
-    def test_isolated_vertices_have_no_block(self):
-        dec = block_decomposition(new_graph(3, []))
-        assert dec.blocks == () and dec.cut_vertices == 0
+    def test_against_dfs_oracle_sparse(self):
+        # relabeled cacti of odd and even cycles and pendant edges in
+        # several components, plus 0-2 random extra edges: odd cacti, a
+        # lone even cycle, and thetas from a chord or a bridge between
+        # cycles all occur
+        rng = random.Random(0xC1)
+        found = {True: 0, False: 0}
+        for _ in range(500):
+            n = rng.randint(8, 24)
+            edges = set()
+            v = 0
+            while v < n:
+                comp, size = [v], rng.randint(1, 9)
+                v += 1
+                while v < n and len(comp) < size:
+                    # 1 new vertex: a pendant edge; k > 1: a cycle of k+1
+                    k = rng.choice((1, 2, 3, 4, 4, 6))
+                    path = [rng.choice(comp)] + list(range(v, min(n, v + k)))
+                    v = path[-1] + 1
+                    comp += path[1:]
+                    steps = list(zip(path, path[1:]))
+                    if len(path) >= 3:
+                        steps.append((path[-1], path[0]))
+                    edges.update(steps)
+            for _ in range(rng.randint(0, 2)):
+                edges.add(tuple(rng.sample(range(n), 2)))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = new_graph(n, {tuple(sorted((perm[a], perm[b]))) for a, b in edges})
+            expected = oracle_has_even_cycle(g)
+            assert has_even_cycle(g) == expected
+            found[expected] += 1
+        assert min(found.values()) >= 100, found
 
 
 class TestConnectivity:

@@ -118,6 +118,18 @@ class TestThresholds:
         rec = threshold_record("F_vs_K2", 8)
         assert rec.verdict == "pass" and rec.value <= 15
 
+    def test_wheel_beyond_table_checks_appendix_bound(self, monkeypatch):
+        # Appendix A part (ii) puts the W_vs_K3 tail start at n0 <= 2p
+        rec = threshold_record("W_vs_K3", 12)
+        assert rec.verdict == "pass" and rec.value <= 24
+        assert rec.detail == {"expected_at_most": 24}
+        import degpow.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "threshold_scan", lambda pair, p, n_max: 2 * p + 1)
+        rec = threshold_record("W_vs_K3", 12)
+        assert rec.verdict == "fail"
+        assert rec.witness == {"n0": 25, "expected_at_most": 24}
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             threshold_scan("W_vs_K3", 2, 6)
@@ -286,6 +298,7 @@ class TestSuites:
         ("appendixA", {"part": "i", "p": 5, "n_max": 5}),
         ("appendixA", {"part": "ii", "p": 11}),
         ("theorem", {"thm": "t1", "n": 4, "p_values": (1,)}),
+        ("theorem", {"thm": "t4", "n": 4, "p_values": (2,), "k_values": (4,)}),
         ("nope", {}),
     ], ids=str)
     def test_invalid_task_rejected_before_running(self, task):
