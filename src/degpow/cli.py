@@ -203,7 +203,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _parse_range(flag: str, text: str) -> list[int]:
-    """Accept '7', '4..9', or '2,3,5'; an empty selection is an error."""
+    """Accept '7', '4..9', or '2,3,5'; an empty selection is an error.  A
+    repeated value is kept once, where it first appears."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -214,7 +215,7 @@ def _parse_range(flag: str, text: str) -> list[int]:
         values = []
     if not values:
         raise UsageError(f"--{flag} expects N, LO..HI or N,N,...; got {text!r}")
-    return values
+    return list(dict.fromkeys(values))
 
 
 def _enum_guard() -> int:

@@ -5,9 +5,15 @@ string (graph6 column order) over all vertex relabelings, found by
 backtracking.  At each position only vertices attaining the minimal next
 column can start an optimal completion, which prunes the search to those
 ties; ties that are swappable by a transposition automorphism collapse to
-one branch, so highly symmetric graphs stay cheap.  The same search yields
-generators of the automorphism group: every leaf equal to the incumbent
-gives one, and the collapsed transpositions give the rest.
+one branch, so highly symmetric graphs stay cheap.  The unplaced vertices
+are kept as bitset cells of equal column value in increasing value, as in
+the partitions of McKay & Piperno (J. Symb. Comput. 60 (2014) 94-112), so
+the tie set is the first cell and placing a vertex splits each cell into
+its non-neighbours, then its neighbours.  A tied vertex with no unplaced
+neighbour is branched on alone: every optimal completion places one of its
+twins next (see _canon_search).  The same search yields generators of the
+automorphism group: every leaf equal to the incumbent gives one, and the
+collapsed transpositions give the rest.
 
 Generation is McKay's canonical augmentation (J. Algorithms 26 (1998)
 306-324), depth first from the empty graph.  A canonical parent is extended
@@ -55,11 +61,35 @@ def _canon_search(
     n: int, adj: tuple[int, ...]
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Minimal column sequence, the permutation (position -> vertex), and
-    generators (vertex -> vertex) of the automorphism group."""
+    generators (vertex -> vertex) of the automorphism group.
+
+    Column d of an ordering is the adjacency of its d-th vertex to the
+    vertices before it, the first of them as the highest bit.  The unplaced
+    vertices are cells (mask, value) of equal column value, in increasing
+    value; placing v turns a cell of value x into its non-neighbours of v at
+    2x and its neighbours at 2x+1, which keeps the order, since 2x+1 < 2y
+    for x < y.  The first cell is the tie set.  A child whose first cell
+    is already above the incumbent's next column is cut before it is built.
+
+    Loose-vertex rule: if the tie set holds a vertex z with no unplaced
+    neighbour, only z is branched on.  Take an optimal completion and move z
+    one step earlier, past u.  At u's old position z's column is its tie
+    value followed by zeros, no more than u's column there.  If the two are
+    equal, u is tied with z and not adjacent to the vertices between, so the
+    next column is unchanged as well, and each later vertex's bits to (u, z)
+    turn from (a, 0) into (0, a).  So the string does not rise, and it stays
+    equal only if u is adjacent to no unplaced vertex either: u is a twin of
+    z.  Moving z forward step by step to the next position shows that every
+    optimal completion places a twin of z next.  The loose vertices of the
+    tie set are one twin class and z is its least vertex, the one the twin
+    collapse keeps, so the skipped branches hold no optimal leaf: the
+    permutation and the group the generators generate are those of the
+    search without the rule.
+    """
     if n > ENUM_HARD_CAP:
         raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={n}")
-    if n == 1:
-        return [0], [0], []
+    if n <= 1:
+        return [0] * n, [0] * n, []
     tau = _transposition_automorphisms(n, adj)
     # twins form equivalence classes, so transpositions from each class's
     # least vertex generate every transposition the search collapses
@@ -77,67 +107,72 @@ def _canon_search(
     cols: list[int] = []
     perm: list[int] = []
 
-    def dfs(depth: int, state: int, colvals: list[int], unassigned: int) -> None:
+    def dfs(depth: int, state: int, cells: list[tuple[int, int]], unassigned: int) -> None:
+        # cells: the unassigned vertices as (mask, column value), increasing
+        # value; state 1 iff cols[:depth+1] is below the incumbent's prefix
         nonlocal best_cols, best_perm, gen
-        if depth == n:
-            if state or best_cols is None:
-                best_cols = cols.copy()
-                best_perm = perm.copy()
-                gen += 1
-            else:
-                # equal to the incumbent: best_perm[i] -> perm[i] preserves
-                # adjacency, and stays an automorphism if the incumbent changes
-                gamma = [0] * n
-                for b, v in zip(best_perm, perm):
-                    gamma[b] = v
-                gens.append(gamma)
-            return
-        # one pass: minimal column value and its tau-deduplicated attainers
-        m = 1 << 60
+        first, m = cells[0]
+        # the tie set, one vertex per twin class, or a loose vertex alone
         kept: list[int] = []
         keptmask = 0
-        mask = unassigned
+        mask = first
         while mask:
             low = mask & -mask
             v = low.bit_length() - 1
             mask ^= low
-            cv = colvals[v]
-            if cv < m:
-                m = cv
+            if not adj[v] & unassigned:
                 kept = [v]
-                keptmask = low
-            elif cv == m and not (tau[v] & keptmask):
+                break
+            if not tau[v] & keptmask:
                 kept.append(v)
                 keptmask |= low
-        if best_cols is not None and state == 0:
-            b = best_cols[depth]
-            if m > b:
-                return
-            child_state = 1 if m < b else 0
-        else:
-            child_state = state
         cols.append(m)
         entry_gen = gen
         for v in kept:
             if gen != entry_gen:
                 # a descendant replaced the incumbent; its prefix equals ours
-                child_state = 0
+                state = 0
                 entry_gen = gen
             rest = unassigned & ~(1 << v)
-            cv2 = colvals.copy()
+            if not rest:
+                perm.append(v)
+                if state or best_cols is None:
+                    best_cols = cols.copy()
+                    best_perm = perm.copy()
+                    gen += 1
+                else:
+                    # equal to the incumbent: best_perm[i] -> perm[i] preserves
+                    # adjacency, and stays an automorphism if the incumbent changes
+                    gamma = [0] * n
+                    for b, w in zip(best_perm, perm):
+                        gamma[b] = w
+                    gens.append(gamma)
+                perm.pop()
+                continue
             av = adj[v]
-            mask = rest
-            while mask:
-                low = mask & -mask
-                w = low.bit_length() - 1
-                cv2[w] = (cv2[w] << 1) | ((av >> w) & 1)
-                mask ^= low
+            child_state = state
+            if best_cols is not None and state == 0:
+                # the child's next column, from its first cell, before building it
+                mask, value = (first & ~(1 << v), m) if first != 1 << v else cells[1]
+                c = value << 1 if mask & ~av else (value << 1) | 1
+                b = best_cols[depth + 1]
+                if c > b:
+                    continue
+                child_state = 1 if c < b else 0
+            # each cell splits into non-neighbours of v, then neighbours
+            outside = ~(av | (1 << v))
+            split: list[tuple[int, int]] = []
+            for mask, value in cells:
+                if mask & outside:
+                    split.append((mask & outside, value << 1))
+                if mask & av:
+                    split.append((mask & av, (value << 1) | 1))
             perm.append(v)
-            dfs(depth + 1, child_state, cv2, rest)
+            dfs(depth + 1, child_state, split, rest)
             perm.pop()
         cols.pop()
 
-    dfs(0, 0, [0] * n, (1 << n) - 1)
+    dfs(0, 0, [((1 << n) - 1, 0)], (1 << n) - 1)
     if best_cols is None or best_perm is None:
         raise RuntimeError(f"canonical search reached no leaf for n={n}")
     return best_cols, best_perm, gens

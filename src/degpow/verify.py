@@ -563,7 +563,10 @@ def theorem_records(
     t2 stands for t2i and t2ii, and t4 runs once per k in k_values.  Each
     check (and k) enumerates its class once and scores every p in that one
     pass; the records come out p-major: for each p, every check and k.
+    Whatever validate_task rejects, such as t4 with n < k+1 for every k,
+    raises the same ValueError before anything is enumerated.
     """
+    _check_theorem_task(thm, n, p_values, k_values)
     passes = [_theorem_pass(check, n, p_values, k)
               for check, k in _theorem_checks(thm, n, k_values)]
     return [records[i] for i in range(len(p_values)) for records in passes]

@@ -304,6 +304,34 @@ class TestVerify:
         args = build_parser().parse_args(["verify", "lemma1", "--n", "4..9", "--p", "1..2"])
         assert [kw["n"] for _, kw in _build_tasks(args)] == [7, 9]
 
+    @pytest.mark.parametrize("argv, records", [
+        (("thm1", "--n", "5", "--p", "2,2"), ["t1 [n=5;p=2] pass value=32"]),
+        (("thm1", "--n", "5,5", "--p", "2"), ["t1 [n=5;p=2] pass value=32"]),
+        (("thm4", "--n", "5", "--k", "1,1", "--p", "2"), ["t4 [k=1;n=5;p=2] pass value=20"]),
+        (("polarity", "--q", "2,2", "--p", "2"), ["polarity [p=2;q=2] pass value=-12"]),
+        (("thm1", "--n", "6,5,6", "--p", "3,2,3"),
+         ["t1 [n=6;p=3] pass value=158", "t1 [n=6;p=2] pass value=42",
+          "t1 [n=5;p=3] pass value=96", "t1 [n=5;p=2] pass value=32"]),
+    ], ids=["p-twice", "n-twice", "k-twice", "q-twice", "first-kept"])
+    def test_repeated_values_run_once(self, capsys, monkeypatch, argv, records):
+        # a repeated value is kept once, in the order it first appears
+        import degpow.verify as verify_mod
+
+        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+        enumerations = []
+        enumerate_graphs = verify_mod.enumerate_graphs
+
+        def counting(n, pred, visit):
+            enumerations.append(n)
+            return enumerate_graphs(n, pred, visit)
+
+        monkeypatch.setattr(verify_mod, "enumerate_graphs", counting)
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out.splitlines() == records + [f"{len(records)}/{len(records)} checks passed"]
+        if argv[0] != "polarity":
+            assert len(enumerations) == len(set(enumerations))
+
     def test_theorem_tasks_running_no_check_are_dropped(self, monkeypatch):
         # t4 with k runs at n >= k+1 only; the orders below run nothing
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)

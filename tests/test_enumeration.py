@@ -82,6 +82,43 @@ def triangle_bit_string(g):
     return tuple(bits)
 
 
+def columns(g, order):
+    """The column sequence of an ordering: column c holds the adjacency of
+    order[c] to order[0..c-1], the first of them as the highest bit."""
+    cols = []
+    for c, v in enumerate(order):
+        value = 0
+        for u in order[:c]:
+            value = (value << 1) | ((g.adj[u] >> v) & 1)
+        cols.append(value)
+    return cols
+
+
+def check_against_brute_minimum(g):
+    cols, perm, _ = enumeration._canon_search(g.n, g.adj)
+    assert cols == min(columns(g, order) for order in itertools.permutations(range(g.n)))
+    assert sorted(perm) == list(range(g.n)) and columns(g, perm) == cols
+
+
+def shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+def forests_n7():
+    """A seeded sample of 7-vertex forests, each with an isolated vertex and
+    an edge, randomly labeled."""
+    rng = random.Random(77)
+    forests = []
+    while len(forests) < 30:
+        edges = [(rng.randrange(v), v) for v in range(1, 7) if rng.random() < 0.6]
+        g = new_graph(7, edges)
+        if edges and any(a == 0 for a in g.adj):
+            forests.append(shuffled(g, rng))
+    return forests
+
+
 class TestCanonicalForm:
     def test_is_global_minimum_exhaustive(self):
         # n <= 4: against minimization over all permutations of the bit string
@@ -104,6 +141,36 @@ class TestCanonicalForm:
                 for p in itertools.permutations(range(n))
             )
             assert triangle_bit_string(canonical_graph(g)) == brute
+
+    def test_search_is_global_minimum_every_class_n6(self):
+        # every class at n <= 6, relabeled at random, against the minimum
+        # over all n! orderings; the permutation must realise the minimum
+        rng = random.Random(6)
+        for n in range(1, 7):
+            reps = []
+            enumerate_graphs(n, visit=reps.append)
+            for g in reps:
+                check_against_brute_minimum(shuffled(g, rng))
+
+    def test_search_is_global_minimum_forests_n7(self):
+        # forests with isolated and pendant vertices, where a first-cell
+        # vertex with no unassigned neighbour is branched on alone
+        for g in forests_n7():
+            check_against_brute_minimum(g)
+
+    def test_twin_collapse_keeps_symmetric_searches_to_one_leaf(self):
+        # every leaf after the first that equals the incumbent adds a
+        # generator; these groups are generated by twin transpositions, so
+        # the collapsed search reaches one leaf and returns just those
+        rng = random.Random(5)
+        cases = [(new_graph(7, itertools.combinations(range(7), 2)), 6),
+                 (complete_bipartite(3, 7), 5), (split_graph(7, 3), 5)]
+        for g, transpositions in cases:
+            _, _, gens = enumeration._canon_search(g.n, g.adj)
+            assert len(gens) == transpositions
+            g = shuffled(g, rng)
+            _, _, gens = enumeration._canon_search(g.n, g.adj)
+            assert len(gens) == transpositions
 
     def test_equal_iff_isomorphic_exhaustive(self):
         # invariance plus a counting argument: the number of distinct forms
@@ -143,6 +210,10 @@ class TestCanonicalForm:
         cg = canonical_graph(g)
         assert sorted(a.bit_count() for a in cg.adj) == sorted(a.bit_count() for a in g.adj)
         assert canonical_form(cg) == canonical_form(g)
+
+    def test_orders_zero_and_one(self):
+        assert enumeration._canon_search(0, ()) == ([], [], [])
+        assert enumeration._canon_search(1, (0,)) == ([0], [0], [])
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -204,6 +275,10 @@ class TestAutomorphismGenerators:
             perm = list(range(g.n))
             rng.shuffle(perm)
             self.check(permute(g, perm))
+
+    def test_forests_n7(self):
+        for g in forests_n7():
+            self.check(g)
 
 
 class TestEnumeration:

@@ -14,6 +14,7 @@ from degpow.verify import (
     polarity_check,
     run_task,
     suite_tasks,
+    theorem_records,
     threshold_record,
     threshold_scan,
     valid_q_range,
@@ -283,6 +284,19 @@ class TestSuites:
         assert [(r.params["p"], r.params["k"]) for r in records] == [(2, 1), (2, 2), (3, 1), (3, 2)]
         with pytest.raises(ValueError):
             run_task(("nope", {}))
+
+    @pytest.mark.parametrize("thm, n, k_values", [
+        ("t4", 5, None), ("t4", 5, ()), ("t4", 3, (3,)), ("t4", 4, (4, 5)),
+    ], ids=str)
+    def test_theorem_task_running_no_check_raises(self, thm, n, k_values):
+        # the library path refuses what validate_task refuses, with the same error
+        task = ("theorem", {"thm": thm, "n": n, "p_values": (2,), "k_values": k_values})
+        with pytest.raises(ValueError, match="runs no check") as rejected:
+            validate_task(task)
+        for run in (lambda: run_task(task), lambda: theorem_records(thm, n, (2,), k_values)):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == str(rejected.value)
 
     def test_every_suite_task_validates(self):
         for task in suite_tasks("all-desk"):
