@@ -11,30 +11,22 @@ from __future__ import annotations
 
 from degpow.enumeration import extremal_ep
 from degpow.families import FamilyId, ep_closed_form
-from degpow.verify import (
-    FRIENDSHIP_TABLE_N_MAX,
-    SUITES,
-    THEOREMS,
-    WHEEL_TABLE_N_MAX,
-    polarity_check,
-    threshold_scan,
-)
+from degpow.verify import SUITES, THEOREMS, THRESHOLD_PAIRS, polarity_check, threshold_scan
+
+TABLE_HEADINGS = {
+    "W_vs_K3": "Smallest n0 with e_p(W_n) < e_p(K_{3,n-3}) for all n in",
+    "F_vs_K2": "Smallest odd n0 with e_p(F_n) < e_p(K_{2,n-2}) for all odd n in",
+}
 
 
 def main() -> None:
-    wheel_row, friendship_row = SUITES["thresholds"]
-    wheel_ps, friendship_ps = wheel_row.axes["p"], friendship_row.axes["p"]
-    print("Smallest n0 with e_p(W_n) < e_p(K_{3,n-3}) for all n in "
-          f"[n0, {WHEEL_TABLE_N_MAX}]:")
-    print("  p :", *[f"{p:4d}" for p in wheel_ps])
-    print("  n0:", *[f"{threshold_scan('W_vs_K3', p, WHEEL_TABLE_N_MAX):4d}" for p in wheel_ps])
-    print()
-    print("Smallest odd n0 with e_p(F_n) < e_p(K_{2,n-2}) for all odd n in "
-          f"[n0, {FRIENDSHIP_TABLE_N_MAX}]:")
-    print("  p :", *[f"{p:4d}" for p in friendship_ps])
-    print("  n0:", *[f"{threshold_scan('F_vs_K2', p, FRIENDSHIP_TABLE_N_MAX):4d}"
-                     for p in friendship_ps])
-    print()
+    for row in SUITES["thresholds"]:
+        pair = row.fixed["pair"]
+        n_max = THRESHOLD_PAIRS[pair].n_max
+        print(f"{TABLE_HEADINGS[pair]} [n0, {n_max}]:")
+        print("  p :", *[f"{p:4d}" for p in row.axes["p"]])
+        print("  n0:", *[f"{threshold_scan(pair, p, n_max):4d}" for p in row.axes["p"]])
+        print()
 
     print("Extremal e_2 over C4-free graphs with minimum degree 1 and")
     print("at most floor(3(n-1)/2) edges (witnesses as graph6):")

@@ -35,8 +35,8 @@ from . import structure
 from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from .families import FamilyId, construct
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
-from .verify import (SUITES, GridRow, VerificationRecord, grid_tasks, run_task, suite_tasks,
-                     validate_task)
+from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks, run_task,
+                     suite_tasks, validate_task)
 
 FORMAT_VERSION = 1
 
@@ -259,7 +259,18 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
     return GridRow(row.kind, fixed, axes)
 
 
+# the grid keys through which each verify flag reaches a GridRow
+_FLAG_KEYS = {"n": ("n",), "p": ("p", "p_values"), "k": ("k_values",), "q": ("q",),
+              "pair": ("pair",), "pmax": ("pair",), "nmax": ("n_max",)}
+
+
 def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    # a flag that no row of the suite takes is an error; all-desk takes none
+    rows = () if args.suite == "all-desk" else SUITES[args.suite]
+    keys = {key for row in rows for key in (*row.fixed, *row.axes)}
+    for flag, flag_keys in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None and keys.isdisjoint(flag_keys):
+            raise UsageError(f"verify {args.suite} takes no --{flag}")
     if args.suite == "all-desk":
         # the acceptance grid is fixed, its n=9 search included
         tasks = suite_tasks("all-desk")
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p")
     p_ver.add_argument("--k")
     p_ver.add_argument("--q")
-    p_ver.add_argument("--pair", choices=("F_vs_K2", "W_vs_K3"))
+    p_ver.add_argument("--pair", choices=THRESHOLD_PAIRS)
     p_ver.add_argument("--pmax", type=int)
     p_ver.add_argument("--nmax", type=int)
     p_ver.add_argument("--jobs", type=int, default=1)

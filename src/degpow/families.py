@@ -8,6 +8,7 @@ of GF(q)^3 in lexicographic order, adjacent when their dot product vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -72,7 +73,8 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p**k, or None."""
     if q < 2:
         return None
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    # the least divisor above 1 is prime, and q itself when none is <= sqrt(q)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     while q % p == 0:
         q //= p

@@ -7,11 +7,20 @@ exact integer comparisons.  Threshold scans report the smallest n0 such
 that the inequality holds for every scanned n in [n0, n_max] -- a tail
 property, not the first success.
 
-THEOREMS holds the brute-forced statements: per check id its least order,
-its graph class and its claimed extremal families.  A theorem task
-enumerates each check's class once (once per k for t4) and scores every p
-in that pass.  SUITES is the one default grid; the CLI only filters and
-overrides its rows.
+Each check is one table row, and these tables and SUITES are the only
+places that state the checks:
+- THEOREMS, the brute-forced statements: per check id its least order,
+  its graph class and its claimed extremal families.  A theorem task is
+  planned (validated) once and enumerates each check's class once (once
+  per k for t4), scoring every p in that pass.
+- LEMMAS, the parity and least order of Lemma 1 and Lemma 1.2, whose
+  comparison tuples one builder (lemma_tuples) states for both.
+- THRESHOLD_PAIRS, the crossover tables: families, scanned orders,
+  window, table values and the Appendix A part bounding the rest.
+- APPENDIX_PARTS, the two Appendix A tail inequalities with their least
+  exponent and scanned orders.
+SUITES is the one default grid; the CLI only filters and overrides its
+rows.
 """
 
 from __future__ import annotations
@@ -39,13 +48,7 @@ from .graphs import Graph, degree_sequence, ep, to_graph6
 from .majorization import p_power_norm
 from .structure import has_c4
 
-WHEEL_TABLE_N_MAX = 200  # scan window for the wheel-vs-bipartite table
-FRIENDSHIP_TABLE_N_MAX = 201
 APPENDIX_N_MAX = 401
-
-# thresholds reported in the source tables, reproduced by exact scan
-WHEEL_THRESHOLDS = {2: 8, 3: 9, 4: 10, 5: 12, 6: 13, 7: 15, 8: 17, 9: 19, 10: 21, 11: 23}
-FRIENDSHIP_THRESHOLDS = {2: 7, 3: 7, 4: 9}
 
 
 @dataclass(frozen=True)
@@ -77,104 +80,58 @@ class VerificationRecord:
 # -- proof-tuple scans ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaTupleSpec:
-    """Parameters of one comparison-tuple instance.
+# lemma -> (parity of its orders, least order).  Lemma 1.2 (even n) is
+# Lemma 1 (odd n) plus F_n's unmatched leaf, so with o = 1 - n % 2 one
+# builder states the tuples of both.
+LEMMAS = {"lemma1": (1, 7), "lemma12": (0, 6)}
+_LemmaTuples = tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]
 
-    lemma "lemma1" covers odd n >= 7 with 2 <= q < (n-1)/2 and
-    r = floor((q-1)(n-2)/q); "lemma12" covers even n >= 6 with
-    2 <= q < n/2 - 1 and r = floor(((q-1)(n-2)+1)/q).  In both cases
-    epsilon is the division remainder folded into one tuple entry.
+
+def lemma_tuples(lemma: str, n: int) -> _LemmaTuples:
+    """The two displayed n-tuples of part (i) and, per admitted q, that of
+    part (ii); lemma_tuple_check checks their shape.
+
+    Each sums to 3(n-1) - o.  Part (ii) admits 2 <= q < floor((n-1)/2) (none at
+    a boundary n) with r, epsilon = divmod((q-1)(n-2) + o, q), epsilon being
+    the remainder folded into one entry.
     """
-
-    lemma: str
-    n: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.lemma not in ("lemma1", "lemma12"):
-            raise ValueError(f"unknown lemma {self.lemma!r}")
-        if self.q not in valid_q_range(self.lemma, self.n):
-            raise ValueError(f"q={self.q} outside the stated range for {self.lemma}, n={self.n}")
-
-    @property
-    def r(self) -> int:
-        if self.lemma == "lemma1":
-            return (self.q - 1) * (self.n - 2) // self.q
-        return ((self.q - 1) * (self.n - 2) + 1) // self.q
-
-    @property
-    def epsilon(self) -> int:
-        if self.lemma == "lemma1":
-            return (self.q - 1) * (self.n - 2) - self.q * self.r
-        return (self.q - 1) * (self.n - 2) + 1 - self.q * self.r
-
-
-def _validate_lemma_n(lemma: str, n: int) -> None:
-    if lemma == "lemma1":
-        if n < 7 or n % 2 == 0:
-            raise ValueError("lemma1 needs odd n >= 7")
-    elif lemma == "lemma12":
-        if n < 6 or n % 2:
-            raise ValueError("lemma12 needs even n >= 6")
-    else:
+    if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}")
+    parity, least = LEMMAS[lemma]
+    if n < least or n % 2 != parity:
+        raise ValueError(f"{lemma} needs {('even', 'odd')[parity]} n >= {least}")
+    o, h = 1 - parity, n // 2 + 1
+    t1 = (n - 1,) + (2,) * (n - 1 - o) + (1,) * o
+    t2 = (h, h - o, h - o, h - 1 - o) + (1,) * (n - 4)
+    part_ii = {}
+    for q in range(2, (n - 1) // 2):
+        r, eps = divmod((q - 1) * (n - 2) + o, q)
+        part_ii[q] = (n - q,) + (q + 1,) * (n - r - 2) + (q + 1 - eps,) + (1,) * r
+    return t1, t2, part_ii
 
 
-def valid_q_range(lemma: str, n: int) -> range:
-    """All q the lemma admits; may be empty at boundary n (vacuous part ii)."""
-    _validate_lemma_n(lemma, n)
-    if lemma == "lemma1":
-        return range(2, (n - 1) // 2)
-    return range(2, n // 2 - 1)
-
-
-def _part_i_tuples(lemma: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two displayed tuples of part (i); they do not involve q."""
-    if lemma == "lemma1":
-        half = (n + 1) // 2
-        return (n - 1,) + (2,) * (n - 1), (half, half, half, half - 1) + (1,) * (n - 4)
-    return (
-        (n - 1,) + (2,) * (n - 2) + (1,),
-        (n // 2 + 1, n // 2, n // 2, n // 2 - 1) + (1,) * (n - 4),
-    )
-
-
-def lemma_tuple_build(spec: LemmaTupleSpec) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The three displayed n-tuples; lemma_tuple_check checks their shape."""
-    n, q, r, eps = spec.n, spec.q, spec.r, spec.epsilon
-    t3 = (n - q,) + (q + 1,) * (n - r - 2) + (q + 1 - eps,) + (1,) * r
-    return *_part_i_tuples(spec.lemma, n), t3
-
-
-def _malformed(t: tuple[int, ...], n: int, total: int) -> bool:
-    """Not an n-tuple summing to total in non-increasing order."""
-    return len(t) != n or sum(t) != total or any(a < b for a, b in zip(t, t[1:]))
-
-
-def _check_lemma_args(lemma: str, n: int, p: int) -> None:
-    _validate_lemma_n(lemma, n)
+def _check_lemma_args(lemma: str, n: int, p: int) -> _LemmaTuples:
+    tuples = lemma_tuples(lemma, n)
     if p < 2:
         raise ValueError("p must be > 1")
+    return tuples
 
 
 def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
     """Part (i) once, part (ii) for every admitted q; empty ranges pass (ii)
-    vacuously.  lemma1 part (i) is non-strict (equality occurs at p=2),
-    everything else is strict.  A tuple that is not an n-tuple with the
-    lemma's sum in non-increasing order fails the check as its witness."""
-    _check_lemma_args(lemma, n, p)
+    vacuously.  Part (i) is non-strict at odd n (lemma1; equality occurs at
+    p=2), everything else is strict.  A tuple that is not an n-tuple with
+    the lemma's sum in non-increasing order fails the check as its witness."""
+    t1, t2, part_ii = _check_lemma_args(lemma, n, p)
     params = {"n": n, "p": p}
-    total = 3 * (n - 1) if lemma == "lemma1" else 3 * n - 4
-    t1, t2 = _part_i_tuples(lemma, n)
-    part_ii = {q: lemma_tuple_build(LemmaTupleSpec(lemma, n, q))[2] for q in valid_q_range(lemma, n)}
+    total = 3 * (n - 1) - (1 - n % 2)
     for t in (t1, t2, *part_ii.values()):
-        if _malformed(t, n, total):
+        if len(t) != n or sum(t) != total or any(a < b for a, b in zip(t, t[1:])):
             return VerificationRecord(check=lemma, params=params, verdict="fail",
                                       witness={"malformed": list(t), "sum": total})
     norm1 = p_power_norm(t1, p)
     norm2 = p_power_norm(t2, p)
-    ok_i = norm2 <= norm1 if lemma == "lemma1" else norm2 < norm1
+    ok_i = norm2 <= norm1 if n % 2 else norm2 < norm1
     detail = {
         "norm1": norm1,
         "norm2": norm2,
@@ -261,13 +218,15 @@ def _theorem_checks(thm: str, n: int, k_values: Sequence[int] | None) -> list[tu
     return checks
 
 
-def _theorem_plan(
-    thm: str, n: int, p_values: Sequence[int], k: int | None
-) -> tuple[TheoremSpec, SearchPredicate]:
+# one validated check instance: (check, k, spec, predicate)
+_Plan = tuple[str, int | None, TheoremSpec, SearchPredicate]
+
+
+def _theorem_plan(check: str, n: int, p_values: Sequence[int], k: int | None) -> _Plan:
     """Validate one check instance without enumerating anything."""
-    spec = THEOREMS.get(thm)
+    spec = THEOREMS.get(check)
     if spec is None:
-        raise ValueError(f"unknown theorem id {thm!r}")
+        raise ValueError(f"unknown theorem id {check!r}")
     if any(p < 2 for p in p_values):
         raise ValueError("p must be > 1")
     if spec.takes_k and (k is None or k < 1):
@@ -277,19 +236,26 @@ def _theorem_plan(
         raise ValueError(f"{spec.title} needs n >= {least}")
     pred = spec.predicate(n, k)
     check_enumerable(n, pred)
-    return spec, pred
+    return check, k, spec, pred
 
 
-def _theorem_pass(
-    thm: str, n: int, p_values: Sequence[int], k: int | None
-) -> list[VerificationRecord]:
+def _theorem_plans(thm: str, n: int, p_values: Sequence[int],
+                   k_values: Sequence[int] | None = None) -> list[_Plan]:
+    """The validated plans of one grid task, one per (check, k)."""
+    checks = _theorem_checks(thm, n, k_values)
+    if not checks:
+        raise ValueError(f"{thm} runs no check at n={n} for k in {list(k_values or ())}")
+    return [_theorem_plan(check, n, p_values, k) for check, k in checks]
+
+
+def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int]) -> list[VerificationRecord]:
     """One enumeration of the check's class, scored at every p.
 
     For each p the maximum and the complete witness set must equal those of
     the claimed extremal families (uniqueness included), and each family's
     closed form must equal e_p of its construction.
     """
-    spec, pred = _theorem_plan(thm, n, p_values, k)
+    check, k, spec, pred = plan
     claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
     tracker = ExtremalTracker(p_values)
     visit = tracker.visit
@@ -321,7 +287,7 @@ def _theorem_pass(
                       found_witnesses=list(found))
         witness = mismatch[0] if mismatch else {"found": list(found), "expected": list(expected)}
         records.append(VerificationRecord(
-            check=thm,
+            check=check,
             params={"n": n, "p": p, **({"k": k} if spec.takes_k else {})},
             verdict="pass" if ok else "fail",
             value=best,
@@ -338,39 +304,68 @@ def brute_force_theorem(thm: str, n: int, p: int, *, k: int | None = None) -> Ve
     maximum and the complete witness set against the claimed extremal
     families of THEOREMS[thm].
     """
-    return _theorem_pass(thm, n, (p,), k)[0]
+    return _theorem_pass(_theorem_plan(thm, n, (p,), k), n, (p,))[0]
 
 
 # -- closed-form scans ---------------------------------------------------------
 
 
-def _threshold_values(pair: str, n: int, p: int) -> tuple[int, int]:
-    if pair == "F_vs_K2":
-        return ep_closed_form(_F, n, p), ep_closed_form(_K2, n, p)
-    return (ep_closed_form(FamilyId("wheel"), n, p),
-            ep_closed_form(FamilyId("complete_bipartite", t=3), n, p))
+class AppendixPart(NamedTuple):
+    """One Appendix A tail inequality h(n, p) > 0: it is scanned for
+    p >= least_p over n = 2p - slack, 2p - slack + step, ... up to n_max."""
+
+    least_p: int
+    slack: int
+    step: int
+    h: Callable[[int, int], int]
 
 
-def _table_n_max(pair: str) -> int:
-    return FRIENDSHIP_TABLE_N_MAX if pair == "F_vs_K2" else WHEEL_TABLE_N_MAX
+# part i over odd n >= 2p-1 from p = 5, part ii over n >= 2p from p = 12
+APPENDIX_PARTS: dict[str, AppendixPart] = {
+    "i": AppendixPart(5, 1, 2, lambda n, p: 2 * (n - 2) ** p - (n - 1) ** p - 2**p),
+    "ii": AppendixPart(12, 0, 1, lambda n, p: 3 * (n - 3) ** p - (n - 1) ** p - 2 * 3**p),
+}
+
+
+class ThresholdPair(NamedTuple):
+    """One crossover table: the smallest n0 with e_p(lhs) < e_p(rhs) for
+    every scanned n in [n0, n_max], the orders starting at first_n in
+    steps of step.  Where table lists no p, the tail must start by the
+    bound 2p - slack of the Appendix A part whose h(n) is the gap."""
+
+    lhs: FamilyId
+    rhs: FamilyId
+    first_n: int
+    step: int
+    n_max: int
+    table: dict[int, int]
+    part: str
+
+
+# the comparison with the friendship graph concerns odd orders; the
+# thresholds are those reported in the source tables
+THRESHOLD_PAIRS: dict[str, ThresholdPair] = {
+    "F_vs_K2": ThresholdPair(_F, _K2, 5, 2, 201, {2: 7, 3: 7, 4: 9}, "i"),
+    "W_vs_K3": ThresholdPair(FamilyId("wheel"), FamilyId("complete_bipartite", t=3), 6, 1, 200,
+                             {2: 8, 3: 9, 4: 10, 5: 12, 6: 13, 7: 15, 8: 17, 9: 19, 10: 21,
+                              11: 23}, "ii"),
+}
 
 
 def _threshold_window(pair: str, p: int, n_max: int | None = None) -> range:
     """The orders a threshold scan covers (n_max None: the table's window).
-
-    F_vs_K2 scans odd n from 5 (the comparison with the friendship graph
-    concerns odd orders); W_vs_K3 scans every n from 6.  Raises for an
-    unknown pair, p < 2, or a window too small to see the tail.
-    """
-    if pair not in ("F_vs_K2", "W_vs_K3"):
+    Raises for an unknown pair, p < 2, or a window too small to see the
+    tail."""
+    if pair not in THRESHOLD_PAIRS:
         raise ValueError(f"unknown pair {pair!r}")
     if p < 2:
         raise ValueError("p must be >= 2")
+    row = THRESHOLD_PAIRS[pair]
     if n_max is None:
-        n_max = _table_n_max(pair)
+        n_max = row.n_max
     if n_max < 2 * p + 4:
         raise ValueError("n_max too small to see the tail; need n_max >= 2p+4")
-    return range(5, n_max + 1, 2) if pair == "F_vs_K2" else range(6, n_max + 1)
+    return range(row.first_n, n_max + 1, row.step)
 
 
 def threshold_scan(pair: str, p: int, n_max: int) -> int:
@@ -380,27 +375,22 @@ def threshold_scan(pair: str, p: int, n_max: int) -> int:
     still fails.
     """
     ns = _threshold_window(pair, p, n_max)
-    last_fail = None
-    for n in ns:
-        lhs, rhs = _threshold_values(pair, n, p)
-        if not lhs < rhs:
-            last_fail = n
-    if last_fail is None:
+    row = THRESHOLD_PAIRS[pair]
+    fails = [n for n in ns if not ep_closed_form(row.lhs, n, p) < ep_closed_form(row.rhs, n, p)]
+    if not fails:
         return ns[0]
-    step = 2 if pair == "F_vs_K2" else 1
-    n0 = last_fail + step
+    n0 = fails[-1] + row.step
     if n0 > n_max:
         raise ValueError(f"no threshold within n_max={n_max} for {pair}, p={p}")
     return n0
 
 
 def threshold_record(pair: str, p: int, n_max: int | None = None) -> VerificationRecord:
-    """Scan and compare against the table value; where the table does not
-    list p, check that the tail starts no later than the Appendix A bound:
-    2p-1 for F_vs_K2 (part i), 2p for W_vs_K3 (part ii, whose h(n) is
-    e_p(K_{3,n-3}) - e_p(W_n))."""
-    if n_max is None:
-        n_max = _table_n_max(pair)
+    """Scan and compare against the table value, or where the table does
+    not list p against the Appendix A bound.  An invalid window raises; a
+    window whose top still fails is a failed record."""
+    ns = _threshold_window(pair, p, n_max)  # a bad argument raises here
+    row, n_max = THRESHOLD_PAIRS[pair], ns.stop - 1
     params = {"pair": pair, "p": p, "n_max": n_max}
     try:
         n0 = threshold_scan(pair, p, n_max)
@@ -408,14 +398,11 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
         return VerificationRecord(
             check="threshold", params=params, verdict="fail", witness=str(exc)
         )
-    if pair == "W_vs_K3":
-        table, bound = WHEEL_THRESHOLDS, 2 * p
+    if p in row.table:
+        ok = n0 == row.table[p]
+        detail = {"expected": row.table[p]}
     else:
-        table, bound = FRIENDSHIP_THRESHOLDS, 2 * p - 1
-    if p in table:
-        ok = n0 == table[p]
-        detail = {"expected": table[p]}
-    else:
+        bound = 2 * p - APPENDIX_PARTS[row.part].slack
         ok = n0 <= bound
         detail = {"expected_at_most": bound}
     return VerificationRecord(
@@ -431,16 +418,12 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
 def _appendix_window(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> range:
     """The orders an appendix scan covers; raises for an unknown part, p
     below the part's least exponent, or a window holding no order."""
-    if part == "i":
-        if p < 5:
-            raise ValueError("part i needs p >= 5")
-        ns = range(2 * p - 1, n_max + 1, 2)
-    elif part == "ii":
-        if p < 12:
-            raise ValueError("part ii needs p >= 12")
-        ns = range(2 * p, n_max + 1)
-    else:
+    if part not in APPENDIX_PARTS:
         raise ValueError(f"unknown part {part!r}")
+    row = APPENDIX_PARTS[part]
+    if p < row.least_p:
+        raise ValueError(f"part {part} needs p >= {row.least_p}")
+    ns = range(2 * p - row.slack, n_max + 1, row.step)
     if not ns:
         raise ValueError(f"n_max={n_max} leaves nothing to scan; part {part} at p={p} "
                          f"needs n_max >= {ns.start}")
@@ -448,34 +431,20 @@ def _appendix_window(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> range:
 
 
 def appendix_a_scan(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> VerificationRecord:
-    """Exact positivity scan of the two tail inequalities.
-
-    Part i: 2(n-2)^p - (n-1)^p - 2^p > 0 over odd n in [2p-1, n_max], p >= 5.
-    Part ii: 3(n-3)^p - (n-1)^p - 2*3^p > 0 over n in [2p, n_max], p >= 12.
-    """
+    """Exact positivity scan of one Appendix A tail inequality over its
+    window; the first order where h(n, p) <= 0 is the witness."""
     ns = _appendix_window(part, p, n_max)
-
-    def h(n: int) -> int:
-        if part == "i":
-            return 2 * (n - 2) ** p - (n - 1) ** p - 2**p
-        return 3 * (n - 3) ** p - (n - 1) ** p - 2 * 3**p
-
+    h = APPENDIX_PARTS[part].h
     params = {"part": part, "p": p, "n_max": n_max}
-    min_val: int | None = None
-    scanned = 0
-    for n in ns:
-        value = h(n)
-        scanned += 1
-        if value <= 0:
-            return VerificationRecord(
-                check="appendixA", params=params, verdict="fail",
-                witness={"n": n, "value": value},
-            )
-        if min_val is None or value < min_val:
-            min_val = value
+    values = {n: h(n, p) for n in ns}
+    bad = next((n for n, value in values.items() if value <= 0), None)
+    if bad is not None:
+        return VerificationRecord(check="appendixA", params=params, verdict="fail",
+                                  witness={"n": bad, "value": values[bad]})
+    min_val = min(values.values())
     return VerificationRecord(
         check="appendixA", params=params, verdict="pass", value=min_val,
-        detail={"scanned": scanned, "min_value": min_val},
+        detail={"scanned": len(ns), "min_value": min_val},
     )
 
 
@@ -566,19 +535,9 @@ def theorem_records(
     Whatever validate_task rejects, such as t4 with n < k+1 for every k,
     raises the same ValueError before anything is enumerated.
     """
-    _check_theorem_task(thm, n, p_values, k_values)
-    passes = [_theorem_pass(check, n, p_values, k)
-              for check, k in _theorem_checks(thm, n, k_values)]
+    passes = [_theorem_pass(plan, n, p_values)
+              for plan in _theorem_plans(thm, n, p_values, k_values)]
     return [records[i] for i in range(len(p_values)) for records in passes]
-
-
-def _check_theorem_task(thm: str, n: int, p_values: Sequence[int],
-                        k_values: Sequence[int] | None = None) -> None:
-    checks = _theorem_checks(thm, n, k_values)
-    if not checks:
-        raise ValueError(f"{thm} runs no check at n={n} for k in {list(k_values or ())}")
-    for check, k in checks:
-        _theorem_plan(check, n, p_values, k)
 
 
 class _TaskKind(NamedTuple):
@@ -590,7 +549,7 @@ class _TaskKind(NamedTuple):
 
 
 _TASK_KINDS = {
-    "theorem": _TaskKind(_check_theorem_task, theorem_records),
+    "theorem": _TaskKind(_theorem_plans, theorem_records),
     "lemma": _TaskKind(_check_lemma_args, lambda **kw: [lemma_tuple_check(**kw)]),
     "threshold": _TaskKind(_threshold_window, lambda **kw: [threshold_record(**kw)]),
     "appendixA": _TaskKind(_appendix_window, lambda **kw: [appendix_a_scan(**kw)]),
@@ -642,8 +601,9 @@ SUITES: dict[str, tuple[GridRow, ...]] = {
     "lemma1": (GridRow("lemma", {"lemma": "lemma1"}, {"n": range(7, 62, 2), "p": range(2, 9)}),),
     "lemma12": (GridRow("lemma", {"lemma": "lemma12"}, {"n": range(6, 61, 2), "p": range(2, 9)}),),
     "thresholds": (
-        GridRow("threshold", {"pair": "W_vs_K3", "n_max": WHEEL_TABLE_N_MAX}, {"p": range(2, 12)}),
-        GridRow("threshold", {"pair": "F_vs_K2", "n_max": FRIENDSHIP_TABLE_N_MAX},
+        GridRow("threshold", {"pair": "W_vs_K3", "n_max": THRESHOLD_PAIRS["W_vs_K3"].n_max},
+                {"p": range(2, 12)}),
+        GridRow("threshold", {"pair": "F_vs_K2", "n_max": THRESHOLD_PAIRS["F_vs_K2"].n_max},
                 {"p": range(2, 9)}),
     ),
     "appendixA": (

@@ -20,6 +20,11 @@ REPORT_DIGESTS = {
     ("cor1",): "402e5d84f50bde42dde6a3b8d95e2fc9151bb3f3fa377897fd2fc2801fd5bd21",
     ("thm2", "--n", "4..7"): "3e6490b306241566c5b85d96f1b910d848241349d5bc5349cd062bb421071345",
     ("thm4", "--n", "2..7"): "2aef61a27fe9ec5154d87118c774e36878bbb39b9b70d4c019ba2c5edbba99bf",
+    ("lemma1",): "3a81b68aaef0a3aafca067dc74a54ae23e9efd8cdb591ce35f96b94f4119269a",
+    ("lemma12",): "fde6b60cf40277eab3b2e3a93d1bb8c13e763b880fb99fe4412cfbf5a07399fb",
+    ("thresholds",): "e39be3c80e8e06b06f8d2c907b9d03f255c9c96363324cebe1dbcd44aa0bc990",
+    ("appendixA",): "40df5c0271d2eb979922217a0579be76211c4d3cf9355f95be907ff96e36ddd7",
+    ("polarity",): "22ddd5217a9144fc11df361b5017bf1963e9c68292eabbb1f27ff86866ccbfe1",
 }
 
 
@@ -171,6 +176,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "polarity", "--q", "5", "--p", "2")
         assert code == 0
         assert "pass value=30" in out
+
+    def test_large_prime_order_is_quick(self, capsys):
+        # q = 10^9+7 is prime; it is checked in closed form only
+        code, out, _ = run_cli(capsys, "verify", "polarity", "--q", "1000000007", "--p", "2")
+        assert code == 0 and out.endswith("1/1 checks passed\n")
 
     def test_thresholds_table(self, capsys):
         code, out, _ = run_cli(
@@ -384,9 +394,16 @@ class TestVerify:
     (("check", "degrees", "--file", "-", "--format", "g6"), None),
     (("verify", "thm4", "--k", "9"), None),
     (("verify", "thm4", "--k", "4", "--n", "4"), None),
+    (("verify", "thm1", "--q", "3"), None),
+    (("verify", "polarity", "--n", "5"), None),
+    (("verify", "lemma1", "--pmax", "3"), None),
+    (("verify", "thm1", "--pair", "F_vs_K2"), None),
+    (("verify", "all-desk", "--n", "5", "--p", "2"), None),
+    (("verify", "all-desk", "--nmax", "300"), None),
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
         "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-g6", "t4-k-above-n",
-        "t4-n-below-k"])
+        "t4-n-below-k", "thm1-q", "polarity-n", "lemma1-pmax", "thm1-pair", "all-desk-n-p",
+        "all-desk-nmax"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     # exit 1 is kept for a failed verification record
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

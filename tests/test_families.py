@@ -6,6 +6,7 @@ import pytest
 from degpow.families import (
     FamilyId,
     POLARITY_ORDERS,
+    _prime_power,
     complete_bipartite,
     construct,
     cycle_graph,
@@ -39,6 +40,22 @@ def _prime_powers(limit: int) -> list[int]:
 
 
 PRIME_POWERS_64 = _prime_powers(64)
+
+
+class TestPrimePower:
+    def test_agrees_with_the_oracle(self):
+        powers = set(_prime_powers(1000))
+        for q in range(-2, 1001):
+            pk = _prime_power(q)
+            assert (pk is not None) == (q in powers), q
+            if pk is not None:
+                assert all(pk[0] % d for d in range(2, pk[0])) and pk[0] ** pk[1] == q
+
+    def test_large_orders(self):
+        # trial division stops at sqrt(q), so a 10-digit prime is instant
+        assert _prime_power(1_000_000_007) == (1_000_000_007, 1)
+        assert _prime_power(3**19) == (3, 19)
+        assert _prime_power(2 * 1_000_000_007) is None
 
 
 class TestConstructors:

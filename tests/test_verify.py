@@ -5,19 +5,17 @@ import pytest
 from degpow.families import FamilyId, ep_closed_form
 from degpow.majorization import p_power_norm
 from degpow.verify import (
-    LemmaTupleSpec,
     VerificationRecord,
     appendix_a_scan,
     brute_force_theorem,
-    lemma_tuple_build,
     lemma_tuple_check,
+    lemma_tuples,
     polarity_check,
     run_task,
     suite_tasks,
     theorem_records,
     threshold_record,
     threshold_scan,
-    valid_q_range,
     validate_task,
 )
 
@@ -34,41 +32,38 @@ class TestVerificationRecord:
 
 class TestLemmaTuples:
     def test_display_n7(self):
-        t1, t2, t3 = lemma_tuple_build(LemmaTupleSpec("lemma1", 7, 2))
+        t1, t2, part_ii = lemma_tuples("lemma1", 7)
         assert t1 == (6, 2, 2, 2, 2, 2, 2)
         assert t2 == (4, 4, 4, 3, 1, 1, 1)
-        assert t3 == (5, 3, 3, 3, 2, 1, 1)
+        assert part_ii == {2: (5, 3, 3, 3, 2, 1, 1)}
 
     def test_display_n9_q2(self):
-        spec = LemmaTupleSpec("lemma1", 9, 2)
-        assert spec.r == 3 and spec.epsilon == 1
-        _, _, t3 = lemma_tuple_build(spec)
+        # r = 3 trailing ones; epsilon = 1 folded into the entry q+1-epsilon = 2
+        t3 = lemma_tuples("lemma1", 9)[2][2]
         assert t3 == (7, 3, 3, 3, 3, 2, 1, 1, 1)
         assert sum(t3) == 24
 
     def test_display_lemma12_n6(self):
         # the q-range is empty at n=6; build the displayed tuples at n=8
-        t1, t2, _ = lemma_tuple_build(LemmaTupleSpec("lemma12", 8, 2))
+        t1, t2, _ = lemma_tuples("lemma12", 8)
         assert t1 == (7, 2, 2, 2, 2, 2, 2, 1)
         assert t2 == (5, 4, 4, 3, 1, 1, 1, 1)
 
     def test_sums(self):
         for n in range(7, 30, 2):
-            for q in valid_q_range("lemma1", n):
-                for t in lemma_tuple_build(LemmaTupleSpec("lemma1", n, q)):
-                    assert sum(t) == 3 * (n - 1)
+            t1, t2, part_ii = lemma_tuples("lemma1", n)
+            for t in (t1, t2, *part_ii.values()):
+                assert sum(t) == 3 * (n - 1)
         for n in range(8, 30, 2):
-            for q in valid_q_range("lemma12", n):
-                for t in lemma_tuple_build(LemmaTupleSpec("lemma12", n, q)):
-                    assert sum(t) == 3 * n - 4
+            t1, t2, part_ii = lemma_tuples("lemma12", n)
+            for t in (t1, t2, *part_ii.values()):
+                assert sum(t) == 3 * n - 4
 
     def test_q_range_boundaries(self):
-        assert list(valid_q_range("lemma1", 7)) == [2]
-        assert list(valid_q_range("lemma12", 6)) == []
-        with pytest.raises(ValueError):
-            LemmaTupleSpec("lemma1", 7, 3)
-        with pytest.raises(ValueError):
-            LemmaTupleSpec("lemma12", 6, 2)
+        assert list(lemma_tuples("lemma1", 7)[2]) == [2]
+        assert lemma_tuples("lemma12", 6)[2] == {}
+        assert list(lemma_tuples("lemma1", 9)[2]) == [2, 3]
+        assert list(lemma_tuples("lemma12", 10)[2]) == [2, 3]
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
@@ -87,8 +82,7 @@ class TestLemmaTuples:
         rec = lemma_tuple_check("lemma1", 9, 2)
         assert rec.verdict == "pass"
         # q=2 instance: 92 < 96
-        _, _, t3 = lemma_tuple_build(LemmaTupleSpec("lemma1", 9, 2))
-        assert p_power_norm(t3, 2) == 92
+        assert p_power_norm(lemma_tuples("lemma1", 9)[2][2], 2) == 92
         assert rec.detail["norm1"] == 96
 
     def test_lemma12_gap_is_n_minus_4(self):
@@ -130,6 +124,28 @@ class TestThresholds:
         rec = threshold_record("W_vs_K3", 12)
         assert rec.verdict == "fail"
         assert rec.witness == {"n0": 25, "expected_at_most": 24}
+
+    @pytest.mark.parametrize("args, message", [
+        (("nope", 5), "unknown pair 'nope'"),
+        (("W_vs_K3", 1), "p must be >= 2"),
+        (("F_vs_K2", 5, 10), "n_max too small to see the tail"),
+    ], ids=str)
+    def test_bad_record_arguments_raise(self, args, message):
+        # a bad argument is not a counterexample to the table
+        with pytest.raises(ValueError, match=message):
+            threshold_record(*args)
+        pair, p, *n_max = args
+        with pytest.raises(ValueError, match=message):
+            run_task(("threshold", {"pair": pair, "p": p, "n_max": n_max[0] if n_max else None}))
+
+    def test_no_threshold_is_a_failed_record(self, monkeypatch):
+        import degpow.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "ep_closed_form", lambda family, n, p: 0)
+        rec = threshold_record("W_vs_K3", 5)
+        assert rec.verdict == "fail" and rec.value is None
+        assert rec.params == {"pair": "W_vs_K3", "p": 5, "n_max": 200}
+        assert rec.witness == "no threshold within n_max=200 for W_vs_K3, p=5"
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -257,11 +273,11 @@ class TestGuardsWithoutAsserts:
     def test_malformed_lemma_tuple_fails_with_witness(self, monkeypatch):
         import degpow.verify as verify_mod
 
-        def build(spec):
-            t1, t2, t3 = lemma_tuple_build(spec)
-            return t1, t2, t3[::-1]
+        def build(lemma, n):
+            t1, t2, part_ii = lemma_tuples(lemma, n)
+            return t1, t2, {q: t3[::-1] for q, t3 in part_ii.items()}
 
-        monkeypatch.setattr(verify_mod, "lemma_tuple_build", build)
+        monkeypatch.setattr(verify_mod, "lemma_tuples", build)
         rec = lemma_tuple_check("lemma1", 9, 2)
         assert rec.verdict == "fail"
         assert rec.witness == {"malformed": [1, 1, 1, 2, 3, 3, 3, 3, 7], "sum": 24}
@@ -297,6 +313,16 @@ class TestSuites:
             with pytest.raises(ValueError) as raised:
                 run()
             assert str(raised.value) == str(rejected.value)
+
+    def test_theorem_task_planned_once(self, monkeypatch):
+        import degpow.verify as verify_mod
+
+        planned = []
+        plan = verify_mod._theorem_plan
+        monkeypatch.setattr(verify_mod, "_theorem_plan",
+                            lambda check, *args: planned.append(check) or plan(check, *args))
+        records = run_task(("theorem", {"thm": "t2", "n": 4, "p_values": (2, 3)}))
+        assert len(records) == 4 and planned == ["t2i", "t2ii"]
 
     def test_every_suite_task_validates(self):
         for task in suite_tasks("all-desk"):
