@@ -46,8 +46,6 @@ from .majorization import (
     weakly_majorizes,
 )
 from .structure import (
-    all_cycles,
-    cycle_has_chord,
     degeneracy,
     edge_connectivity,
     has_c4,

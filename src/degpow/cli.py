@@ -243,7 +243,7 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
     for key, flag in (("p_values", "p"), ("k_values", "k")):
         if key in fixed and flag in given:
             fixed[key] = tuple(given[flag])
-    if args.pmax is not None and "pair" in fixed and "p" not in given:
+    if args.pmax is not None and "pair" in fixed:
         axes["p"] = range(row.axes["p"].start, args.pmax + 1)
         if not axes["p"]:
             raise UsageError(f"--pmax must be >= {row.axes['p'].start}, got {args.pmax}")
@@ -271,6 +271,8 @@ def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
     for flag, flag_keys in _FLAG_KEYS.items():
         if getattr(args, flag) is not None and keys.isdisjoint(flag_keys):
             raise UsageError(f"verify {args.suite} takes no --{flag}")
+    if args.p is not None and args.pmax is not None:
+        raise UsageError("give --p or --pmax, not both")
     if args.suite == "all-desk":
         # the acceptance grid is fixed, its n=9 search included
         tasks = suite_tasks("all-desk")

@@ -2,10 +2,19 @@
 
 Connectivity follows Menger: local vertex connectivity is a unit-capacity
 max-flow in the vertex-split network, local edge connectivity a max-flow on
-the graph itself.  Flows are capped at the threshold t being tested, which
-keeps the minimality checks (one flow per deleted edge) cheap at desk scale;
-the connectivity itself is the largest t <= min degree that the threshold
-test accepts.  Degeneracy is a bitset k-core peel (Matula & Beck, J. ACM 30
+the graph itself.  Flows are capped at the threshold t being tested; the
+connectivity is the largest t <= min degree that the threshold test
+accepts.  The minimality checks run exact tests first, and flows (one per
+deleted edge) decide only what passes them.  A minimally t-connected graph
+has minimum degree t (Halin, J. Combin. Theory 7 (1969) 150-154), and its
+vertices of degree > t induce a forest, because every cycle has a vertex of
+degree t (Mader, Arch. Math. 23 (1972) 219-224).  For t = 2 the edge check
+needs no flow: a minimally 2-edge-connected graph has minimum degree 2
+(Mader, Math. Ann. 191 (1971) 21-28), and a 2-edge-connected graph is
+minimal iff every edge lies in a cut pair, which one DFS decides by
+cycle-space labels (Pritchard & Thurimella, ACM Trans. Algorithms 7(4)
+(2011) 46).  The forest condition does not hold for edge-connectivity.
+Degeneracy is a bitset k-core peel (Matula & Beck, J. ACM 30
 (1983) 417-427): g is k-degenerate iff repeatedly dropping every vertex with
 at most k surviving neighbours empties it.  A graph has no even cycle
 exactly when it is an odd cactus, every block an edge or an odd cycle;
@@ -83,36 +92,8 @@ def has_even_cycle(g: Graph) -> bool:
     return False
 
 
-def all_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Enumerate every cycle once, as a vertex tuple starting at its minimum.
-
-    Exponential in general; intended for sparse desk-scale graphs (the
-    chord and degree-3 lemma checks).
-    """
-    n, adj = g.n, g.adj
-    for s in range(n):
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(s, 1 << s, (s,))]
-        while stack:
-            u, visited, path = stack.pop()
-            nbrs = adj[u]
-            if len(path) >= 3 and (nbrs >> s) & 1 and path[1] < u:
-                yield path
-            for v in _bits(nbrs & ~visited):
-                if v > s:
-                    stack.append((v, visited | (1 << v), path + (v,)))
-
-
-def cycle_has_chord(g: Graph, cycle: tuple[int, ...]) -> bool:
-    """True iff some edge joins two non-consecutive vertices of the cycle."""
-    k = len(cycle)
-    members = 0
-    for v in cycle:
-        members |= 1 << v
-    for i, v in enumerate(cycle):
-        allowed = (1 << cycle[(i - 1) % k]) | (1 << cycle[(i + 1) % k])
-        if g.adj[v] & members & ~allowed:
-            return True
-    return False
+def _min_degree(g: Graph) -> int:
+    return min(map(int.bit_count, g.adj))
 
 
 # -- max-flow kernels ---------------------------------------------------------
@@ -200,7 +181,7 @@ def _edge_net(g: Graph) -> tuple[_FlowNet, dict[tuple[int, int], int]]:
 def _has_vertex_connectivity(g: Graph, t: int) -> bool:
     # the neighbourhood of a vertex of degree < t separates it (or the
     # graph is complete on at most t vertices)
-    if min(a.bit_count() for a in g.adj) < t:
+    if _min_degree(g) < t:
         return False
     net, _ = _vertex_net(g)
     for u in range(g.n):
@@ -213,7 +194,7 @@ def _has_vertex_connectivity(g: Graph, t: int) -> bool:
 
 
 def _has_edge_connectivity(g: Graph, t: int) -> bool:
-    if min(a.bit_count() for a in g.adj) < t:
+    if _min_degree(g) < t:
         return False
     net, _ = _edge_net(g)
     return all(net.max_flow(net.caps.copy(), 0, v, t) == t for v in range(1, g.n))
@@ -224,7 +205,7 @@ def vertex_connectivity(g: Graph) -> int:
 
     Complete graphs get the n-1 convention; disconnected graphs give 0.
     """
-    delta = min(a.bit_count() for a in g.adj)
+    delta = _min_degree(g)
     return next((t for t in range(delta, 0, -1) if _has_vertex_connectivity(g, t)), 0)
 
 
@@ -232,19 +213,81 @@ def edge_connectivity(g: Graph) -> int:
     """The largest t <= min degree that the threshold test accepts."""
     if g.n < 2:
         raise ValueError("edge connectivity needs n >= 2")
-    delta = min(a.bit_count() for a in g.adj)
+    delta = _min_degree(g)
     return next((t for t in range(delta, 0, -1) if _has_edge_connectivity(g, t)), 0)
 
 
-def is_minimally_t_connected(g: Graph, t: int) -> bool:
-    """t-connected, and deleting any single edge breaks t-connectivity.
+def _high_degree_forest(g: Graph, t: int) -> bool:
+    """True iff the vertices of degree > t induce a forest: every component
+    of the induced subgraph has fewer edges than vertices."""
+    adj = g.adj
+    high = 0
+    for v, a in enumerate(adj):
+        if a.bit_count() > t:
+            high |= 1 << v
+    rest = high
+    while rest:
+        comp, grow = 0, rest & -rest
+        while grow:
+            comp |= grow
+            reach = 0
+            for v in _bits(grow):
+                reach |= adj[v]
+            grow = reach & high & ~comp
+        ends = sum((adj[v] & high).bit_count() for v in _bits(comp))  # twice the edges
+        if ends >= 2 * comp.bit_count():
+            return False
+        rest &= ~comp
+    return True
+
+
+def _cycle_space_labels(g: Graph) -> list[int] | None:
+    """One label per edge from a DFS, or None if g is disconnected.
+
+    Each non-tree edge gets its own bit; a tree edge gets the XOR of the
+    bits of the non-tree edges whose fundamental cycles cover it.  A label
+    is 0 exactly on a bridge, and two edges form a cut pair exactly when
+    their labels are equal.
+    """
+    n, adj = g.n, g.adj
+    parent = [0] * n
+    label = [0] * n  # vertex v's entry ends up as the label of edge v-parent[v]
+    order = [0]
+    seen = 1
+    stack = [0]
+    back = 0
+    while stack:
+        u = stack[-1]
+        fresh = adj[u] & ~seen
+        if not fresh:
+            stack.pop()
+            continue
+        v = (fresh & -fresh).bit_length() - 1
+        parent[v] = u
+        seen |= 1 << v
+        order.append(v)
+        stack.append(v)
+        # v's visited neighbours other than u are its ancestors
+        for w in _bits(adj[v] & seen & ~(1 << u)):
+            bit = 1 << back
+            back += 1
+            label[v] ^= bit
+            label[w] ^= bit
+    if seen != (1 << n) - 1:
+        return None
+    # a subtree XOR leaves exactly the non-tree edges with one end inside it
+    for v in reversed(order[1:]):
+        label[parent[v]] ^= label[v]
+    return [label[v] for v in order[1:]] + [1 << i for i in range(back)]
+
+
+def _flows_minimally_t_connected(g: Graph, t: int) -> bool:
+    """The definition by flows: t-connected, and one flow per deleted edge.
 
     A vertex cut of g-e smaller than t that misses the endpoints of e would
     cut g itself, so checking the endpoint pair's local connectivity in g-e
     suffices for the per-edge test.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     if not _has_vertex_connectivity(g, t):
         return False
     net, edge_arcs = _vertex_net(g)
@@ -256,10 +299,8 @@ def is_minimally_t_connected(g: Graph, t: int) -> bool:
     return True
 
 
-def is_minimally_t_edge_connected(g: Graph, t: int) -> bool:
-    """t-edge-connected, and every single edge deletion breaks it."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+def _flows_minimally_t_edge_connected(g: Graph, t: int) -> bool:
+    """The definition by flows: t-edge-connected, and one flow per deleted edge."""
     if not _has_edge_connectivity(g, t):
         return False
     net, edge_arcs = _edge_net(g)
@@ -269,6 +310,46 @@ def is_minimally_t_edge_connected(g: Graph, t: int) -> bool:
         if net.max_flow(caps, u, v, t) >= t:
             return False
     return True
+
+
+def is_minimally_t_connected(g: Graph, t: int) -> bool:
+    """t-connected, and deleting any single edge breaks t-connectivity.
+
+    Two exact prefilters come first: the minimum degree must equal t
+    (Halin), and the vertices of degree > t must induce a forest (Mader).
+    Flows decide what passes both.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if _min_degree(g) != t or not _high_degree_forest(g, t):
+        return False
+    return _flows_minimally_t_connected(g, t)
+
+
+def is_minimally_t_edge_connected(g: Graph, t: int) -> bool:
+    """t-edge-connected, and every single edge deletion breaks it.
+
+    For t = 2 the minimum degree must equal 2 (Mader).  Then g is
+    2-edge-connected iff it is connected and no label is 0, and g - e stays
+    so unless it has a bridge f, that is unless e and f form a cut pair and
+    share a label.  So g is minimal iff it is connected and every label is
+    nonzero and occurs at least twice (Pritchard & Thurimella).  Any other t
+    is decided by flows.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if t != 2:
+        return _flows_minimally_t_edge_connected(g, t)
+    if _min_degree(g) != 2:
+        return False
+    labels = _cycle_space_labels(g)
+    if labels is None:
+        return False
+    once: set[int] = set()
+    twice: set[int] = set()
+    for label in labels:
+        (twice if label in once else once).add(label)
+    return 0 not in once and once == twice
 
 
 def _peels(g: Graph, k: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from degpow.graphs import Graph, new_graph
+from degpow.graphs import Graph, new_graph, remove_edge
 
 
 def all_labeled_graphs(n: int):
@@ -89,6 +89,14 @@ def oracle_edge_connectivity(g: Graph) -> int:
     raise AssertionError("removing all edges of an n>=2 graph disconnects it")
 
 
+def oracle_is_minimal(connectivity, g: Graph, t: int) -> bool:
+    """The definition: connectivity(g) >= t, and < t after any one edge
+    is deleted, for a function connectivity such as the cut oracles above."""
+    return connectivity(g) >= t and all(
+        connectivity(remove_edge(g, u, v)) < t for u, v in g.edges()
+    )
+
+
 def oracle_degeneracy(g: Graph) -> int:
     """Max over induced subgraphs of their minimum degree (the definition)."""
     best = 0
@@ -123,3 +131,16 @@ def oracle_cycles(g: Graph) -> list[tuple[int, ...]]:
     for s in range(g.n):
         extend(s, [s], {s})
     return found
+
+
+def cycle_has_chord(g: Graph, cycle: tuple[int, ...]) -> bool:
+    """True iff some edge joins two non-consecutive vertices of the cycle."""
+    k = len(cycle)
+    members = 0
+    for v in cycle:
+        members |= 1 << v
+    for i, v in enumerate(cycle):
+        allowed = (1 << cycle[(i - 1) % k]) | (1 << cycle[(i + 1) % k])
+        if g.adj[v] & members & ~allowed:
+            return True
+    return False

@@ -16,16 +16,13 @@ from degpow.enumeration import canonical_form, canonical_graph, enumerate_graphs
 from degpow.families import FamilyId, complete_bipartite, ep_closed_form, polarity_graph
 from degpow.graphs import Graph, degree_sequence, ep, to_graph6
 from degpow.majorization import Prop1Verdict, prop1_check
+from degpow import structure
 from degpow.structure import (
-    all_cycles,
-    cycle_has_chord,
     degeneracy,
     has_c4,
     has_even_cycle,
     is_k_degenerate,
     is_maximal_k_degenerate,
-    is_minimally_t_connected,
-    is_minimally_t_edge_connected,
     vertex_connectivity,
 )
 from degpow.verify import (
@@ -37,7 +34,15 @@ from degpow.verify import (
     threshold_scan,
 )
 
-from helpers import oracle_has_c4, oracle_has_even_cycle, oracle_vertex_connectivity
+from helpers import (
+    cycle_has_chord,
+    oracle_cycles,
+    oracle_edge_connectivity,
+    oracle_has_c4,
+    oracle_has_even_cycle,
+    oracle_is_minimal,
+    oracle_vertex_connectivity,
+)
 
 
 def _verdict(criterion: str, ok: bool, started: float) -> None:
@@ -273,14 +278,31 @@ def test_criterion_11e_c4_engine():
     _verdict("11e C4-freeness engine and degree-sum bound (n<=7)", ok, t0)
 
 
+def _minimally_connected(g: Graph, t: int) -> bool:
+    """Class membership by brute-force vertex cuts at n <= 7, and by the flow
+    definition at n = 8, not by the prefiltered public predicate."""
+    if g.n <= 7:
+        return oracle_is_minimal(oracle_vertex_connectivity, g, t)
+    return structure._flows_minimally_t_connected(g, t)
+
+
+def _minimally_2_edge_connected(g: Graph) -> bool:
+    """Class membership by brute-force edge cuts at n <= 7, and by the flow
+    definition at n = 8, not by the cycle-space labels."""
+    if g.n <= 7:
+        return oracle_is_minimal(oracle_edge_connectivity, g, 2)
+    return structure._flows_minimally_t_edge_connected(g, 2)
+
+
 def test_criterion_11f_minimally_connected_lemmas():
+    """Membership from _minimally_connected: cut oracles at n <= 7, flows at n = 8."""
     t0 = time.time()
     ok = True
     for n in range(2, 9):
         for g in _classes(n):
             degs = degree_sequence(g)
             for t in (1, 2, 3):
-                if is_minimally_t_connected(g, t):
+                if _minimally_connected(g, t):
                     ok &= degs[-1] == t  # minimum degree equals t
                     if t == 2 and n >= 4:
                         ok &= not _has_triangle(g)
@@ -295,11 +317,13 @@ def test_criterion_11f_minimally_connected_lemmas():
 
 
 def test_criterion_11g_minimally_edge_connected_lemmas():
+    """Membership from _minimally_2_edge_connected: cut oracles at n <= 7,
+    flows at n = 8; cycles from the path-DFS oracle."""
     t0 = time.time()
     ok = True
     for n in range(2, 9):
         for g in _classes(n):
-            if is_minimally_t_edge_connected(g, 2):
+            if _minimally_2_edge_connected(g):
                 ok &= degree_sequence(g)[-1] == 2
                 if 6 <= n <= 8:
                     m = g.edge_count()
@@ -309,16 +333,17 @@ def test_criterion_11g_minimally_edge_connected_lemmas():
                             complete_bipartite(2, n)
                         )
                 if n <= 7:
-                    ok &= not any(cycle_has_chord(g, c) for c in all_cycles(g))
+                    ok &= not any(cycle_has_chord(g, c) for c in oracle_cycles(g))
     _verdict("11g minimally 2-edge-connected lemmas (degree, chords, edge bound)", ok, t0)
 
 
 def test_criterion_11h_cycles_in_minimally_3_connected():
+    """Membership by the flow definition; cycles from the path-DFS oracle."""
     t0 = time.time()
     ok = True
     for g in _classes(8):
-        if is_minimally_t_connected(g, 3):
-            for cycle in all_cycles(g):
+        if _minimally_connected(g, 3):
+            for cycle in oracle_cycles(g):
                 ok &= sum(1 for v in cycle if g.degree(v) == 3) >= 2
     _verdict("11h every cycle of a minimally 3-connected graph (n=8)", ok, t0)
 

@@ -400,10 +400,11 @@ class TestVerify:
     (("verify", "thm1", "--pair", "F_vs_K2"), None),
     (("verify", "all-desk", "--n", "5", "--p", "2"), None),
     (("verify", "all-desk", "--nmax", "300"), None),
+    (("verify", "thresholds", "--p", "3", "--pmax", "5"), None),
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
         "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-g6", "t4-k-above-n",
         "t4-n-below-k", "thm1-q", "polarity-n", "lemma1-pmax", "thm1-pair", "all-desk-n-p",
-        "all-desk-nmax"])
+        "all-desk-nmax", "p-with-pmax"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     # exit 1 is kept for a failed verification record
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from degpow.families import complete_bipartite, cycle_graph, friendship, split_graph, wheel
 from degpow.graphs import new_graph
 from degpow.structure import (
-    all_cycles,
-    cycle_has_chord,
     degeneracy,
     edge_connectivity,
     has_c4,
@@ -22,15 +21,17 @@ from degpow.structure import (
 
 from degpow import structure
 from degpow.enumeration import enumerate_graphs
-from degpow.graphs import permute, remove_edge
+from degpow.graphs import from_graph6, induced_subgraph, permute, remove_edge
 
 from helpers import (
     all_labeled_graphs,
+    cycle_has_chord,
     oracle_cycles,
     oracle_degeneracy,
     oracle_edge_connectivity,
     oracle_has_c4,
     oracle_has_even_cycle,
+    oracle_is_minimal,
     oracle_vertex_connectivity,
 )
 
@@ -165,16 +166,112 @@ class TestMinimality:
         for n in range(2, 6):
             for g in all_labeled_graphs(n):
                 for t in (1, 2, 3):
-                    direct = vertex_connectivity(g) >= t and all(
-                        vertex_connectivity(remove_edge(g, u, v)) < t
-                        for u, v in g.edges()
+                    assert is_minimally_t_connected(g, t) == oracle_is_minimal(
+                        vertex_connectivity, g, t
                     )
-                    assert is_minimally_t_connected(g, t) == direct
-                    direct_e = edge_connectivity(g) >= t and all(
-                        edge_connectivity(remove_edge(g, u, v)) < t
-                        for u, v in g.edges()
+                    assert is_minimally_t_edge_connected(g, t) == oracle_is_minimal(
+                        edge_connectivity, g, t
                     )
-                    assert is_minimally_t_edge_connected(g, t) == direct_e
+
+
+VERTEX = (is_minimally_t_connected, structure._flows_minimally_t_connected,
+          structure._has_vertex_connectivity)
+EDGE = (is_minimally_t_edge_connected, structure._flows_minimally_t_edge_connected,
+        structure._has_edge_connectivity)
+# the minimality leaves the theorem checks use, with t
+LEAVES = ((VERTEX, 1), (VERTEX, 2), (VERTEX, 3), (EDGE, 2))
+
+# minimally 2-edge-connected on 9 vertices, although their vertices of
+# degree > 2 do not induce a forest (three degree-4 vertices of H@LA[AJ
+# form a triangle)
+EDGE_FIXTURES = (b"H@LA[AJ", b"H?CeErc")
+
+
+def near_minimal_graph(rng, n, threshold, t, skip):
+    """G(n, p); if it passes threshold(g, t), each edge in random order is
+    then deleted when the graph still passes without it, unless a coin of
+    probability skip keeps the edge.  skip = 0 gives a minimal graph."""
+    p = rng.uniform(0.3, 0.7)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    g = new_graph(n, edges)
+    if not threshold(g, t):
+        return g
+    rng.shuffle(edges)
+    for u, v in edges:
+        if rng.random() >= skip:
+            h = remove_edge(g, u, v)
+            if threshold(h, t):
+                g = h
+    return g
+
+
+class TestMinimalityPrefilters:
+    """The public minimality predicates against the flow definitions they
+    short-cut: the Halin/Mader prefilters, and the cycle-space labels for
+    t = 2 edge connectivity."""
+
+    def test_agree_with_flows_on_every_class(self):
+        for n in range(1, 9):
+            classes = []
+            enumerate_graphs(n, visit=classes.append)
+            for (public, flows, _), t in LEAVES:
+                assert [public(g, t) for g in classes] == [flows(g, t) for g in classes], (n, t)
+
+    def test_agree_with_flows_on_random_graphs(self):
+        rng = random.Random(0x11)
+        for (public, flows, threshold), t in LEAVES:
+            found = {True: 0, False: 0}
+            for _ in range(60):
+                n = rng.choice((9, 10))
+                g = near_minimal_graph(rng, n, threshold, t, rng.choice((0, 0, 0.1, 0.3)))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = permute(g, perm)
+                expected = flows(g, t)
+                assert public(g, t) == expected, (t, g.adj)
+                found[expected] += 1
+            assert min(found.values()) >= 15, (t, found)
+
+    def test_forest_condition_against_cycle_oracle(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                for t in range(4):
+                    high = [v for v in range(n) if g.degree(v) > t]
+                    forest = not high or not oracle_cycles(induced_subgraph(g, high))
+                    assert structure._high_degree_forest(g, t) == forest
+
+    def test_classes_that_reach_the_flows(self, monkeypatch):
+        # only classes with minimum degree t and a forest on the vertices of
+        # degree > t reach the vertex flows; the t = 2 edge check runs none
+        reached = Counter()
+        flows = structure._flows_minimally_t_connected
+
+        def counted(g, t):
+            reached[g.n, t] += 1
+            return flows(g, t)
+
+        def no_flow(g, t):
+            pytest.fail("the t = 2 edge check ran a flow")
+
+        monkeypatch.setattr(structure, "_flows_minimally_t_connected", counted)
+        monkeypatch.setattr(structure, "_flows_minimally_t_edge_connected", no_flow)
+        for n in (7, 8):
+            classes = []
+            enumerate_graphs(n, visit=classes.append)
+            for g in classes:
+                for t in (2, 3):
+                    is_minimally_t_connected(g, t)
+                is_minimally_t_edge_connected(g, 2)
+        assert reached == {(7, 2): 41, (7, 3): 23, (8, 2): 145, (8, 3): 158}
+
+    @pytest.mark.parametrize("g6", EDGE_FIXTURES)
+    def test_edge_fixtures_without_the_forest(self, g6):
+        g = from_graph6(g6)
+        assert g.n == 9
+        assert is_minimally_t_edge_connected(g, 2)
+        assert structure._flows_minimally_t_edge_connected(g, 2)
+        assert oracle_is_minimal(oracle_edge_connectivity, g, 2)
+        assert not structure._high_degree_forest(g, 2)
 
 
 class TestDegeneracy:
@@ -212,13 +309,16 @@ class TestDegeneracy:
 
 
 class TestCycles:
+    """The test-side cycle oracle and chord test that the acceptance
+    criteria use."""
+
     def test_counts(self):
-        assert len(list(all_cycles(cycle_graph(5)))) == 1
-        assert len(list(all_cycles(K4))) == 7  # 4 triangles + 3 squares
-        assert len(list(all_cycles(P3))) == 0
+        assert len(oracle_cycles(cycle_graph(5))) == 1
+        assert len(oracle_cycles(K4)) == 7  # 4 triangles + 3 squares
+        assert len(oracle_cycles(P3)) == 0
 
     def test_each_cycle_once(self):
-        cycles = list(all_cycles(wheel(6)))
+        cycles = oracle_cycles(wheel(6))
         edge_sets = {
             frozenset(frozenset(e) for e in zip(c, c[1:] + c[:1])) for c in cycles
         }
@@ -226,22 +326,9 @@ class TestCycles:
 
     def test_chords(self):
         g = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])  # C4 + chord
-        square = next(c for c in all_cycles(g) if len(c) == 4)
+        square = next(c for c in oracle_cycles(g) if len(c) == 4)
         assert cycle_has_chord(g, square)
         assert not cycle_has_chord(cycle_graph(5), tuple(range(5)))
-
-    def test_against_path_dfs_oracle(self):
-        def edge_sets(cycles):
-            return {
-                frozenset(frozenset(e) for e in zip(c, c[1:] + c[:1])) for c in cycles
-            }
-
-        for n in range(1, 6):
-            for g in all_labeled_graphs(n):
-                ours = list(all_cycles(g))
-                ref = oracle_cycles(g)
-                assert len(ours) == len(ref)
-                assert edge_sets(ours) == edge_sets(ref)
 
 
 def oracle_sample():
