@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Mutation table: each row breaks one rule and names the tests that catch it.
+
+    python scripts/mutants.py            # every row
+    python scripts/mutants.py wheel-3    # the named rows only
+
+The rows run one at a time in a temporary copy of the repository.  A row
+replaces its exact `old` snippet in `file` with `new`, runs its tests one
+after another, and restores the file.  It prints `killed` when every test
+it names fails, and `survived` with the tests that still pass otherwise.
+The exit status is 1 when a row survived.  Snippets must occur exactly
+once in their file; the test suite checks that without running a row.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids that must fail
+
+
+STRUCTURE = "src/degpow/structure.py"
+ENUMERATION = "src/degpow/enumeration.py"
+
+MUTANTS = (
+    Mutant("t2ii-odd-n-friendship", "src/degpow/verify.py",
+           "lambda n, k: (_K2, _F) if n % 2 else (_K2,)",
+           "lambda n, k: (_K2, _F) if not n % 2 else (_K2,)",
+           ("tests/test_verify.py::TestBruteForce::test_t2ii_even_n_excludes_friendship",
+            "tests/test_verify.py::TestBruteForce::test_t2ii_odd_n_friendship_wins_small")),
+    Mutant("c1-min-degree-filter", "src/degpow/verify.py",
+           "replace(pred, min_degree=1)", "replace(pred, min_degree=2)",
+           ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",)),
+    Mutant("even-cycle-shared-edge", STRUCTURE,
+           "if (on_cycle >> x) & 1:", "if False:",
+           ("tests/test_structure.py::TestEvenCycle::test_against_dfs_oracle_small",
+            "tests/test_structure.py::TestEvenCycle::test_against_dfs_oracle_sparse")),
+    Mutant("even-cycle-parity", STRUCTURE,
+           "if (depth[v] - depth[w]) % 2:", "if False:",
+           ("tests/test_structure.py::TestEvenCycle::test_cycle_parity",
+            "tests/test_structure.py::TestEvenCycle::test_against_dfs_oracle_small")),
+    Mutant("loose-vertex-threshold", ENUMERATION,
+           "if not adj[v] & unassigned:", "if (adj[v] & unassigned).bit_count() <= 1:",
+           ("tests/test_enumeration.py::TestCanonicalForm::"
+            "test_search_is_global_minimum_every_class_n6",
+            "tests/test_enumeration.py::TestCanonicalForm::"
+            "test_search_is_global_minimum_forests_n7")),
+    Mutant("neighbours-split-first", ENUMERATION,
+           """                if mask & outside:
+                    split.append((mask & outside, value << 1))
+                if mask & av:
+                    split.append((mask & av, (value << 1) | 1))""",
+           """                if mask & av:
+                    split.append((mask & av, (value << 1) | 1))
+                if mask & outside:
+                    split.append((mask & outside, value << 1))""",
+           ("tests/test_enumeration.py::TestCanonicalForm::"
+            "test_search_is_global_minimum_every_class_n6",)),
+    Mutant("forest-edge-count", STRUCTURE,
+           "if ends >= 2 * comp.bit_count():", "if False:",
+           ("tests/test_structure.py::TestMinimalityPrefilters::"
+            "test_forest_condition_against_cycle_oracle",)),
+    Mutant("zero-label-accepted", STRUCTURE,
+           "return 0 not in once and once == twice", "return once == twice",
+           ("tests/test_structure.py::TestMinimalityPrefilters::"
+            "test_agree_with_flows_on_every_class",)),
+    Mutant("single-label-accepted", STRUCTURE,
+           "return 0 not in once and once == twice", "return 0 not in once",
+           ("tests/test_structure.py::TestMinimality::test_against_definition_exhaustive",)),
+    Mutant("forest-on-edge-predicate", STRUCTURE,
+           """    if _min_degree(g) != 2:
+        return False""",
+           """    if _min_degree(g) != 2 or not _high_degree_forest(g, 2):
+        return False""",
+           ("tests/test_structure.py::TestMinimalityPrefilters::"
+            "test_edge_fixtures_without_the_forest",)),
+    Mutant("wheel-3", "src/degpow/families.py",
+           "domain=lambda n: n >= 4", "domain=lambda n: n >= 3",
+           ("tests/test_families.py::TestConstructors::test_parameter_validation",
+            "tests/test_families.py::test_cli_error_just_outside_each_domain")),
+    Mutant("friendship-even-leaf", "src/degpow/families.py",
+           "(n - 2) * 2**p + 1", "(n - 2) * 2**p",
+           ("tests/test_families.py::test_closed_form_matches_construction_everywhere",
+            "tests/test_families.py::test_closed_form_examples")),
+    Mutant("split-k-n-order", "src/degpow/families.py",
+           'params=("n", "k")', 'params=("k", "n")',
+           ("tests/test_cli.py::TestConstruct::test_split_params",)),
+)
+
+
+def passing_tests(mutant: Mutant, copy: Path) -> list[str]:
+    """Apply the mutant in the copy, run its tests, restore the file, and
+    return the tests that passed."""
+    path = copy / mutant.file
+    source = path.read_text()
+    if source.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: the old snippet must occur once in {mutant.file}")
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    path.write_text(source.replace(mutant.old, mutant.new))
+    passed = []
+    try:
+        for test in mutant.tests:
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+                cwd=copy, env=env, capture_output=True, text=True)
+            if run.returncode not in (0, 1):
+                raise SystemExit(f"{mutant.name}: pytest could not run {test}\n{run.stdout}")
+            if run.returncode == 0:
+                passed.append(test)
+    finally:
+        path.write_text(source)
+    return passed
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutant(s): {', '.join(sorted(unknown))}")
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-out"))
+        for mutant in MUTANTS:
+            if names and mutant.name not in names:
+                continue
+            passed = passing_tests(mutant, copy)
+            survived += bool(passed)
+            verdict = "survived: " + " ".join(passed) if passed else "killed"
+            print(f"{mutant.name}: {verdict}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -33,12 +33,17 @@ from datetime import datetime, timezone
 
 from . import structure
 from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
-from .families import FamilyId, construct
+from .families import FAMILIES
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
 from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks, run_task,
                      suite_tasks, validate_task)
 
 FORMAT_VERSION = 1
+
+
+def _render_params(params: dict) -> str:
+    """A record's params as k=v pairs sorted by key and joined by ';'."""
+    return ";".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
 @dataclass
@@ -68,10 +73,9 @@ class ReportEnvelope:
         writer.writerow(["suite", "params", "verdict", "value", "witness_g6"])
         for r in self.records:
             d = r.to_dict()
-            params = ";".join(f"{k}={v}" for k, v in sorted(d["params"].items()))
             value = "" if d["value"] is None else str(d["value"])
             witness = "" if d["witness"] is None else json.dumps(d["witness"], sort_keys=True)
-            writer.writerow([d["check"], params, d["verdict"], value, witness])
+            writer.writerow([d["check"], _render_params(d["params"]), d["verdict"], value, witness])
         return buf.getvalue()
 
 
@@ -91,16 +95,11 @@ def _bad_input() -> Iterator[None]:
 # -- graph input ----------------------------------------------------------------
 
 
-def _parse_edgelist(text: str) -> Graph:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty edge-list input")
-    n = int(tokens[0])
-    rest = tokens[1:]
-    if len(rest) % 2:
+def _parse_edgelist(tokens: list[str]) -> Graph:
+    n, *ends = map(int, tokens)
+    if len(ends) % 2:
         raise ValueError("edge list must contain whitespace-separated pairs")
-    edges = [(int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)]
-    return new_graph(n, edges)
+    return new_graph(n, list(zip(ends[::2], ends[1::2])))
 
 
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
@@ -117,12 +116,10 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
                     text = fh.read()
             except OSError as exc:
                 raise UsageError(f"cannot read --file {args.file}: {exc.strerror}") from None
-        fmt = args.format
-        if fmt == "auto":
-            first = text.split(None, 1)
-            fmt = "edgelist" if first and first[0].isdigit() else "g6"
-        if fmt == "edgelist":
-            return [_parse_edgelist(text)]
+        # a graph6 byte is 63-126, never a digit; an edge list starts with its order
+        tokens = text.split()
+        if tokens and tokens[0].isdigit():
+            return [_parse_edgelist(tokens)]
         graphs = [from_graph6(line.strip()) for line in text.splitlines() if line.strip()]
     if not graphs:
         raise UsageError(f"no graph in --file {args.file}")
@@ -138,24 +135,16 @@ def _emit_graph(g: Graph, out: str) -> str:
 
 # -- subcommands ----------------------------------------------------------------
 
-_FAMILY_ARITY = {"star": 1, "cycle": 1, "friendship": 1, "wheel": 1, "polarity": 1,
-                 "complete_bipartite": 2, "split": 2}
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
-    name, params = args.family, args.params
-    if name not in _FAMILY_ARITY:
-        raise UsageError(f"unknown family {name!r}; choose from {sorted(_FAMILY_ARITY)}")
-    if len(params) != _FAMILY_ARITY[name]:
-        raise UsageError(f"family {name} takes {_FAMILY_ARITY[name]} parameter(s)")
-    if name == "complete_bipartite":
-        family, size = FamilyId(name, t=params[0]), params[1]
-    elif name == "split":
-        family, size = FamilyId(name, k=params[1]), params[0]
-    else:
-        family, size = FamilyId(name), params[0]
+    row = FAMILIES.get(args.family)
+    if row is None:
+        raise UsageError(f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}")
+    if len(args.params) != len(row.params):
+        raise UsageError(f"family {args.family} takes {' '.join(row.params)}")
+    params = dict(zip(row.params, args.params))
     with _bad_input():
-        g = construct(family, size)
+        row.check(**params)
+        g = row.graph(**params)
     print(_emit_graph(g, args.out))
     return 0
 
@@ -300,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for path, render in ((args.json, ReportEnvelope.to_json), (args.csv, ReportEnvelope.to_csv)):
         if path:
             try:
-                reports.append((open(path, "w"), render))
+                reports.append((path, open(path, "w"), render))
             except OSError as exc:
                 raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
@@ -324,13 +313,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         started_at=started,
         finished_at=finished,
     )
-    for fh, render in reports:
-        with fh:
-            fh.write(render(envelope))
+    for path, fh, render in reports:
+        try:
+            with fh:
+                fh.write(render(envelope))
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     failures = 0
     for rec in records:
-        params = ";".join(f"{k}={v}" for k, v in sorted(rec.params.items()))
-        line = f"{rec.check} [{params}] {rec.verdict}"
+        line = f"{rec.check} [{_render_params(rec.params)}] {rec.verdict}"
         if rec.value is not None:
             line += f" value={rec.value}"
         print(line)
@@ -360,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_graph_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--g6", help="graph6 string")
         p.add_argument("--file", help="file of graph6 lines or an edge list ('-' = stdin)")
-        p.add_argument("--format", choices=("auto", "g6", "edgelist"), default="auto")
 
     p_ep = sub.add_parser("ep", help="exact degree power of input graphs")
     add_graph_input(p_ep)

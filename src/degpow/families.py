@@ -1,69 +1,33 @@
 """Named graph families, their exact degree-power closed forms, and GF(q).
 
+FAMILIES states each named family once, in one row: params, the
+member's parameters in the construct CLI's order (n, or q for polarity
+graphs, plus the FamilyId's t or k); domain, with one error message;
+graph, which builds the member; and closed_form, its e_p, which never
+builds it, since threshold scans evaluate it far above the 64-vertex
+cap.  construct and ep_closed_form are a row lookup plus the domain
+check, and the named constructors (star, ..., split_graph) call
+construct.
+
 Labelings are fixed for determinism: stars and friendship graphs put the
 center at vertex 0, wheels put the hub last, the split graph's clique comes
 first.  The polarity graph's vertices are the normalized projective points
 of GF(q)^3 in lexicographic order, adjacent when their dot product vanishes.
+Its closed form holds for every prime power q; polarity_graph builds only
+q in POLARITY_ORDERS.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .graphs import Graph, new_graph
 
 POLARITY_ORDERS = (2, 3, 4, 5, 7)  # q^2+q+1 <= 64
-
-
-def star(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("star needs n >= 2")
-    return new_graph(n, [(0, v) for v in range(1, n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    return new_graph(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def friendship(n: int) -> Graph:
-    """Star plus a maximum matching on the leaves: (1,2), (3,4), ...
-
-    For even n the last leaf n-1 stays unmatched.  Edge count is
-    floor(3(n-1)/2) and there are no even cycles.
-    """
-    if n < 2:
-        raise ValueError("friendship graph needs n >= 2")
-    edges = [(0, v) for v in range(1, n)]
-    edges += [(v, v + 1) for v in range(1, n - 1, 2)]
-    return new_graph(n, edges)
-
-
-def complete_bipartite(t: int, n: int) -> Graph:
-    if not 1 <= t < n:
-        raise ValueError("complete bipartite needs 1 <= t < n")
-    return new_graph(n, [(u, v) for u in range(t) for v in range(t, n)])
-
-
-def wheel(n: int) -> Graph:
-    """Cycle on vertices 0..n-2 with every rim vertex joined to hub n-1."""
-    if n < 4:
-        raise ValueError("wheel needs n >= 4")
-    edges = [(v, (v + 1) % (n - 1)) for v in range(n - 1)]
-    edges += [(v, n - 1) for v in range(n - 1)]
-    return new_graph(n, edges)
-
-
-def split_graph(n: int, k: int) -> Graph:
-    """Clique on 0..k-1 completely joined to the n-k independent vertices."""
-    if k < 1 or n < k + 1:
-        raise ValueError("split graph needs 1 <= k <= n-1")
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(u, v) for u in range(k) for v in range(k, n)]
-    return new_graph(n, edges)
 
 
 # -- finite fields -------------------------------------------------------------
@@ -221,7 +185,7 @@ def polarity_graph(q: int) -> Graph:
     return new_graph(n, edges)
 
 
-# -- family dispatch and closed forms ------------------------------------------
+# -- the family table ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -233,67 +197,111 @@ class FamilyId:
     k: int | None = None
 
 
+class _Family(NamedTuple):
+    """One row of FAMILIES; each callable takes the params by keyword, and
+    error is formatted with them."""
+
+    params: tuple[str, ...]
+    domain: Callable[..., bool]
+    error: str
+    graph: Callable[..., Graph]
+    closed_form: Callable[..., int]
+
+    def check(self, **params: int) -> None:
+        if not self.domain(**params):
+            raise ValueError(self.error.format(**params))
+
+
+FAMILIES: dict[str, _Family] = {
+    "star": _Family(
+        params=("n",), domain=lambda n: n >= 2, error="star needs n >= 2",
+        graph=lambda n: new_graph(n, [(0, v) for v in range(1, n)]),
+        closed_form=lambda n, p: (n - 1) ** p + (n - 1)),
+    "cycle": _Family(
+        params=("n",), domain=lambda n: n >= 3, error="cycle needs n >= 3",
+        graph=lambda n: new_graph(n, [(v, (v + 1) % n) for v in range(n)]),
+        closed_form=lambda n, p: n * 2**p),
+    # for even n the unmatched leaf n-1 has degree 1
+    "friendship": _Family(
+        params=("n",), domain=lambda n: n >= 2, error="friendship graph needs n >= 2",
+        graph=lambda n: new_graph(
+            n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1, 2)]),
+        closed_form=lambda n, p: (n - 1) ** p + (
+            (n - 1) * 2**p if n % 2 else (n - 2) * 2**p + 1)),
+    "complete_bipartite": _Family(
+        params=("t", "n"), domain=lambda t, n: 1 <= t < n,
+        error="complete bipartite needs 1 <= t < n",
+        graph=lambda t, n: new_graph(n, [(u, v) for u in range(t) for v in range(t, n)]),
+        closed_form=lambda t, n, p: t * (n - t) ** p + (n - t) * t**p),
+    "wheel": _Family(
+        params=("n",), domain=lambda n: n >= 4, error="wheel needs n >= 4",
+        graph=lambda n: new_graph(
+            n, [(v, w) for v in range(n - 1) for w in ((v + 1) % (n - 1), n - 1)]),
+        closed_form=lambda n, p: (n - 1) ** p + (n - 1) * 3**p),
+    "split": _Family(
+        params=("n", "k"), domain=lambda n, k: 1 <= k < n,
+        error="split graph needs 1 <= k <= n-1",
+        graph=lambda n, k: new_graph(n, [(u, v) for u in range(k) for v in range(u + 1, n)]),
+        closed_form=lambda n, k, p: k * (n - 1) ** p + (n - k) * k**p),
+    "polarity": _Family(
+        params=("q",), domain=lambda q: _prime_power(q) is not None,
+        error="{q} is not a prime power", graph=polarity_graph,
+        closed_form=lambda q, p: (q + 1) * q**p + q * q * (q + 1) ** p),
+}
+
+
+def _member(family: FamilyId, size: int) -> tuple[_Family, dict[str, int]]:
+    """The family's row and the member's params, checked against its domain."""
+    row = FAMILIES.get(family.name)
+    if row is None:
+        raise ValueError(f"unknown family {family.name!r}")
+    params = {key: size if key in ("n", "q") else getattr(family, key) for key in row.params}
+    if None in params.values():
+        raise ValueError(f"{family.name} takes {' and '.join(row.params)}")
+    row.check(**params)
+    return row, params
+
+
 def construct(family: FamilyId, size: int) -> Graph:
     """Build the family member; size is n, except q for polarity graphs."""
-    match family.name:
-        case "star":
-            return star(size)
-        case "cycle":
-            return cycle_graph(size)
-        case "friendship":
-            return friendship(size)
-        case "complete_bipartite":
-            if family.t is None:
-                raise ValueError("complete_bipartite needs part size t")
-            return complete_bipartite(family.t, size)
-        case "wheel":
-            return wheel(size)
-        case "split":
-            if family.k is None:
-                raise ValueError("split needs clique size k")
-            return split_graph(size, family.k)
-        case "polarity":
-            return polarity_graph(size)
-    raise ValueError(f"unknown family {family.name!r}")
+    row, params = _member(family, size)
+    return row.graph(**params)
 
 
 def ep_closed_form(family: FamilyId, size: int, p: int) -> int:
     """Exact closed-form degree power; always equals ep of the built graph."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    n = size
-    match family.name:
-        case "star":
-            if n < 2:
-                raise ValueError("star needs n >= 2")
-            return (n - 1) ** p + (n - 1)
-        case "cycle":
-            if n < 3:
-                raise ValueError("cycle needs n >= 3")
-            return n * 2**p
-        case "friendship":
-            if n < 2:
-                raise ValueError("friendship graph needs n >= 2")
-            if n % 2:
-                return (n - 1) ** p + (n - 1) * 2**p
-            return (n - 1) ** p + (n - 2) * 2**p + 1
-        case "complete_bipartite":
-            t = family.t
-            if t is None or not 1 <= t < n:
-                raise ValueError("complete bipartite needs 1 <= t < n")
-            return t * (n - t) ** p + (n - t) * t**p
-        case "wheel":
-            if n < 4:
-                raise ValueError("wheel needs n >= 4")
-            return (n - 1) ** p + (n - 1) * 3**p
-        case "split":
-            k = family.k
-            if k is None or k < 1 or n < k + 1:
-                raise ValueError("split graph needs 1 <= k <= n-1")
-            return k * (n - 1) ** p + (n - k) * k**p
-        case "polarity":
-            q = size
-            if _prime_power(q) is None:
-                raise ValueError(f"{q} is not a prime power")
-            return (q + 1) * q**p + q * q * (q + 1) ** p
-    raise ValueError(f"unknown family {family.name!r}")
+    row, params = _member(family, size)
+    return row.closed_form(**params, p=p)
+
+
+def star(n: int) -> Graph:
+    return construct(FamilyId("star"), n)
+
+
+def cycle_graph(n: int) -> Graph:
+    return construct(FamilyId("cycle"), n)
+
+
+def friendship(n: int) -> Graph:
+    """Star plus a maximum matching on the leaves: (1,2), (3,4), ...
+
+    For even n the last leaf n-1 stays unmatched.  Edge count is
+    floor(3(n-1)/2) and there are no even cycles.
+    """
+    return construct(FamilyId("friendship"), n)
+
+
+def complete_bipartite(t: int, n: int) -> Graph:
+    return construct(FamilyId("complete_bipartite", t=t), n)
+
+
+def wheel(n: int) -> Graph:
+    """Cycle on vertices 0..n-2 with every rim vertex joined to hub n-1."""
+    return construct(FamilyId("wheel"), n)
+
+
+def split_graph(n: int, k: int) -> Graph:
+    """Clique on 0..k-1 completely joined to the n-k independent vertices."""
+    return construct(FamilyId("split", k=k), n)

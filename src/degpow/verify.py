@@ -37,9 +37,9 @@ from .enumeration import (
     enumerate_graphs,
 )
 from .families import (
+    FAMILIES,
     POLARITY_ORDERS,
     FamilyId,
-    _prime_power,
     construct,
     ep_closed_form,
     polarity_graph,
@@ -449,8 +449,7 @@ def appendix_a_scan(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> Verificat
 
 
 def _check_polarity_args(q: int, p: int) -> None:
-    if _prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
+    FAMILIES["polarity"].check(q=q)
     if p < 2:
         raise ValueError("p must be >= 2")
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -87,6 +88,11 @@ class TestEp:
         path.write_text("C~\nBw\n")
         code, out, _ = run_cli(capsys, "ep", "--file", str(path), "--p", "2")
         assert code == 0 and out.split() == ["36", "12"]
+
+    def test_format_flag_is_gone(self):
+        # the input tells its format: graph6 bytes are 63-126, never a digit
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ep", "--g6", "C~", "--p", "2", "--format", "edgelist"])
 
     def test_parse_failure(self, capsys):
         code, out, err = run_cli(capsys, "ep", "--g6", "C\x01", "--p", "2")
@@ -236,6 +242,15 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "lemma1", "--n", "7", "--p", "2", flag, path)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("degpow: error: cannot write ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_failed_report_write_exits_two(self, capsys, flag):
+        # the open succeeds and the write fails; exit 1 is kept for a failed record
+        code, out, err = run_cli(capsys, "verify", "lemma1", "--n", "7", "--p", "2",
+                                 flag, "/dev/full")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("degpow: error: cannot write /dev/full: ")
 
     def test_failing_record_exits_one_with_witness(self, capsys, monkeypatch):
         from degpow.verify import VerificationRecord
@@ -391,7 +406,7 @@ class TestVerify:
     (("ep", "--p", "2"), None),
     (("ep", "--g6", "C\x01", "--p", "2"), None),
     (("ep", "--file", "-", "--p", "2"), None),
-    (("check", "degrees", "--file", "-", "--format", "g6"), None),
+    (("check", "degrees", "--file", "-"), None),
     (("verify", "thm4", "--k", "9"), None),
     (("verify", "thm4", "--k", "4", "--n", "4"), None),
     (("verify", "thm1", "--q", "3"), None),
@@ -402,7 +417,7 @@ class TestVerify:
     (("verify", "all-desk", "--nmax", "300"), None),
     (("verify", "thresholds", "--p", "3", "--pmax", "5"), None),
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
-        "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-g6", "t4-k-above-n",
+        "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-check", "t4-k-above-n",
         "t4-n-below-k", "thm1-q", "polarity-n", "lemma1-pmax", "thm1-pair", "all-desk-n-p",
         "all-desk-nmax", "p-with-pmax"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from degpow.cli import main
 from degpow.families import (
     FamilyId,
     POLARITY_ORDERS,
@@ -19,7 +22,7 @@ from degpow.families import (
     star,
     wheel,
 )
-from degpow.graphs import degree_sequence, ep
+from degpow.graphs import degree_sequence, ep, to_graph6
 from degpow.structure import (
     has_c4,
     has_even_cycle,
@@ -195,6 +198,39 @@ def test_closed_form_matches_construction_everywhere():
             g = construct(family, size)
             for p in range(1, 9):
                 assert ep_closed_form(family, size, p) == ep(g, p), (family, size, p)
+
+
+def test_every_labeling_pinned():
+    # sha256 of the graph6 lines of every FAMILY_GRID member, in grid order,
+    # pinned from the constructors before the family table replaced them
+    digest = hashlib.sha256()
+    members = 0
+    for family, sizes in FAMILY_GRID:
+        for size in sizes:
+            digest.update(to_graph6(construct(family, size)) + b"\n")
+            members += 1
+    assert members == 4286
+    assert digest.hexdigest() == "12b790592da29cf1a5efe29929e5229aa9592018804d3841e6c852c88a104216"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "star", "1"), "star needs n >= 2"),
+    (("construct", "cycle", "2"), "cycle needs n >= 3"),
+    (("construct", "friendship", "1"), "friendship graph needs n >= 2"),
+    (("construct", "complete_bipartite", "0", "3"), "complete bipartite needs 1 <= t < n"),
+    (("construct", "complete_bipartite", "3", "3"), "complete bipartite needs 1 <= t < n"),
+    (("construct", "wheel", "3"), "wheel needs n >= 4"),
+    (("construct", "split", "3", "0"), "split graph needs 1 <= k <= n-1"),
+    (("construct", "split", "3", "3"), "split graph needs 1 <= k <= n-1"),
+    (("verify", "polarity", "--q", "1", "--p", "2"), "1 is not a prime power"),
+    (("construct", "polarity", "8"), "polarity graph needs q in (2, 3, 4, 5, 7)"),
+], ids=["star", "cycle", "friendship", "bipartite-t", "bipartite-n", "wheel", "split-k",
+        "split-n", "polarity-domain", "polarity-cap"])
+def test_cli_error_just_outside_each_domain(capsys, argv, message):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"degpow: error: {message}\n"
 
 
 def test_closed_form_examples():

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import degpow
 
 SOURCE = Path(degpow.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _nodes(match) -> list[str]:
@@ -57,6 +59,20 @@ def test_benchmark_trace_targets_exist():
     missing = [f"{mod}.{fn}" for mod, fn, _ in targets
                if not callable(getattr(importlib.import_module(mod), fn, None))]
     assert missing == []
+
+
+def test_mutation_table_matches_the_source():
+    # scripts/mutants.py replaces each old snippet by exact match and runs
+    # the named tests; read its table without running a row
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.MUTANTS
+    for mutant in module.MUTANTS:
+        assert (ROOT / mutant.file).read_text().count(mutant.old) == 1, mutant.name
+        for test in mutant.tests:
+            path, *_, name = test.split("::")
+            assert f"def {name}(" in (ROOT / path).read_text(), test
 
 
 def test_system_exit_detector():
