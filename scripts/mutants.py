@@ -88,6 +88,17 @@ MUTANTS = (
         return False""",
            ("tests/test_structure.py::TestMinimalityPrefilters::"
             "test_edge_fixtures_without_the_forest",)),
+    Mutant("paths-without-reverse-residual", STRUCTURE,
+           "fresh = ((net[u] & ~flow[u]) | back[u]) & unseen",
+           "fresh = net[u] & ~flow[u] & unseen",
+           ("tests/test_structure.py::TestMinimalityPrefilters::"
+            "test_agree_with_flows_on_every_class",)),
+    Mutant("vertex-pairs-without-neighbours", STRUCTURE,
+           "    pairs += [(x, y) for x in _bits(adj[v]) for y in _bits(adj[v] & ~adj[x]) if y > x]\n",
+           "",
+           ("tests/test_structure.py::TestConnectivity::"
+            "test_only_cut_contains_the_least_degree_vertex",
+            "tests/test_acceptance.py::test_criterion_11c_vertex_connectivity_oracle")),
     Mutant("wheel-3", "src/degpow/families.py",
            "domain=lambda n: n >= 4", "domain=lambda n: n >= 3",
            ("tests/test_families.py::TestConstructors::test_parameter_validation",

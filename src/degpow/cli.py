@@ -5,9 +5,9 @@ JSON reports are byte-identical across runs with the same parameters and
 --timestamps is passed.
 
 Exit status: 0 when every record passes, 1 when a verification record
-fails (its witness is printed), 2 on bad input.  Bad input leaves every
-subcommand as a UsageError, which main prints as one "degpow: error: ..."
-line on stderr.
+fails (its witness is printed), 2 on bad input.  Bad input, a malformed
+command line included, leaves every subcommand as a UsageError, which main
+prints as one "degpow: error: ..." line on stderr.
 
 The env var DEGPOW_MAX_N (default ENUM_FAST_CAP = 8, max 10) is the one
 guard on how large an order a verify grid may enumerate: default grids
@@ -30,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NoReturn
 
 from . import structure
 from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
@@ -284,14 +285,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = _build_tasks(args)
-    # open the report files before the run, so that a bad path is bad input
-    reports = []
-    for path, render in ((args.json, ReportEnvelope.to_json), (args.csv, ReportEnvelope.to_csv)):
-        if path:
-            try:
-                reports.append((path, open(path, "w"), render))
-            except OSError as exc:
-                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    # every report path must open for writing before the run, and none is
+    # truncated until the write, so a refused run leaves existing reports intact
+    reports = [(path, render) for path, render in
+               ((args.json, ReportEnvelope.to_json), (args.csv, ReportEnvelope.to_csv)) if path]
+    for path, _ in reports:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     # never more workers than tasks: the pool forks all of them up front
     workers = min(args.jobs, len(tasks))
@@ -313,9 +315,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         started_at=started,
         finished_at=finished,
     )
-    for path, fh, render in reports:
+    for path, render in reports:
         try:
-            with fh:
+            with open(path, "w") as fh:
                 fh.write(render(envelope))
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc.strerror}") from None
@@ -335,8 +337,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a UsageError like any other bad input;
+    the subparsers inherit this class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degpow",
         description="Exact degree-power computations, extremal families, and verification.",
     )
@@ -384,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"degpow: error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ q in POLARITY_ORDERS.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
@@ -33,17 +32,50 @@ POLARITY_ORDERS = (2, 3, 4, 5, 7)  # q^2+q+1 <= 64
 # -- finite fields -------------------------------------------------------------
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality exactly
+# below _MR_BOUND (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by Newton's method from above in integers."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime(r: int) -> bool:
+    """Miller-Rabin with _MR_BASES; a ValueError where that is not exact."""
+    for a in _MR_BASES:
+        if r % a == 0:
+            return r == a
+    d, s = r - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, r)
+        if x != 1 and all(pow(x, 1 << i, r) != r - 1 for i in range(s)):
+            return False
+    if r >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {r} is prime: it is not below {_MR_BOUND}")
+    return True
+
+
 def _prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p**k, or None."""
+    """Return (p, k) with q = p**k, or None.
+
+    q is r**k for the largest such k, and then r is no perfect power, so q
+    is a prime power iff r is prime.
+    """
     if q < 2:
         return None
-    # the least divisor above 1 is prime, and q itself when none is <= sqrt(q)
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
+    r, k = next(((r, k) for k in range(q.bit_length(), 1, -1)
+                 if (r := _iroot(q, k)) ** k == q), (q, 1))
+    return (r, k) if _is_prime(r) else None
 
 
 def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:

@@ -1,8 +1,15 @@
 """Structural predicates: C4-freeness, even cycles, connectivity, degeneracy.
 
-Connectivity follows Menger: local vertex connectivity is a unit-capacity
-max-flow in the vertex-split network, local edge connectivity a max-flow on
-the graph itself.  Flows are capped at the threshold t being tested; the
+Connectivity follows Menger.  One kernel, _paths, counts arc-disjoint
+s-t paths up to the threshold t in a unit-capacity digraph held as one
+out-neighbour bitset per node, by BFS augmenting paths whose flow and
+reverse residual arcs are bitsets too.  Local edge connectivity runs it
+on the graph's own adjacency bitsets, local vertex connectivity on the
+vertex-split digraph (node 2v is v-in, 2v+1 is v-out), and deleting an
+edge clears its two arcs in a copy.  The vertex threshold test checks
+only the pairs around one vertex v of least degree: v against each
+vertex outside its closed neighbourhood, and each non-adjacent pair of
+its neighbours (Esfahanian & Hakimi, Networks 14 (1984) 355-366).  The
 connectivity is the largest t <= min degree that the threshold test
 accepts.  The minimality checks run exact tests first, and flows (one per
 deleted edge) decide only what passes them.  A minimally t-connected graph
@@ -25,7 +32,7 @@ memoised; every call recomputes from the graph.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import Graph
 
@@ -96,108 +103,84 @@ def _min_degree(g: Graph) -> int:
     return min(map(int.bit_count, g.adj))
 
 
-# -- max-flow kernels ---------------------------------------------------------
+# -- path counting ------------------------------------------------------------
 
 
-class _FlowNet:
-    """Unit-capacity arc network; arc i and i^1 are mutual residuals."""
+def _paths(net: Sequence[int], s: int, t: int, limit: int) -> int:
+    """Arc-disjoint s-t paths, counted up to limit, in the unit-capacity
+    digraph net (node u's out-neighbours are the bits of net[u]).
 
-    __slots__ = ("heads", "caps", "out")
-
-    def __init__(self) -> None:
-        self.heads: list[int] = []
-        self.caps: list[int] = []
-        self.out: list[list[int]] = []
-
-    def add_node(self) -> int:
-        self.out.append([])
-        return len(self.out) - 1
-
-    def add_arc(self, u: int, v: int, cap: int, rev_cap: int = 0) -> int:
-        i = len(self.heads)
-        self.heads.extend((v, u))
-        self.caps.extend((cap, rev_cap))
-        self.out[u].append(i)
-        self.out[v].append(i + 1)
-        return i
-
-    def max_flow(self, caps: list[int], s: int, t: int, limit: int) -> int:
-        heads, out = self.heads, self.out
-        flow = 0
-        nn = len(self.out)
-        while flow < limit:
-            parent = [-1] * nn
-            parent[s] = -2
-            queue = [s]
-            found = False
-            for u in queue:
-                for a in out[u]:
-                    if caps[a] and parent[heads[a]] == -1:
-                        v = heads[a]
-                        parent[v] = a
-                        if v == t:
-                            found = True
-                            break
-                        queue.append(v)
-                if found:
-                    break
-            if not found:
+    Each round finds a BFS augmenting path.  flow[u] holds the arcs u->v
+    that carry flow, and back[v] their reverse residual arcs v->u.
+    """
+    flow = [0] * len(net)
+    back = [0] * len(net)
+    parent = [0] * len(net)
+    everything, target = (1 << len(net)) - 1, 1 << t
+    paths = 0
+    while paths < limit:
+        unseen = everything ^ (1 << s)
+        queue = [s]
+        for u in queue:
+            fresh = ((net[u] & ~flow[u]) | back[u]) & unseen
+            if fresh & target:
+                parent[t] = u
                 break
-            v = t
-            while v != s:
-                a = parent[v]
-                caps[a] -= 1
-                caps[a ^ 1] += 1
-                v = heads[a ^ 1]
-            flow += 1
-        return flow
+            unseen ^= fresh
+            while fresh:
+                low = fresh & -fresh
+                v = low.bit_length() - 1
+                parent[v] = u
+                queue.append(v)
+                fresh ^= low
+        else:
+            return paths
+        v = t
+        while v != s:
+            u = parent[v]
+            if (back[u] >> v) & 1:  # cancel the flow on v->u
+                back[u] ^= 1 << v
+                flow[v] ^= 1 << u
+            else:
+                flow[u] |= 1 << v
+                back[v] |= 1 << u
+            v = u
+        paths += 1
+    return paths
 
 
-def _vertex_net(g: Graph) -> tuple[_FlowNet, dict[tuple[int, int], tuple[int, int]]]:
-    """Split network: node 2v is v-in, 2v+1 is v-out; vertex caps are 1."""
-    net = _FlowNet()
-    for _ in range(2 * g.n):
-        net.add_node()
-    for v in range(g.n):
-        net.add_arc(2 * v, 2 * v + 1, 1)
-    edge_arcs = {}
-    for u, v in g.edges():
-        a = net.add_arc(2 * u + 1, 2 * v, 1)
-        b = net.add_arc(2 * v + 1, 2 * u, 1)
-        edge_arcs[(u, v)] = (a, b)
-    return net, edge_arcs
-
-
-def _edge_net(g: Graph) -> tuple[_FlowNet, dict[tuple[int, int], int]]:
-    net = _FlowNet()
-    for _ in range(g.n):
-        net.add_node()
-    edge_arcs = {}
-    for u, v in g.edges():
-        edge_arcs[(u, v)] = net.add_arc(u, v, 1, rev_cap=1)
-    return net, edge_arcs
+def _split(g: Graph) -> list[int]:
+    """The vertex-split digraph: node 2v is v-in, 2v+1 is v-out, with arcs
+    v-in -> v-out and u-out -> w-in for each edge uw."""
+    net = []
+    for v, a in enumerate(g.adj):
+        net.append(1 << (2 * v + 1))
+        net.append(sum(1 << (2 * w) for w in _bits(a)))
+    return net
 
 
 def _has_vertex_connectivity(g: Graph, t: int) -> bool:
+    """Local connectivity >= t on the pairs around a vertex v of least
+    degree (Esfahanian & Hakimi, Networks 14 (1984) 355-366).  A smallest
+    cut that misses v separates it from a vertex outside its closed
+    neighbourhood; one that contains v is minimal, so v has a neighbour on
+    each side and the cut separates two non-adjacent neighbours of v."""
+    adj = g.adj
+    v = min(range(g.n), key=lambda u: adj[u].bit_count())
     # the neighbourhood of a vertex of degree < t separates it (or the
     # graph is complete on at most t vertices)
-    if _min_degree(g) < t:
+    if adj[v].bit_count() < t:
         return False
-    net, _ = _vertex_net(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            if net.max_flow(net.caps.copy(), 2 * u + 1, 2 * v, t) < t:
-                return False
-    return True
+    pairs = [(v, w) for w in _bits(((1 << g.n) - 1) & ~(adj[v] | 1 << v))]
+    pairs += [(x, y) for x in _bits(adj[v]) for y in _bits(adj[v] & ~adj[x]) if y > x]
+    net = _split(g)
+    return all(_paths(net, 2 * x + 1, 2 * y, t) == t for x, y in pairs)
 
 
 def _has_edge_connectivity(g: Graph, t: int) -> bool:
     if _min_degree(g) < t:
         return False
-    net, _ = _edge_net(g)
-    return all(net.max_flow(net.caps.copy(), 0, v, t) == t for v in range(1, g.n))
+    return all(_paths(g.adj, 0, v, t) == t for v in range(1, g.n))
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -290,11 +273,12 @@ def _flows_minimally_t_connected(g: Graph, t: int) -> bool:
     """
     if not _has_vertex_connectivity(g, t):
         return False
-    net, edge_arcs = _vertex_net(g)
-    for (u, v), (a, b) in edge_arcs.items():
-        caps = net.caps.copy()
-        caps[a] = caps[b] = 0
-        if net.max_flow(caps, 2 * u + 1, 2 * v, t) >= t:
+    net = _split(g)
+    for u, v in g.edges():
+        cut = net.copy()
+        cut[2 * u + 1] ^= 1 << (2 * v)
+        cut[2 * v + 1] ^= 1 << (2 * u)
+        if _paths(cut, 2 * u + 1, 2 * v, t) == t:
             return False
     return True
 
@@ -303,11 +287,11 @@ def _flows_minimally_t_edge_connected(g: Graph, t: int) -> bool:
     """The definition by flows: t-edge-connected, and one flow per deleted edge."""
     if not _has_edge_connectivity(g, t):
         return False
-    net, edge_arcs = _edge_net(g)
-    for (u, v), a in edge_arcs.items():
-        caps = net.caps.copy()
-        caps[a] = caps[a ^ 1] = 0
-        if net.max_flow(caps, u, v, t) >= t:
+    for u, v in g.edges():
+        cut = list(g.adj)
+        cut[u] ^= 1 << v
+        cut[v] ^= 1 << u
+        if _paths(cut, u, v, t) == t:
             return False
     return True
 

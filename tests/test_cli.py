@@ -26,6 +26,8 @@ REPORT_DIGESTS = {
     ("thresholds",): "e39be3c80e8e06b06f8d2c907b9d03f255c9c96363324cebe1dbcd44aa0bc990",
     ("appendixA",): "40df5c0271d2eb979922217a0579be76211c4d3cf9355f95be907ff96e36ddd7",
     ("polarity",): "22ddd5217a9144fc11df361b5017bf1963e9c68292eabbb1f27ff86866ccbfe1",
+    # 561 records, all passing, byte-identical at --jobs 1 and 2
+    ("all-desk",): "383a0696ad9337c2daade78b36fc3b179496330f8050a188e01eb0c7cae27673",
 }
 
 
@@ -89,10 +91,11 @@ class TestEp:
         code, out, _ = run_cli(capsys, "ep", "--file", str(path), "--p", "2")
         assert code == 0 and out.split() == ["36", "12"]
 
-    def test_format_flag_is_gone(self):
+    def test_format_flag_is_gone(self, capsys):
         # the input tells its format: graph6 bytes are 63-126, never a digit
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["ep", "--g6", "C~", "--p", "2", "--format", "edgelist"])
+        code, out, err = run_cli(capsys, "ep", "--g6", "C~", "--p", "2", "--format", "edgelist")
+        assert code == 2 and out == ""
+        assert err == "degpow: error: unrecognized arguments: --format edgelist\n"
 
     def test_parse_failure(self, capsys):
         code, out, err = run_cli(capsys, "ep", "--g6", "C\x01", "--p", "2")
@@ -243,6 +246,20 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("degpow: error: cannot write ")
 
+    @pytest.mark.parametrize("kept, bad", [("--json", "--csv"), ("--csv", "--json")])
+    @pytest.mark.parametrize("kept_first", [True, False])
+    def test_refused_run_leaves_existing_reports_intact(self, tmp_path, capsys, monkeypatch,
+                                                        kept, bad, kept_first):
+        monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
+        keep = tmp_path / "keep.out"
+        keep.write_bytes(b"an earlier report\n")
+        flags = [[kept, str(keep)], [bad, str(tmp_path / "nonexistent" / "r.out")]]
+        argv = [flag for pair in (flags if kept_first else flags[::-1]) for flag in pair]
+        code, out, err = run_cli(capsys, "verify", "lemma1", "--n", "7", "--p", "2", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("degpow: error: cannot write ")
+        assert keep.read_bytes() == b"an earlier report\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     def test_failed_report_write_exits_two(self, capsys, flag):
@@ -389,8 +406,15 @@ class TestVerify:
         assert err.count("\n") == 1 and "DEGPOW_MAX_N" in err and "abc" in err
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "verify", "nosuchsuite")
+        code, out, err = run_cli(capsys, "verify", "nosuchsuite")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("degpow: error: argument suite: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: degpow verify")
 
 
 
@@ -416,10 +440,17 @@ class TestVerify:
     (("verify", "all-desk", "--n", "5", "--p", "2"), None),
     (("verify", "all-desk", "--nmax", "300"), None),
     (("verify", "thresholds", "--p", "3", "--pmax", "5"), None),
+    (("verify", "thm1", "--jobs", "x"), None),
+    (("ep", "--g6", "C~", "--p", "x"), None),
+    (("verify", "nosuchsuite"), None),
+    (("check", "nosuch", "--g6", "C~"), None),
+    ((), None),
+    (("verify", "thm1", "--n", "-3..5"), None),
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
         "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-check", "t4-k-above-n",
         "t4-n-below-k", "thm1-q", "polarity-n", "lemma1-pmax", "thm1-pair", "all-desk-n-p",
-        "all-desk-nmax", "p-with-pmax"])
+        "all-desk-nmax", "p-with-pmax", "jobs-not-int", "p-not-int", "no-suite",
+        "no-property", "no-command", "negative-range"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     # exit 1 is kept for a failed verification record
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -31,10 +32,14 @@ from degpow.structure import (
     is_minimally_t_edge_connected,
 )
 
+def _is_prime_by_trial(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def _prime_powers(limit: int) -> list[int]:
     out = []
     for p in range(2, limit + 1):
-        if all(p % d for d in range(2, p)):
+        if _is_prime_by_trial(p):
             q = p
             while q <= limit:
                 out.append(q)
@@ -47,18 +52,45 @@ PRIME_POWERS_64 = _prime_powers(64)
 
 class TestPrimePower:
     def test_agrees_with_the_oracle(self):
-        powers = set(_prime_powers(1000))
-        for q in range(-2, 1001):
+        powers = set(_prime_powers(10**4))
+        for q in range(-2, 10**4 + 1):
             pk = _prime_power(q)
             assert (pk is not None) == (q in powers), q
             if pk is not None:
-                assert all(pk[0] % d for d in range(2, pk[0])) and pk[0] ** pk[1] == q
+                assert _is_prime_by_trial(pk[0]) and pk[0] ** pk[1] == q
 
     def test_large_orders(self):
-        # trial division stops at sqrt(q), so a 10-digit prime is instant
+        # Miller-Rabin needs no trial division, so a 10-digit prime is instant
         assert _prime_power(1_000_000_007) == (1_000_000_007, 1)
         assert _prime_power(3**19) == (3, 19)
         assert _prime_power(2 * 1_000_000_007) is None
+
+    @pytest.mark.parametrize("q, expected", [
+        # Carmichael numbers
+        (561, None),
+        (41041, None),
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 37
+        (3215031751, None),
+        (3825123056546413051, None),
+        (2**61 - 1, (2**61 - 1, 1)),
+        ((10**9 + 7) ** 2, (10**9 + 7, 2)),
+        (3**40, (3, 40)),
+        (2**200, (2, 200)),
+        # above the exact bound, but the root is small or a base divides it
+        ((2**61 - 1) ** 2, (2**61 - 1, 2)),
+        (3 * (2**89 - 1), None),
+    ])
+    def test_pseudoprimes_and_large_powers(self, q, expected):
+        assert _prime_power(q) == expected
+
+    def test_prime_root_above_the_exact_bound_refused(self, capsys):
+        # 2^89 - 1 is prime, and above 3.3 * 10^24 the 13 bases do not decide it
+        with pytest.raises(ValueError, match="cannot decide"):
+            _prime_power(2**89 - 1)
+        assert main(["verify", "polarity", "--q", str(2**89 - 1), "--p", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("degpow: error: cannot decide whether ")
 
 
 class TestConstructors:

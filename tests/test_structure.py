@@ -129,6 +129,23 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             edge_connectivity(new_graph(1, []))
 
+    def test_only_cut_contains_the_least_degree_vertex(self):
+        # vertex 0, the one vertex of least degree (4), joins two K6s at two
+        # vertices each; {0} is the only cut of size 1, and only a pair of
+        # 0's neighbours is separated by it
+        sides = (range(1, 7), range(7, 13))
+        edges = [(0, 1), (0, 2), (0, 7), (0, 8)]
+        edges += [(u, v) for side in sides for u in side for v in side if u < v]
+        g = new_graph(13, edges)
+        assert oracle_vertex_connectivity(g) == 1
+        rng = random.Random(5)
+        for _ in range(5):
+            perm = list(range(13))
+            rng.shuffle(perm)
+            h = permute(g, perm)
+            assert vertex_connectivity(h) == 1
+            assert not structure._has_vertex_connectivity(h, 2)
+
     def test_vertex_connectivity_against_cut_oracle(self):
         for n in range(1, 6):
             for g in all_labeled_graphs(n):
