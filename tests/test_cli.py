@@ -29,6 +29,9 @@ REPORT_DIGESTS = {
     # 561 records, all passing, byte-identical at --jobs 1 and 2
     ("all-desk",): "383a0696ad9337c2daade78b36fc3b179496330f8050a188e01eb0c7cae27673",
 }
+# sha256 of the CSV and of stdout of `verify all-desk`, at --jobs 1 and 2
+ALL_DESK_CSV_DIGEST = "8a64ebc92300909b136e80974a35289a9c3705ef126b72251e2e098d7db4db57"
+ALL_DESK_STDOUT_DIGEST = "2643b190d2a5bbaded3d1767e3899c5dd7fed6732c3e3e852d700660d84e8230"
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +390,13 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", *argv, "--json", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+
+    def test_all_desk_csv_and_stdout_pinned(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        code, out, _ = run_cli(capsys, "verify", "all-desk", "--csv", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ALL_DESK_CSV_DIGEST
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_DESK_STDOUT_DIGEST
 
     @pytest.mark.parametrize("suite", [*SUITES, "all-desk"])
     def test_default_grid_is_the_suite_table(self, monkeypatch, suite):
