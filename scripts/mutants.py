@@ -42,6 +42,14 @@ MUTANTS = (
            "lambda n, k: (_K2, _F) if not n % 2 else (_K2,)",
            ("tests/test_verify.py::TestBruteForce::test_t2ii_even_n_excludes_friendship",
             "tests/test_verify.py::TestBruteForce::test_t2ii_odd_n_friendship_wins_small")),
+    Mutant("verdict-ignores-ok", "src/degpow/verify.py",
+           '"pass" if ok else "fail"', '"pass"',
+           ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
+            "tests/test_failing_records.py::test_failing_record_pinned")),
+    Mutant("pass-keeps-witness", "src/degpow/verify.py",
+           "None if ok else witness", "witness",
+           ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
+            "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
     Mutant("c1-min-degree-filter", "src/degpow/verify.py",
            "replace(pred, min_degree=1)", "replace(pred, min_degree=2)",
            ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",)),

@@ -14,7 +14,9 @@ guard on how large an order a verify grid may enumerate: default grids
 clamp to it and an explicit order above it is bad input.  The fixed
 all-desk grid is not guarded.  The enumeration module's own limits (n=10
 only for the C4-free and even-cycle-free classes) still apply.  Default
-grids are verify.SUITES with the flags applied.
+grids are verify.SUITES with the flags applied.  The closed-form scans
+have fixed caps instead (SCAN_CAPS): a lemma order or a threshold or
+appendix window above its cap is bad input, the all-desk grid included.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import sys
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NoReturn
 
@@ -47,37 +48,19 @@ def _render_params(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-@dataclass
-class ReportEnvelope:
-    """Schema-versioned wrapper around a verification run's records."""
+def _render_witness(witness: object) -> str:
+    """A witness as sorted-key JSON; a passing record's (None) as ''."""
+    return "" if witness is None else json.dumps(witness, sort_keys=True)
 
-    command: str
-    parameters: dict
-    records: list[VerificationRecord]
-    started_at: str | None = None
-    finished_at: str | None = None
 
-    def to_json(self) -> str:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "command": self.command,
-            "parameters": self.parameters,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "records": [r.to_dict() for r in self.records],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "params", "verdict", "value", "witness_g6"])
-        for r in self.records:
-            d = r.to_dict()
-            value = "" if d["value"] is None else str(d["value"])
-            witness = "" if d["witness"] is None else json.dumps(d["witness"], sort_keys=True)
-            writer.writerow([d["check"], _render_params(d["params"]), d["verdict"], value, witness])
-        return buf.getvalue()
+def _render_csv(records: list[VerificationRecord]) -> str:
+    """One row per record; the csv module writes a None value as ''."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["suite", "params", "verdict", "value", "witness_g6"])
+    writer.writerows([r.check, _render_params(r.params), r.verdict, r.value,
+                      _render_witness(r.witness)] for r in records)
+    return buf.getvalue()
 
 
 class UsageError(Exception):
@@ -208,6 +191,13 @@ def _parse_range(flag: str, text: str) -> list[int]:
     return list(dict.fromkeys(values))
 
 
+# the largest order each closed-form scan kind may reach, as (task keyword,
+# cap).  At the threshold and appendix caps the costliest admitted task (the
+# exponent its window admits that costs most) takes 8-9 s on a 2-vCPU VM;
+# the lemma cap bounds the part (ii) tuples held at once (77 MB, 1.7 s at p=8)
+SCAN_CAPS = {"lemma": ("n", 4001), "threshold": ("n_max", 9000), "appendixA": ("n_max", 16_000)}
+
+
 def _enum_guard() -> int:
     raw = os.environ.get("DEGPOW_MAX_N", str(ENUM_FAST_CAP))
     try:
@@ -249,7 +239,8 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
     return GridRow(row.kind, fixed, axes)
 
 
-# the grid keys through which each verify flag reaches a GridRow
+# the grid keys through which each verify flag reaches a GridRow; a JSON
+# report's parameters are the suite and every one of these flags
 _FLAG_KEYS = {"n": ("n",), "p": ("p", "p_values"), "k": ("k_values",), "q": ("q",),
               "pair": ("pair",), "pmax": ("pair",), "nmax": ("n_max",)}
 
@@ -275,10 +266,24 @@ def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
                  for task in grid_tasks(_apply_flags(args, row, given, guard))]
         if not tasks:
             raise UsageError("no verification tasks match the given grid")
+    # every cap is checked before any task is validated, since validating a
+    # lemma task builds its tuples
+    for kind, kw in tasks:
+        key, cap = SCAN_CAPS.get(kind, (None, 0))
+        if key and kw[key] > cap:
+            raise UsageError(f"{kind} scans stop at {key}={cap}; got {key}={kw[key]}")
     with _bad_input():
         for task in tasks:
             validate_task(task)
     return tasks
+
+
+def _write(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -287,13 +292,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tasks = _build_tasks(args)
     # every report path must open for writing before the run, and none is
     # truncated until the write, so a refused run leaves existing reports intact
-    reports = [(path, render) for path, render in
-               ((args.json, ReportEnvelope.to_json), (args.csv, ReportEnvelope.to_csv)) if path]
-    for path, _ in reports:
-        try:
-            open(path, "a").close()
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    for path in filter(None, (args.json, args.csv)):
+        _write(path, "", "a")
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     # never more workers than tasks: the pool forks all of them up front
     workers = min(args.jobs, len(tasks))
@@ -304,34 +304,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chunks = [run_task(t) for t in tasks]
     records = [rec for chunk in chunks for rec in chunk]
     finished = datetime.now(timezone.utc).isoformat() if args.timestamps else None
-    envelope = ReportEnvelope(
-        command=f"verify {args.suite}",
-        parameters={
-            "suite": args.suite,
-            "n": args.n, "p": args.p, "k": args.k, "q": args.q,
-            "pair": args.pair, "pmax": args.pmax, "nmax": args.nmax,
-        },
-        records=records,
-        started_at=started,
-        finished_at=finished,
-    )
-    for path, render in reports:
-        try:
-            with open(path, "w") as fh:
-                fh.write(render(envelope))
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-    failures = 0
+    if args.json:
+        parameters = {flag: getattr(args, flag) for flag in ("suite", *_FLAG_KEYS)}
+        envelope = {"format_version": FORMAT_VERSION, "command": f"verify {args.suite}",
+                    "parameters": parameters, "started_at": started, "finished_at": finished,
+                    "records": [r.to_dict() for r in records]}
+        _write(args.json, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+    if args.csv:
+        _write(args.csv, _render_csv(records))
     for rec in records:
-        line = f"{rec.check} [{_render_params(rec.params)}] {rec.verdict}"
-        if rec.value is not None:
-            line += f" value={rec.value}"
-        print(line)
+        value = "" if rec.value is None else f" value={rec.value}"
+        print(f"{rec.check} [{_render_params(rec.params)}] {rec.verdict}{value}")
         if rec.verdict == "fail":
-            failures += 1
-            print(f"  witness: {json.dumps(rec.witness, sort_keys=True)}")
-    print(f"{len(records) - failures}/{len(records)} checks passed")
-    return 0 if failures == 0 else 1
+            print(f"  witness: {_render_witness(rec.witness)}")
+    passed = sum(rec.verdict == "pass" for rec in records)
+    print(f"{passed}/{len(records)} checks passed")
+    return 0 if passed == len(records) else 1
 
 
 # -- parser ----------------------------------------------------------------------

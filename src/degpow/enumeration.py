@@ -242,8 +242,11 @@ class SearchPredicate:
     degenerate: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_edges is not None and self.max_edges < 0:
-            raise ValueError(f"max_edges must be >= 0, got {self.max_edges}")
+        for name, least in (("max_edges", 0), ("min_degree", 0), ("minimally_connected", 1),
+                            ("minimally_edge_connected", 1), ("degenerate", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
     def hereditary_key(self, n: int) -> tuple[bool, bool, int]:
         cap = n * (n - 1) // 2

@@ -1,9 +1,10 @@
 """Executable verification: theorem brute force, tuple scans, identities.
 
-Every check returns a VerificationRecord; a failing record always carries a
-witness (offending tuple or graph6 counterexample), also when a displayed
-tuple or a family's construction is itself wrong.  All comparisons are
-exact integer comparisons.  Threshold scans report the smallest n0 such
+Every check returns a VerificationRecord built by VerificationRecord.judged
+from its outcome: a pass drops the witness, and a failing record always
+carries one (offending tuple or graph6 counterexample), also when a
+displayed tuple or a family's construction is itself wrong.  All
+comparisons are exact integer comparisons.  Threshold scans report the smallest n0 such
 that the inequality holds for every scanned n in [n0, n_max] -- a tail
 property, not the first success.
 
@@ -25,7 +26,7 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -66,15 +67,16 @@ class VerificationRecord:
         if self.verdict == "fail" and self.witness is None:
             raise ValueError("failing records must carry a witness")
 
+    @classmethod
+    def judged(cls, ok: bool, check: str, params: dict, value: int | str | None = None,
+               witness: object = None, detail: dict | None = None) -> VerificationRecord:
+        """The one way a check states its outcome: a pass drops the witness,
+        a fail keeps it."""
+        return cls(check, params, "pass" if ok else "fail", value,
+                   None if ok else witness, detail or {})
+
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "verdict": self.verdict,
-            "value": self.value,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # -- proof-tuple scans ---------------------------------------------------------
@@ -127,33 +129,28 @@ def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
     total = 3 * (n - 1) - (1 - n % 2)
     for t in (t1, t2, *part_ii.values()):
         if len(t) != n or sum(t) != total or any(a < b for a, b in zip(t, t[1:])):
-            return VerificationRecord(check=lemma, params=params, verdict="fail",
-                                      witness={"malformed": list(t), "sum": total})
+            return VerificationRecord.judged(False, lemma, params,
+                                             witness={"malformed": list(t), "sum": total})
     norm1 = p_power_norm(t1, p)
     norm2 = p_power_norm(t2, p)
-    ok_i = norm2 <= norm1 if n % 2 else norm2 < norm1
     detail = {
         "norm1": norm1,
         "norm2": norm2,
         "equality_i": norm2 == norm1,
         "q_checked": len(part_ii),
     }
-    if not ok_i:
-        return VerificationRecord(
-            check=lemma, params=params, verdict="fail",
-            witness={"part": "i", "tuple": list(t2), "norm": norm2},
-            detail=detail,
-        )
-    for q, t3 in part_ii.items():
-        norm3 = p_power_norm(t3, p)
-        if not norm3 < norm1:
-            return VerificationRecord(
-                check=lemma, params=params, verdict="fail",
-                witness={"part": "ii", "q": q, "tuple": list(t3), "norm": norm3},
-                detail=detail,
-            )
-    return VerificationRecord(check=lemma, params=params, verdict="pass",
-                              value=norm1 - norm2, detail=detail)
+    witness = None
+    if not (norm2 <= norm1 if n % 2 else norm2 < norm1):
+        witness = {"part": "i", "tuple": list(t2), "norm": norm2}
+    else:
+        for q, t3 in part_ii.items():
+            norm3 = p_power_norm(t3, p)
+            if not norm3 < norm1:
+                witness = {"part": "ii", "q": q, "tuple": list(t3), "norm": norm3}
+                break
+    ok = witness is None
+    return VerificationRecord.judged(ok, lemma, params, value=norm1 - norm2 if ok else None,
+                                     witness=witness, detail=detail)
 
 
 # -- theorem brute force -------------------------------------------------------
@@ -207,14 +204,15 @@ THEOREMS: dict[str, TheoremSpec] = {
 
 def _theorem_checks(thm: str, n: int, k_values: Sequence[int] | None) -> list[tuple[str, int | None]]:
     """The (check, k) passes of one grid task: t2 is t2i and t2ii, and a
-    check taking k runs once per k with n >= least_n + k."""
+    check taking k runs once per k with n >= least_n + k.  A check taking
+    no k gets each given k too, so that planning refuses it."""
     checks: list[tuple[str, int | None]] = []
     for check in ("t2i", "t2ii") if thm == "t2" else (thm,):
         spec = THEOREMS.get(check)
         if spec is not None and spec.takes_k:
             checks += [(check, k) for k in k_values or () if n >= spec.least_n + k]
         else:
-            checks.append((check, None))
+            checks += [(check, k) for k in k_values or (None,)]
     return checks
 
 
@@ -227,10 +225,14 @@ def _theorem_plan(check: str, n: int, p_values: Sequence[int], k: int | None) ->
     spec = THEOREMS.get(check)
     if spec is None:
         raise ValueError(f"unknown theorem id {check!r}")
+    if not p_values:
+        raise ValueError(f"{spec.title} needs at least one p")
     if any(p < 2 for p in p_values):
         raise ValueError("p must be > 1")
     if spec.takes_k and (k is None or k < 1):
         raise ValueError(f"{spec.title} needs a degeneracy bound k >= 1")
+    if not spec.takes_k and k is not None:
+        raise ValueError(f"{spec.title} takes no degeneracy bound k")
     least = spec.least_n + (k if spec.takes_k else 0)
     if n < least:
         raise ValueError(f"{spec.title} needs n >= {least}")
@@ -286,14 +288,8 @@ def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int]) -> list[Verifica
         detail.update(expected_max=expected_max, expected_witnesses=list(expected),
                       found_witnesses=list(found))
         witness = mismatch[0] if mismatch else {"found": list(found), "expected": list(expected)}
-        records.append(VerificationRecord(
-            check=check,
-            params={"n": n, "p": p, **({"k": k} if spec.takes_k else {})},
-            verdict="pass" if ok else "fail",
-            value=best,
-            witness=None if ok else witness,
-            detail=detail,
-        ))
+        params = {"n": n, "p": p, **({"k": k} if spec.takes_k else {})}
+        records.append(VerificationRecord.judged(ok, check, params, best, witness, detail))
     return records
 
 
@@ -395,9 +391,7 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
     try:
         n0 = threshold_scan(pair, p, n_max)
     except ValueError as exc:
-        return VerificationRecord(
-            check="threshold", params=params, verdict="fail", witness=str(exc)
-        )
+        return VerificationRecord.judged(False, "threshold", params, witness=str(exc))
     if p in row.table:
         ok = n0 == row.table[p]
         detail = {"expected": row.table[p]}
@@ -405,14 +399,7 @@ def threshold_record(pair: str, p: int, n_max: int | None = None) -> Verificatio
         bound = 2 * p - APPENDIX_PARTS[row.part].slack
         ok = n0 <= bound
         detail = {"expected_at_most": bound}
-    return VerificationRecord(
-        check="threshold",
-        params=params,
-        verdict="pass" if ok else "fail",
-        value=n0,
-        witness=None if ok else {"n0": n0, **detail},
-        detail=detail,
-    )
+    return VerificationRecord.judged(ok, "threshold", params, n0, {"n0": n0, **detail}, detail)
 
 
 def _appendix_window(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> range:
@@ -432,20 +419,21 @@ def _appendix_window(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> range:
 
 def appendix_a_scan(part: str, p: int, n_max: int = APPENDIX_N_MAX) -> VerificationRecord:
     """Exact positivity scan of one Appendix A tail inequality over its
-    window; the first order where h(n, p) <= 0 is the witness."""
+    window; the first order where h(n, p) <= 0 is the witness.  The values
+    are streamed: only the least so far is kept."""
     ns = _appendix_window(part, p, n_max)
     h = APPENDIX_PARTS[part].h
     params = {"part": part, "p": p, "n_max": n_max}
-    values = {n: h(n, p) for n in ns}
-    bad = next((n for n, value in values.items() if value <= 0), None)
-    if bad is not None:
-        return VerificationRecord(check="appendixA", params=params, verdict="fail",
-                                  witness={"n": bad, "value": values[bad]})
-    min_val = min(values.values())
-    return VerificationRecord(
-        check="appendixA", params=params, verdict="pass", value=min_val,
-        detail={"scanned": len(ns), "min_value": min_val},
-    )
+    min_val = None
+    for n in ns:
+        value = h(n, p)
+        if value <= 0:
+            return VerificationRecord.judged(False, "appendixA", params,
+                                             witness={"n": n, "value": value})
+        if min_val is None or value < min_val:
+            min_val = value
+    return VerificationRecord.judged(True, "appendixA", params, value=min_val,
+                                     detail={"scanned": len(ns), "min_value": min_val})
 
 
 def _check_polarity_args(q: int, p: int) -> None:
@@ -476,7 +464,6 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
         problems.append({"identity": "c", "e2_pg": e2_pg})
     if p == 2:  # (a)
         diff = e2_pg - ep_closed_form(_F, n, 2)
-        detail["difference"] = diff
         if diff != q * (q + 1) * (q - 4):
             problems.append({"identity": "a", "difference": diff})
     else:  # (b)
@@ -484,11 +471,11 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
         formula = q * (q + 1) * 2**p + q * q * (q + 1) * (
             (q ** (p - 2) - 1) * ((q + 1) ** (p - 1) - 1) - 1
         )
-        detail["difference"] = diff
         detail["formula"] = formula
         if diff != formula or not diff > 0:
             problems.append({"identity": "b", "difference": diff, "formula": formula})
 
+    detail.update(difference=diff, constructed=q in POLARITY_ORDERS)
     if q in POLARITY_ORDERS:
         g = polarity_graph(q)
         degs = degree_sequence(g)
@@ -500,21 +487,10 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
             and ep(g, p) == ep_closed_form(pg, q, p)
             and ep(g, 2) == e2_pg
         )
-        detail["constructed"] = True
         if not built_ok:
             problems.append({"identity": "construction", "degrees": list(degs[:6])})
-    else:
-        detail["constructed"] = False
 
-    ok = not problems
-    return VerificationRecord(
-        check="polarity",
-        params=params,
-        verdict="pass" if ok else "fail",
-        value=detail.get("difference"),
-        witness=None if ok else problems,
-        detail=detail,
-    )
+    return VerificationRecord.judged(not problems, "polarity", params, diff, problems, detail)
 
 
 # -- suite plumbing -------------------------------------------------------------
@@ -570,10 +546,11 @@ def run_task(task: tuple[str, dict]) -> list[VerificationRecord]:
 
 def validate_task(task: tuple[str, dict]) -> None:
     """Raise ValueError for a task that cannot run, before any of it runs:
-    for theorems an unknown id, n below the least order, p < 2, an order
-    enumerate_graphs refuses or no check to run (t4 with n < k+1 for every
-    k); a lemma n of the wrong parity; a threshold or appendix window too
-    small; a polarity q that is not a prime power."""
+    for theorems an unknown id, n below the least order, no p or p < 2, a k
+    for a theorem taking none, an order enumerate_graphs refuses or no
+    check to run (t4 with n < k+1 for every k); a lemma n of the wrong
+    parity; a threshold or appendix window too small; a polarity q that is
+    not a prime power."""
     kind, kw = task
     _task_kind(kind).check(**kw)
 

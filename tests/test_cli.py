@@ -331,6 +331,30 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("degpow: error:") and message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("lemma1", "--n", "7..5001", "--p", "2"), "lemma scans stop at n=4001; got n=4003"),
+        (("lemma12", "--n", "6,4002"), "lemma scans stop at n=4001; got n=4002"),
+        (("thresholds", "--pair", "W_vs_K3", "--nmax", "9001"),
+         "threshold scans stop at n_max=9000; got n_max=9001"),
+        (("appendixA", "--p", "12", "--nmax", "16001"),
+         "appendixA scans stop at n_max=16000; got n_max=16001"),
+    ], ids=["lemma1", "lemma12", "thresholds", "appendixA"])
+    def test_scan_above_its_cap_exits_two_before_running(self, capsys, monkeypatch, argv,
+                                                         message):
+        # caps come before validation, which builds a lemma task's tuples
+        monkeypatch.setattr(cli_mod, "validate_task", lambda task: pytest.fail("validated"))
+        monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"degpow: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("lemma1", "--n", "4001", "--p", "2"), ("lemma12", "--n", "4000", "--p", "2"),
+        ("thresholds", "--nmax", "9000"), ("appendixA", "--nmax", "16000"),
+    ], ids=["lemma1", "lemma12", "thresholds", "appendixA"])
+    def test_scan_at_its_cap_admitted(self, argv):
+        assert _build_tasks(build_parser().parse_args(["verify", *argv]))
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_two(self, capsys, jobs):
         code, out, err = run_cli(capsys, "verify", "thm2", "--jobs", jobs)

@@ -429,6 +429,25 @@ class TestOrderAndCapChecks:
         with pytest.raises(ValueError):
             enumerate_graphs(4, SearchPredicate(max_edges=-1))
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("max_edges", -1, 0), ("min_degree", -3, 0), ("minimally_connected", 0, 1),
+        ("minimally_edge_connected", 0, 1), ("degenerate", 0, 1), ("degenerate", -2, 1),
+    ])
+    def test_bounds_refused_before_generation(self, monkeypatch, field, value, least):
+        # a bad bound raises when the predicate is built, not after generation
+        def no_generation(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(enumeration, "_classes", no_generation)
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+            enumerate_graphs(8, SearchPredicate(**{field: value}))
+
+    def test_least_bounds_admitted(self):
+        pred = SearchPredicate(max_edges=0, min_degree=0, minimally_connected=1,
+                               minimally_edge_connected=1, degenerate=1)
+        assert pred.describe() == ("max_edges=0,min_degree=0,minimally_1_connected,"
+                                   "minimally_1_edge_connected,1_degenerate")
+
     def test_n10_needs_a_cycle_prune(self, monkeypatch):
         def no_generation(*args):
             raise AssertionError("generation started")

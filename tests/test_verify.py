@@ -29,6 +29,18 @@ class TestVerificationRecord:
         with pytest.raises(ValueError):
             VerificationRecord(check="x", params={}, verdict="maybe")
 
+    def test_judged_verdict_follows_ok(self):
+        # a pass drops its witness; a fail keeps it, and the value either way
+        passed = VerificationRecord.judged(True, "x", {"n": 4}, 7, {"w": 1}, {"d": 2})
+        failed = VerificationRecord.judged(False, "x", {"n": 4}, 7, {"w": 1}, {"d": 2})
+        assert passed.to_dict() == {"check": "x", "params": {"n": 4}, "verdict": "pass",
+                                    "value": 7, "witness": None, "detail": {"d": 2}}
+        assert failed.to_dict() == {"check": "x", "params": {"n": 4}, "verdict": "fail",
+                                    "value": 7, "witness": {"w": 1}, "detail": {"d": 2}}
+        assert VerificationRecord.judged(True, "x", {}).detail == {}
+        with pytest.raises(ValueError, match="witness"):
+            VerificationRecord.judged(False, "x", {})
+
 
 class TestLemmaTuples:
     def test_display_n7(self):
@@ -313,6 +325,34 @@ class TestSuites:
             with pytest.raises(ValueError) as raised:
                 run()
             assert str(raised.value) == str(rejected.value)
+
+    @pytest.mark.parametrize("thm, p_values, k_values, message", [
+        ("t1", (), None, "theorem 1 needs at least one p"),
+        ("t2", (), None, "theorem 2 needs at least one p"),
+        ("t4", (), (1,), "theorem 4 needs at least one p"),
+        ("t1", (2,), (3,), "theorem 1 takes no degeneracy bound k"),
+        ("t2", (2,), (1,), "theorem 2 takes no degeneracy bound k"),
+        ("c1", (2, 3), (1, 2), "corollary 1 takes no degeneracy bound k"),
+    ], ids=str)
+    def test_idle_theorem_arguments_raise(self, monkeypatch, thm, p_values, k_values, message):
+        # arguments that would do nothing raise from planning, before any
+        # enumeration, on every entry point
+        import degpow.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "enumerate_graphs",
+                            lambda *args: pytest.fail("enumeration started"))
+        task = ("theorem", {"thm": thm, "n": 5, "p_values": p_values, "k_values": k_values})
+        for run in (lambda: validate_task(task), lambda: run_task(task),
+                    lambda: theorem_records(thm, 5, p_values, k_values)):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == message
+
+    def test_brute_force_theorem_refuses_k_it_does_not_take(self):
+        with pytest.raises(ValueError, match="^theorem 1 takes no degeneracy bound k$"):
+            brute_force_theorem("t1", 5, 2, k=3)
+        with pytest.raises(ValueError, match="^theorem 2 takes no degeneracy bound k$"):
+            brute_force_theorem("t2i", 5, 2, k=1)
 
     def test_theorem_task_planned_once(self, monkeypatch):
         import degpow.verify as verify_mod
