@@ -78,6 +78,14 @@ MUTANTS = (
                     split.append((mask & outside, value << 1))""",
            ("tests/test_enumeration.py::TestCanonicalForm::"
             "test_search_is_global_minimum_every_class_n6",)),
+    Mutant("even-cycles-kept", ENUMERATION,
+           "if ecf:", "if False:",
+           ("tests/test_enumeration.py::TestClassSets::"
+            "test_even_cycle_free_read_out_of_c4_free_family",
+            "tests/test_acceptance.py::test_criterion_04_corollary1_brute_force")),
+    Mutant("edge-cap-not-cut", ENUMERATION,
+           "    classes = classes[:bisect_right(classes, cap, key=Graph.edge_count)]\n", "",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",)),
     Mutant("forest-edge-count", STRUCTURE,
            "if ends >= 2 * comp.bit_count():", "if False:",
            ("tests/test_structure.py::TestMinimalityPrefilters::"

@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -38,7 +39,7 @@ from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from .families import FAMILIES
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
 from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks, run_task,
-                     suite_tasks, validate_task)
+                     suite_rows, validate_task)
 
 FORMAT_VERSION = 1
 
@@ -74,6 +75,21 @@ def _bad_input() -> Iterator[None]:
         yield
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+@contextmanager
+def _exact_digits() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit (CPython 3.11, and
+    3.10.7 on) while exact values are rendered, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- graph input ----------------------------------------------------------------
@@ -175,20 +191,31 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(flag: str, text: str) -> list[int]:
-    """Accept '7', '4..9', or '2,3,5'; an empty selection is an error.  A
-    repeated value is kept once, where it first appears."""
+def _parse_range(flag: str, text: str) -> range | list[int]:
+    """Accept '7', '4..9' (a range, never materialised), or '2,3,5'; an
+    empty selection is an error.  A repeated value is kept once, where it
+    first appears."""
+    values: range | list[int]
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
-            values = [int(tok) for tok in text.split(",") if tok]
+            values = list(dict.fromkeys(int(tok) for tok in text.split(",") if tok))
     except ValueError:
         values = []
     if not values:
         raise UsageError(f"--{flag} expects N, LO..HI or N,N,...; got {text!r}")
-    return list(dict.fromkeys(values))
+    return values
+
+
+def _first_above(values: range | list[int], bound: int) -> int | None:
+    """The first value above bound, in order; an (increasing) range is
+    bisected, so its length costs nothing."""
+    if isinstance(values, range):
+        i = bisect_right(values, bound)
+        return values[i] if i < len(values) else None
+    return next((v for v in values if v > bound), None)
 
 
 # the largest order each closed-form scan kind may reach, as (task keyword,
@@ -207,11 +234,15 @@ def _enum_guard() -> int:
     return max(1, min(cap, ENUM_HARD_CAP))
 
 
-def _admitted(default: object, values: list[int]) -> list[int]:
+def _admitted(default: object, values: range | list[int]) -> range | list[int]:
     """The explicit values an axis keeps: where a default range, extended
     upward, reaches (see verify.SUITES); all of them for a listed axis."""
     if not isinstance(default, range):
         return values
+    if isinstance(values, range):
+        # a parsed LO..HI steps by 1: start at the first admitted value
+        first = max(values.start, default.start)
+        return range(first + (default.start - first) % default.step, values.stop, default.step)
     return [v for v in values if v >= default.start and (v - default.start) % default.step == 0]
 
 
@@ -231,12 +262,22 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
         fixed["n_max"] = args.nmax
     if row.kind == "theorem":
         # default orders clamp to the enumeration guard; explicit ones may not pass it
-        too_large = [n for n in axes["n"] if n > guard]
-        if "n" in given and too_large:
-            raise UsageError(f"n={too_large[0]} exceeds the enumeration guard; "
-                             f"set DEGPOW_MAX_N={too_large[0]}")
+        too_large = _first_above(axes["n"], guard)
+        if "n" in given and too_large is not None:
+            raise UsageError(f"n={too_large} exceeds the enumeration guard; "
+                             f"set DEGPOW_MAX_N={too_large}")
         axes["n"] = [n for n in axes["n"] if n <= guard]
     return GridRow(row.kind, fixed, axes)
+
+
+def _check_cap(row: GridRow) -> None:
+    """Refuse a closed-form scan row whose order or window passes its cap."""
+    if row.kind not in SCAN_CAPS:
+        return
+    key, cap = SCAN_CAPS[row.kind]
+    too_large = _first_above(row.axes[key] if key in row.axes else [row.fixed[key]], cap)
+    if too_large is not None:
+        raise UsageError(f"{row.kind} scans stop at {key}={cap}; got {key}={too_large}")
 
 
 # the grid keys through which each verify flag reaches a GridRow; a JSON
@@ -246,32 +287,29 @@ _FLAG_KEYS = {"n": ("n",), "p": ("p", "p_values"), "k": ("k_values",), "q": ("q"
 
 
 def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    rows = suite_rows(args.suite)
     # a flag that no row of the suite takes is an error; all-desk takes none
-    rows = () if args.suite == "all-desk" else SUITES[args.suite]
-    keys = {key for row in rows for key in (*row.fixed, *row.axes)}
+    keys = set() if args.suite == "all-desk" else {key for row in rows
+                                                   for key in (*row.fixed, *row.axes)}
     for flag, flag_keys in _FLAG_KEYS.items():
         if getattr(args, flag) is not None and keys.isdisjoint(flag_keys):
             raise UsageError(f"verify {args.suite} takes no --{flag}")
     if args.p is not None and args.pmax is not None:
         raise UsageError("give --p or --pmax, not both")
-    if args.suite == "all-desk":
-        # the acceptance grid is fixed, its n=9 search included
-        tasks = suite_tasks("all-desk")
-    else:
+    if args.suite != "all-desk":
+        # flags and the guard apply to a named suite; the all-desk grid is
+        # fixed, its n=9 search included
         guard = _enum_guard()
         given = {flag: _parse_range(flag, getattr(args, flag))
                  for flag in ("n", "p", "k", "q") if getattr(args, flag)}
-        tasks = [task for row in SUITES[args.suite]
-                 if not args.pair or row.fixed.get("pair", args.pair) == args.pair
-                 for task in grid_tasks(_apply_flags(args, row, given, guard))]
-        if not tasks:
-            raise UsageError("no verification tasks match the given grid")
-    # every cap is checked before any task is validated, since validating a
-    # lemma task builds its tuples
-    for kind, kw in tasks:
-        key, cap = SCAN_CAPS.get(kind, (None, 0))
-        if key and kw[key] > cap:
-            raise UsageError(f"{kind} scans stop at {key}={cap}; got {key}={kw[key]}")
+        rows = [_apply_flags(args, row, given, guard) for row in rows
+                if not args.pair or row.fixed.get("pair", args.pair) == args.pair]
+    # every cap is checked on the rows' bounds, before any task is built
+    for row in rows:
+        _check_cap(row)
+    tasks = [task for row in rows for task in grid_tasks(row)]
+    if not tasks:
+        raise UsageError("no verification tasks match the given grid")
     with _bad_input():
         for task in tasks:
             validate_task(task)
@@ -304,19 +342,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chunks = [run_task(t) for t in tasks]
     records = [rec for chunk in chunks for rec in chunk]
     finished = datetime.now(timezone.utc).isoformat() if args.timestamps else None
-    if args.json:
-        parameters = {flag: getattr(args, flag) for flag in ("suite", *_FLAG_KEYS)}
-        envelope = {"format_version": FORMAT_VERSION, "command": f"verify {args.suite}",
-                    "parameters": parameters, "started_at": started, "finished_at": finished,
-                    "records": [r.to_dict() for r in records]}
-        _write(args.json, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-    if args.csv:
-        _write(args.csv, _render_csv(records))
-    for rec in records:
-        value = "" if rec.value is None else f" value={rec.value}"
-        print(f"{rec.check} [{_render_params(rec.params)}] {rec.verdict}{value}")
-        if rec.verdict == "fail":
-            print(f"  witness: {_render_witness(rec.witness)}")
+    with _exact_digits():
+        if args.json:
+            parameters = {flag: getattr(args, flag) for flag in ("suite", *_FLAG_KEYS)}
+            envelope = {"format_version": FORMAT_VERSION, "command": f"verify {args.suite}",
+                        "parameters": parameters, "started_at": started,
+                        "finished_at": finished, "records": [r.to_dict() for r in records]}
+            _write(args.json, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        if args.csv:
+            _write(args.csv, _render_csv(records))
+        for rec in records:
+            value = "" if rec.value is None else f" value={rec.value}"
+            print(f"{rec.check} [{_render_params(rec.params)}] {rec.verdict}{value}")
+            if rec.verdict == "fail":
+                print(f"  witness: {_render_witness(rec.witness)}")
     passed = sum(rec.verdict == "pass" for rec in records)
     print(f"{passed}/{len(records)} checks passed")
     return 0 if passed == len(records) else 1

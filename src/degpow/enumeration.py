@@ -23,21 +23,16 @@ among the edges maximising (degree sum, smaller degree, common neighbours),
 the one whose pair of canonical positions is largest.  The invariant
 rejects most children before any search, as in nauty's geng; a surviving
 child costs one canonical search, which also relabels it and supplies its
-automorphisms for its own expansion.  The family filters are closed under
-edge deletion, so every class passing them is reached exactly once, from
-the class obtained by deleting its canonical deletion edge.
+automorphisms for its own expansion.  Both families generated (below) are
+closed under edge deletion, so every class in them is reached exactly once,
+from the class obtained by deleting its canonical deletion edge.
 
-Classes are generated once per order and family -- all graphs, C4-free,
-even-cycle-free, each containing the next -- and kept in a module cache.
-The C4-free and even-cycle-free families are generated whole, with no edge
-cap; a request is cut at its cap out of the cached family, and an
-even-cycle-free request is filtered by has_even_cycle out of a cached
-C4-free family when its own is not cached.  The even-cycle-free family
-keeps its own prune because at n=10 it is far cheaper to generate than the
-C4-free family it would be read out of.  No narrower request reads the
-all-graph family (filtering it costs more than generating a pruned family),
-so an all-graph request keeps the edge-cap prune and is cached per cap.
-Derived tuples are not cached.
+Two families are generated per order, each whole and uncapped: all graphs
+and the C4-free graphs.  Every class is cut or filtered out of one of them:
+an edge cap is a cut of the (edge count, canonical form) order, and an
+even-cycle-free class is the C4-free family filtered by has_even_cycle, so
+theorem 1 and corollary 1 at the same order share one generation.  The two
+families are kept in a module cache; derived tuples are not cached.
 
 The limits are resource limits only: orders 1 to ENUM_HARD_CAP, and the
 top order only for the C4-free and even-cycle-free families (all graphs on
@@ -228,9 +223,9 @@ def _canon_pair(g: Graph) -> tuple[bytes, Graph, list[int], list[list[int]]]:
 class SearchPredicate:
     """Conjunction of hereditary prune filters and leaf filters.
 
-    c4_free and even_cycle_free select the generated family and max_edges
-    cuts it (and prunes the all-graph generation); all three are monotone
-    under edge addition.  The rest apply to finished graphs only.
+    c4_free and even_cycle_free select the generated family and filter it,
+    and max_edges cuts it; all three are monotone under edge addition.  The
+    rest apply to finished graphs only.
     """
 
     c4_free: bool = False
@@ -288,11 +283,8 @@ class SearchPredicate:
         return ",".join(parts) if parts else "all"
 
 
-# the generated graph families, widest first; each contains the next
-ALL_GRAPHS, C4_FREE, EVEN_CYCLE_FREE = 0, 1, 2
-
-# keyed by (n, family, edge cap of the generation)
-_CLASS_CACHE: dict[tuple[int, int, int], tuple[Graph, ...]] = {}
+# the generated families, keyed by (n, c4_free)
+_CLASS_CACHE: dict[tuple[int, bool], tuple[Graph, ...]] = {}
 
 
 def _creates_c4(adj: tuple[int, ...], u: int, v: int) -> bool:
@@ -364,22 +356,18 @@ def _deletion_ties(adj: tuple[int, ...], u: int, v: int) -> list[tuple[int, int]
     return ties
 
 
-def _generate(n: int, family: int, cap: int) -> tuple[Graph, ...]:
-    """Every isomorphism class of the family at order n with at most cap
-    edges, in (edge count, canonical form) order, as canonical
-    representatives."""
+def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
+    """Every isomorphism class at order n, or every C4-free one, in (edge
+    count, canonical form) order, as canonical representatives."""
     key, root, _, gens = _canon_pair(new_graph(n, []))
     found: list[tuple[int, bytes, Graph]] = [(0, key, root)]
-    stack = [(root, gens, 0)] if cap > 0 else []
+    stack = [(root, gens, 0)]
     while stack:
         g, gens, m = stack.pop()
         for u, v in _non_edge_orbits(g, gens):
-            # a new C4 is an even cycle too, and far cheaper to detect
-            if family != ALL_GRAPHS and _creates_c4(g.adj, u, v):
+            if c4_free and _creates_c4(g.adj, u, v):
                 continue
             child = add_edge(g, u, v)
-            if family == EVEN_CYCLE_FREE and structure.has_even_cycle(child):
-                continue
             ties = _deletion_ties(child.adj, u, v)
             if ties is None:
                 continue
@@ -391,8 +379,7 @@ def _generate(n: int, family: int, cap: int) -> tuple[Graph, ...]:
                 if added not in _pair_orbit(child_gens, best):
                     continue
             found.append((m + 1, key, rep))
-            if m + 1 < cap:
-                stack.append((rep, child_gens, m + 1))
+            stack.append((rep, child_gens, m + 1))
     found.sort(key=lambda item: item[:2])
     return tuple(rep for _, _, rep in found)
 
@@ -401,21 +388,16 @@ def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
     """All isomorphism classes passing the hereditary filters, in
     (edge count, canonical form) order, as canonical representatives.
 
-    Cut at the cap out of the cached family (n, family, generation cap);
-    an even-cycle-free request falls back to a cached C4-free family.
+    Cut at the cap out of the cached family (n, c4_free); even cycles are
+    filtered out of the C4-free family.
     """
     c4f, ecf, cap = hkey
-    family = EVEN_CYCLE_FREE if ecf else C4_FREE if c4f else ALL_GRAPHS
-    # only the all-graph family, which no narrower request reads, is capped
-    top = cap if family == ALL_GRAPHS else n * (n - 1) // 2
-    sources = (EVEN_CYCLE_FREE, C4_FREE) if family == EVEN_CYCLE_FREE else (family,)
-    source = next((f for f in sources if (n, f, top) in _CLASS_CACHE), family)
-    key = (n, source, top)
+    key = (n, c4f or ecf)
     if key not in _CLASS_CACHE:
-        _CLASS_CACHE[key] = _generate(n, source, top)
+        _CLASS_CACHE[key] = _generate(*key)
     classes = _CLASS_CACHE[key]
     classes = classes[:bisect_right(classes, cap, key=Graph.edge_count)]
-    if source != family:
+    if ecf:
         classes = tuple(g for g in classes if not structure.has_even_cycle(g))
     return classes
 

@@ -89,6 +89,16 @@ LEMMAS = {"lemma1": (1, 7), "lemma12": (0, 6)}
 _LemmaTuples = tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]
 
 
+def _lemma_parity(lemma: str, n: int) -> int:
+    """The parity of the lemma's orders; ValueError unless its row admits n."""
+    if lemma not in LEMMAS:
+        raise ValueError(f"unknown lemma {lemma!r}")
+    parity, least = LEMMAS[lemma]
+    if n < least or n % 2 != parity:
+        raise ValueError(f"{lemma} needs {('even', 'odd')[parity]} n >= {least}")
+    return parity
+
+
 def lemma_tuples(lemma: str, n: int) -> _LemmaTuples:
     """The two displayed n-tuples of part (i) and, per admitted q, that of
     part (ii); lemma_tuple_check checks their shape.
@@ -97,12 +107,7 @@ def lemma_tuples(lemma: str, n: int) -> _LemmaTuples:
     a boundary n) with r, epsilon = divmod((q-1)(n-2) + o, q), epsilon being
     the remainder folded into one entry.
     """
-    if lemma not in LEMMAS:
-        raise ValueError(f"unknown lemma {lemma!r}")
-    parity, least = LEMMAS[lemma]
-    if n < least or n % 2 != parity:
-        raise ValueError(f"{lemma} needs {('even', 'odd')[parity]} n >= {least}")
-    o, h = 1 - parity, n // 2 + 1
+    o, h = 1 - _lemma_parity(lemma, n), n // 2 + 1
     t1 = (n - 1,) + (2,) * (n - 1 - o) + (1,) * o
     t2 = (h, h - o, h - o, h - 1 - o) + (1,) * (n - 4)
     part_ii = {}
@@ -112,11 +117,11 @@ def lemma_tuples(lemma: str, n: int) -> _LemmaTuples:
     return t1, t2, part_ii
 
 
-def _check_lemma_args(lemma: str, n: int, p: int) -> _LemmaTuples:
-    tuples = lemma_tuples(lemma, n)
+def _check_lemma_args(lemma: str, n: int, p: int) -> None:
+    # builds no tuple, so validating a lemma grid costs nothing per q
+    _lemma_parity(lemma, n)
     if p < 2:
         raise ValueError("p must be > 1")
-    return tuples
 
 
 def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
@@ -124,7 +129,8 @@ def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
     vacuously.  Part (i) is non-strict at odd n (lemma1; equality occurs at
     p=2), everything else is strict.  A tuple that is not an n-tuple with
     the lemma's sum in non-increasing order fails the check as its witness."""
-    t1, t2, part_ii = _check_lemma_args(lemma, n, p)
+    _check_lemma_args(lemma, n, p)
+    t1, t2, part_ii = lemma_tuples(lemma, n)
     params = {"n": n, "p": p}
     total = 3 * (n - 1) - (1 - n % 2)
     for t in (t1, t2, *part_ii.values()):
@@ -599,12 +605,15 @@ def grid_tasks(row: GridRow) -> list[tuple[str, dict]]:
             if kind != "theorem" or _theorem_checks(kw["thm"], kw["n"], kw.get("k_values"))]
 
 
-def suite_tasks(suite: str) -> list[tuple[str, dict]]:
-    """The grid of one suite; all-desk is every suite in table order."""
+def suite_rows(suite: str) -> list[GridRow]:
+    """The rows of one suite; all-desk is every suite in table order."""
     if suite == "all-desk":
-        rows = [row for rows in SUITES.values() for row in rows]
-    elif suite in SUITES:
-        rows = list(SUITES[suite])
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    return [task for row in rows for task in grid_tasks(row)]
+        return [row for rows in SUITES.values() for row in rows]
+    if suite in SUITES:
+        return list(SUITES[suite])
+    raise ValueError(f"unknown suite {suite!r}")
+
+
+def suite_tasks(suite: str) -> list[tuple[str, dict]]:
+    """The grid of one suite."""
+    return [task for row in suite_rows(suite) for task in grid_tasks(row)]

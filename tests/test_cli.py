@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -289,6 +290,10 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == ("degpow: error: n=9 exceeds the enumeration guard; "
                        "set DEGPOW_MAX_N=9\n")
+        # a range is refused from its bounds
+        monkeypatch.setattr(cli_mod, "grid_tasks", lambda row: pytest.fail("tasks built"))
+        code, out, err = run_cli(capsys, "verify", "thm1", "--n", "4..1000000")
+        assert code == 2 and out == "" and err.startswith("degpow: error: n=9 exceeds")
 
     @pytest.mark.parametrize("raw, guard", [
         (None, ENUM_FAST_CAP), ("9", 9), ("99", ENUM_HARD_CAP), ("0", 1),
@@ -334,14 +339,17 @@ class TestVerify:
     @pytest.mark.parametrize("argv, message", [
         (("lemma1", "--n", "7..5001", "--p", "2"), "lemma scans stop at n=4001; got n=4003"),
         (("lemma12", "--n", "6,4002"), "lemma scans stop at n=4001; got n=4002"),
+        # refused from its bounds, never materialised
+        (("lemma1", "--n", "7..1000000001", "--p", "2"), "lemma scans stop at n=4001; got n=4003"),
         (("thresholds", "--pair", "W_vs_K3", "--nmax", "9001"),
          "threshold scans stop at n_max=9000; got n_max=9001"),
         (("appendixA", "--p", "12", "--nmax", "16001"),
          "appendixA scans stop at n_max=16000; got n_max=16001"),
-    ], ids=["lemma1", "lemma12", "thresholds", "appendixA"])
+    ], ids=["lemma1", "lemma12", "lemma1-huge", "thresholds", "appendixA"])
     def test_scan_above_its_cap_exits_two_before_running(self, capsys, monkeypatch, argv,
                                                          message):
-        # caps come before validation, which builds a lemma task's tuples
+        # caps are checked on the axis bounds, before any task is built
+        monkeypatch.setattr(cli_mod, "grid_tasks", lambda row: pytest.fail("tasks built"))
         monkeypatch.setattr(cli_mod, "validate_task", lambda task: pytest.fail("validated"))
         monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
         code, out, err = run_cli(capsys, "verify", *argv)
@@ -414,6 +422,31 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", *argv, "--json", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no int-to-str digit limit")
+    def test_value_past_the_digit_limit_reported_whole(self, tmp_path, capsys):
+        # Lemma 1 at n=61, p=30000: norm1 - norm2 has 53,345 digits, past the
+        # interpreter's default int-to-str limit of 4300
+        p = 30000
+        value = 60**p + 60 * 2**p - 3 * 31**p - 30**p - 57
+        limit = sys.get_int_max_str_digits()
+        json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        code, out, err = run_cli(capsys, "verify", "lemma1", "--n", "61", "--p", str(p),
+                                 "--json", str(json_path), "--csv", str(csv_path))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(value)
+            records = json.loads(json_path.read_text())["records"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) == 53345
+        assert out == f"lemma1 [n=61;p=30000] pass value={text}\n1/1 checks passed\n"
+        assert [(r["verdict"], r["value"]) for r in records] == [("pass", value)]
+        assert list(csv.reader(io.StringIO(csv_path.read_text())))[1:] == [
+            ["lemma1", "n=61;p=30000", "pass", text, ""]]
 
     def test_all_desk_csv_and_stdout_pinned(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

@@ -337,22 +337,12 @@ class TestClassSets:
     def test_pinned_class_set(self, key):
         self.check_pinned(key)
 
-    @pytest.mark.parametrize("route", ["own", "filtered"])
     @pytest.mark.parametrize("key", EVEN_CYCLE_FREE_KEYS, ids=str)
-    def test_pinned_class_set_by_route(self, key, route, monkeypatch):
-        # own: a cold cache, so the class is generated with its own prune;
-        # filtered: it is read out of a cached C4-free family.  The other
-        # keys are only ever read out of their own family, which
-        # test_pinned_class_set covers.
-        n = key[0]
-        full = n * (n - 1) // 2
-        c4_free = (n, enumeration.C4_FREE, full)
-        cache = {} if route == "own" else {c4_free: enumeration._generate(*c4_free)}
-        cached_before = list(cache)
-        monkeypatch.setattr(enumeration, "_CLASS_CACHE", cache)
+    def test_even_cycle_free_read_out_of_c4_free_family(self, key, searches):
+        # a cold cache: the request generates and caches the whole C4-free
+        # family only, never a filtered tuple
         self.check_pinned(key)
-        # only whole families are cached, never a filtered tuple
-        assert list(cache) == (cached_before or [(n, enumeration.EVEN_CYCLE_FREE, full)])
+        assert list(enumeration._CLASS_CACHE) == [(key[0], True)]
 
     @staticmethod
     def check_pinned(key):
@@ -378,25 +368,12 @@ class TestClassSets:
         assert searches["calls"] <= 1.5 * count
 
     def test_even_cycle_free_searches_per_class(self, searches):
+        # the searches generate the whole C4-free family, 351 classes, which
+        # the even-cycle-free classes are read out of
         count = enumerate_graphs(8, THEOREMS["c1"].predicate(8, None))
         assert count == PINNED_CLASS_SETS[(8, False, True, 28)][0]
-        assert searches["calls"] <= 1.5 * count
-
-    def test_capped_all_graphs_keep_the_prune(self, searches):
-        count = enumerate_graphs(8, SearchPredicate(max_edges=3))
-        assert count == 9
-        assert searches["calls"] <= 1.5 * count
-        # cached per cap, so the same request runs no search again
-        assert list(enumeration._CLASS_CACHE) == [(8, enumeration.ALL_GRAPHS, 3)]
-        calls = searches["calls"]
-        assert enumerate_graphs(8, SearchPredicate(max_edges=3)) == count
-        assert searches["calls"] == calls
-
-    def test_even_cycle_free_not_read_out_of_all_graphs(self, searches):
-        enumerate_graphs(6)
-        enumerate_graphs(6, THEOREMS["c1"].predicate(6, None))
-        assert list(enumeration._CLASS_CACHE) == [(6, enumeration.ALL_GRAPHS, 15),
-                                                  (6, enumeration.EVEN_CYCLE_FREE, 15)]
+        assert len(enumeration._CLASS_CACHE[(8, True)]) == 351
+        assert searches["calls"] <= 1.5 * 351
 
     def test_c1_reads_t1_generation(self, searches):
         enumerate_graphs(7, THEOREMS["t1"].predicate(7, None))

@@ -364,6 +364,23 @@ class TestSuites:
         records = run_task(("theorem", {"thm": "t2", "n": 4, "p_values": (2, 3)}))
         assert len(records) == 4 and planned == ["t2i", "t2ii"]
 
+    def test_lemma_task_validates_without_building_tuples(self, monkeypatch):
+        import degpow.verify as verify_mod
+
+        def build(lemma, n):
+            raise AssertionError("validation built the tuples")
+
+        monkeypatch.setattr(verify_mod, "lemma_tuples", build)
+        validate_task(("lemma", {"lemma": "lemma1", "n": 4001, "p": 2}))
+        validate_task(("lemma", {"lemma": "lemma12", "n": 6, "p": 8}))
+        # the lemma first, then its parity and least order, then p
+        for kw, message in (({"lemma": "nope", "n": 8, "p": 1}, "unknown lemma 'nope'"),
+                            ({"lemma": "lemma1", "n": 8, "p": 1}, "lemma1 needs odd n >= 7"),
+                            ({"lemma": "lemma12", "n": 4, "p": 1}, "lemma12 needs even n >= 6"),
+                            ({"lemma": "lemma1", "n": 9, "p": 1}, "p must be > 1")):
+            with pytest.raises(ValueError, match=message):
+                validate_task(("lemma", kw))
+
     def test_every_suite_task_validates(self):
         for task in suite_tasks("all-desk"):
             validate_task(task)
