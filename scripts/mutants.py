@@ -81,7 +81,7 @@ MUTANTS = (
     Mutant("even-cycles-kept", ENUMERATION,
            "if ecf:", "if False:",
            ("tests/test_enumeration.py::TestClassSets::"
-            "test_even_cycle_free_read_out_of_c4_free_family",
+            "test_pinned_class_set_by_route",
             "tests/test_acceptance.py::test_criterion_04_corollary1_brute_force")),
     Mutant("edge-cap-not-cut", ENUMERATION,
            "    classes = classes[:bisect_right(classes, cap, key=Graph.edge_count)]\n", "",

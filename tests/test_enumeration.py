@@ -337,12 +337,22 @@ class TestClassSets:
     def test_pinned_class_set(self, key):
         self.check_pinned(key)
 
+    @pytest.mark.parametrize("route", ["own", "filtered"])
     @pytest.mark.parametrize("key", EVEN_CYCLE_FREE_KEYS, ids=str)
-    def test_even_cycle_free_read_out_of_c4_free_family(self, key, searches):
-        # a cold cache: the request generates and caches the whole C4-free
-        # family only, never a filtered tuple
+    def test_pinned_class_set_by_route(self, key, route, searches):
+        # own: a cold cache, so the request generates the whole C4-free
+        # family; filtered: that family is cached already and no search runs.
+        # Either way the class is read out of the C4-free family, and only
+        # that family is cached, never a filtered tuple.
+        n, c4_free, even_cycle_free, cap = key
+        if route == "filtered":
+            enumeration._CLASS_CACHE[(n, True)] = enumeration._generate(n, True)
+        calls = searches["calls"]
+        pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
+        assert enumerate_graphs(n, pred) == PINNED_CLASS_SETS[key][0]
+        assert (searches["calls"] == calls) == (route == "filtered")
+        assert list(enumeration._CLASS_CACHE) == [(n, True)]
         self.check_pinned(key)
-        assert list(enumeration._CLASS_CACHE) == [(key[0], True)]
 
     @staticmethod
     def check_pinned(key):
