@@ -78,6 +78,15 @@ MUTANTS = (
                     split.append((mask & outside, value << 1))""",
            ("tests/test_enumeration.py::TestCanonicalForm::"
             "test_search_is_global_minimum_every_class_n6",)),
+    Mutant("tie-leaf-no-automorphism", ENUMERATION,
+           "                gens.append(gamma)\n            return\n", "            return\n",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestLabelSearch::test_generators_give_the_pair_orbits")),
+    Mutant("split-by-index", ENUMERATION,
+           "for count in sorted(parts):", "for count in sorted(parts, key=parts.get):",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestLabelSearch::"
+            "test_certificate_invariant_under_relabelling")),
     Mutant("even-cycles-kept", ENUMERATION,
            "if ecf:", "if False:",
            ("tests/test_enumeration.py::TestClassSets::"

@@ -15,24 +15,37 @@ twins next (see _canon_search).  The same search yields generators of the
 automorphism group: every leaf equal to the incumbent gives one, and the
 collapsed transpositions give the rest.
 
+Generation labels classes by a cheaper canonical labelling instead
+(_label_search): equitable refinement by a splitter queue, then
+individualisation of the first non-singleton cell's vertices, with
+branches pruned by twins and by the orbits of the automorphisms found, as
+in McKay & Piperno.  The least leaf certificate (the relabelled adjacency)
+wins.  Its labelling is canonical, but not min-lex, so the min-lex form is
+computed only where it is printed or promised: for the witnesses an
+ExtremalTracker reports, and for the representatives enumerate_graphs
+visits.
+
 Generation is McKay's canonical augmentation (J. Algorithms 26 (1998)
-306-324), depth first from the empty graph.  A canonical parent is extended
+306-324), depth first from the empty graph.  A labelled parent is extended
 by one non-edge per orbit of its automorphism group.  A child is kept only
 if the added edge lies in the orbit of the child's canonical deletion edge:
 among the edges maximising (degree sum, smaller degree, common neighbours),
-the one whose pair of canonical positions is largest.  The invariant
+the one whose pair of labelled positions is largest.  The invariant
 rejects most children before any search, as in nauty's geng; a surviving
-child costs one canonical search, which also relabels it and supplies its
+child costs one labelling search, which also relabels it and supplies its
 automorphisms for its own expansion.  Both families generated (below) are
 closed under edge deletion, so every class in them is reached exactly once,
 from the class obtained by deleting its canonical deletion edge.
 
 Two families are generated per order, each whole and uncapped: all graphs
-and the C4-free graphs.  Every class is cut or filtered out of one of them:
-an edge cap is a cut of the (edge count, canonical form) order, and an
-even-cycle-free class is the C4-free family filtered by has_even_cycle, so
-theorem 1 and corollary 1 at the same order share one generation.  The two
-families are kept in a module cache; derived tuples are not cached.
+and the C4-free graphs, each in (edge count, certificate) order.  Every
+class is cut or filtered out of one of them: an edge cap is a cut of that
+order, and an even-cycle-free class is the C4-free family filtered by
+has_even_cycle, so theorem 1 and corollary 1 at the same order share one
+generation.  The two families are kept in a module cache; derived tuples
+are not cached.  _visit walks a family's classes as generated, and is what
+the theorem passes and extremal_ep use; enumerate_graphs sorts the min-lex
+representatives of the same classes.
 
 The limits are resource limits only: orders 1 to ENUM_HARD_CAP, and the
 top order only for the C4-free and even-cycle-free families (all graphs on
@@ -86,16 +99,7 @@ def _canon_search(
     if n <= 1:
         return [0] * n, [0] * n, []
     tau = _transposition_automorphisms(n, adj)
-    # twins form equivalence classes, so transpositions from each class's
-    # least vertex generate every transposition the search collapses
-    gens: list[list[int]] = []
-    for v in range(n):
-        lower = tau[v] & ((1 << v) - 1)
-        if lower:
-            swap = list(range(n))
-            u = (lower & -lower).bit_length() - 1
-            swap[u], swap[v] = v, u
-            gens.append(swap)
+    gens = _twin_generators(n, tau)
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
     gen = 0
@@ -173,6 +177,140 @@ def _canon_search(
     return best_cols, best_perm, gens
 
 
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
+    """Refine an ordered partition (vertex bitsets) by a splitter queue.
+
+    Each queued splitter splits every cell by each vertex's neighbour count
+    in it; the parts are ordered by that count and each is queued in turn.
+    Relabelling the graph and the input relabels the result alike.  The
+    result is equitable when the input was equitable before one part was
+    split off a cell and queued: a count into the unqueued rest of that
+    cell is the count into the whole cell less the count into the part.
+    """
+    n = len(adj)
+    head = 0
+    while head < len(queue) and len(cells) < n:
+        splitter = queue[head]
+        head += 1
+        split: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                mask = cell
+                while mask:
+                    low = mask & -mask
+                    count = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    parts[count] = parts.get(count, 0) | low
+                    mask ^= low
+                if len(parts) > 1:
+                    for count in sorted(parts):
+                        split.append(parts[count])
+                        queue.append(parts[count])
+                    continue
+            split.append(cell)
+        cells = split
+    return cells
+
+
+def _label_search(
+    n: int, adj: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """A canonical labelling by refinement and individualisation: the
+    certificate (the relabelled adjacency), the permutation (position ->
+    vertex), and generators (vertex -> vertex) of the automorphism group.
+
+    The root is the unit partition refined by degree.  A node branches on
+    each vertex of its first non-singleton cell, individualised ahead of
+    the rest of it, unless the vertex is a twin of an explored sibling or
+    in the orbit of one under the generators so far that fix the node's
+    individualised vertices.  (A twin transposition from an individualised
+    vertex fixes no such node, so the twin test prunes what the orbits
+    miss.)  The least leaf certificate wins, and a leaf equal to the
+    incumbent gives an automorphism.  The certificate is not the min-lex
+    form.
+    """
+    tau = _transposition_automorphisms(n, adj)
+    gens = _twin_generators(n, tau)
+    best_cert: tuple[int, ...] | None = None
+    best_perm: list[int] = []
+    prefix: list[int] = []
+
+    def search(cells: list[int]) -> None:
+        nonlocal best_cert, best_perm
+        if len(cells) == n:
+            perm = [cell.bit_length() - 1 for cell in cells]
+            pos = _inverse(perm)
+            rows = []
+            for v in perm:
+                row = 0
+                mask = adj[v]
+                while mask:
+                    low = mask & -mask
+                    row |= 1 << pos[low.bit_length() - 1]
+                    mask ^= low
+                rows.append(row)
+            cert = tuple(rows)
+            if best_cert is None or cert < best_cert:
+                best_cert, best_perm = cert, perm
+            elif cert == best_cert:
+                # best_perm[i] -> perm[i] preserves adjacency
+                gamma = [0] * n
+                for b, w in zip(best_perm, perm):
+                    gamma[b] = w
+                gens.append(gamma)
+            return
+        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        target = cells[i]
+        explored = 0
+        mask = target
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            mask ^= low
+            if explored and (tau[v] & explored or _vertex_orbit(gens, prefix, v) & explored):
+                continue
+            explored |= low
+            prefix.append(v)
+            search(_refine(adj, cells[:i] + [low, target ^ low] + cells[i + 1:], [low]))
+            prefix.pop()
+
+    full = (1 << n) - 1
+    search(_refine(adj, [full], [full]))
+    if best_cert is None:
+        raise RuntimeError(f"labelling search reached no leaf for n={n}")
+    return best_cert, best_perm, gens
+
+
+def _vertex_orbit(gens: list[list[int]], fixed: list[int], v: int) -> int:
+    """The orbit of v, as a bitset, under the generators that fix every
+    vertex of fixed."""
+    stabiliser = [gamma for gamma in gens if all(gamma[x] == x for x in fixed)]
+    orbit = 1 << v
+    frontier = [v]
+    while frontier:
+        x = frontier.pop()
+        for gamma in stabiliser:
+            y = gamma[x]
+            if not (orbit >> y) & 1:
+                orbit |= 1 << y
+                frontier.append(y)
+    return orbit
+
+
+def _twin_generators(n: int, tau: list[int]) -> list[list[int]]:
+    """Transpositions of twins; twins form equivalence classes, so those
+    from each class's least vertex generate every twin transposition."""
+    gens: list[list[int]] = []
+    for v in range(n):
+        lower = tau[v] & ((1 << v) - 1)
+        if lower:
+            swap = list(range(n))
+            u = (lower & -lower).bit_length() - 1
+            swap[u], swap[v] = v, u
+            gens.append(swap)
+    return gens
+
+
 def _transposition_automorphisms(n: int, adj: tuple[int, ...]) -> list[int]:
     """tau[u] = bitset of v such that swapping u and v preserves adjacency."""
     tau = [0] * n
@@ -208,15 +346,25 @@ def canonical_graph(g: Graph) -> Graph:
     return _canon_pair(g)[1]
 
 
-def _canon_pair(g: Graph) -> tuple[bytes, Graph, list[int], list[list[int]]]:
-    """Canonical form, the relabeled graph, the relabeling (vertex ->
-    position) and automorphism generators of the relabeled graph."""
-    cols, perm, gens = _canon_search(g.n, g.adj)
-    sigma = [0] * g.n
+def _canon_pair(g: Graph) -> tuple[bytes, Graph]:
+    """Canonical form and the canonically relabeled graph."""
+    cols, perm, _ = _canon_search(g.n, g.adj)
+    return bytes([g.n]) + _pack_cols(g.n, cols), permute(g, _inverse(perm))
+
+
+def _inverse(perm: list[int]) -> list[int]:
+    inverse = [0] * len(perm)
     for pos, v in enumerate(perm):
-        sigma[v] = pos
-    conjugated = [[sigma[gamma[v]] for v in perm] for gamma in gens]
-    return bytes([g.n]) + _pack_cols(g.n, cols), permute(g, sigma), sigma, conjugated
+        inverse[v] = pos
+    return inverse
+
+
+def _labelled(g: Graph) -> tuple[Graph, list[int], list[list[int]]]:
+    """g relabelled by _label_search, the relabelling (vertex -> position)
+    and automorphism generators of the relabelled graph."""
+    cert, perm, gens = _label_search(g.n, g.adj)
+    sigma = _inverse(perm)
+    return Graph(g.n, cert), sigma, [[sigma[gamma[v]] for v in perm] for gamma in gens]
 
 
 @dataclass(frozen=True)
@@ -358,9 +506,9 @@ def _deletion_ties(adj: tuple[int, ...], u: int, v: int) -> list[tuple[int, int]
 
 def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
     """Every isomorphism class at order n, or every C4-free one, in (edge
-    count, canonical form) order, as canonical representatives."""
-    key, root, _, gens = _canon_pair(new_graph(n, []))
-    found: list[tuple[int, bytes, Graph]] = [(0, key, root)]
+    count, certificate) order, each labelled by _label_search."""
+    root, _, gens = _labelled(new_graph(n, []))
+    found: list[tuple[int, Graph]] = [(0, root)]
     stack = [(root, gens, 0)]
     while stack:
         g, gens, m = stack.pop()
@@ -371,22 +519,23 @@ def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
             ties = _deletion_ties(child.adj, u, v)
             if ties is None:
                 continue
-            key, rep, sigma, child_gens = _canon_pair(child)
+            rep, sigma, child_gens = _labelled(child)
             if len(ties) > 1:
                 # the canonical deletion edge: largest pair of positions
                 best = max(tuple(sorted((sigma[x], sigma[y]))) for x, y in ties)
                 added = tuple(sorted((sigma[u], sigma[v])))
                 if added not in _pair_orbit(child_gens, best):
                     continue
-            found.append((m + 1, key, rep))
+            found.append((m + 1, rep))
             stack.append((rep, child_gens, m + 1))
-    found.sort(key=lambda item: item[:2])
-    return tuple(rep for _, _, rep in found)
+    # a labelled graph's adjacency is its certificate
+    found.sort(key=lambda item: (item[0], item[1].adj))
+    return tuple(rep for _, rep in found)
 
 
 def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
     """All isomorphism classes passing the hereditary filters, in
-    (edge count, canonical form) order, as canonical representatives.
+    (edge count, certificate) order, as _label_search representatives.
 
     Cut at the cap out of the cached family (n, c4_free); even cycles are
     filtered out of the C4-free family.
@@ -418,15 +567,11 @@ def check_enumerable(n: int, pred: SearchPredicate) -> None:
         )
 
 
-def enumerate_graphs(
-    n: int,
-    pred: SearchPredicate = SearchPredicate(),
-    visit: Callable[[Graph], None] | None = None,
-) -> int:
-    """Visit one canonical representative per isomorphism class passing pred.
+def _visit(n: int, pred: SearchPredicate, visit: Callable[[Graph], None] | None) -> int:
+    """Visit one representative per isomorphism class passing pred, as
+    labelled by _label_search, in (edge count, certificate) order.
 
-    Returns the number visited.  Visit order is deterministic: increasing
-    edge count, then canonical form.  Orders check_enumerable rejects raise
+    Returns the number visited.  Orders check_enumerable rejects raise
     before anything is generated.
     """
     check_enumerable(n, pred)
@@ -439,11 +584,33 @@ def enumerate_graphs(
     return count
 
 
+def enumerate_graphs(
+    n: int,
+    pred: SearchPredicate = SearchPredicate(),
+    visit: Callable[[Graph], None] | None = None,
+) -> int:
+    """Visit one canonical representative per isomorphism class passing pred.
+
+    Returns the number visited.  Visit order is deterministic: increasing
+    edge count, then canonical form.  Orders check_enumerable rejects raise
+    before anything is generated.
+    """
+    if visit is None:
+        return _visit(n, pred, None)
+    reps: list[tuple[int, bytes, Graph]] = []
+    count = _visit(n, pred, lambda g: reps.append((g.edge_count(), *_canon_pair(g))))
+    reps.sort(key=lambda item: item[:2])
+    for _, _, rep in reps:
+        visit(rep)
+    return count
+
+
 class ExtremalTracker:
     """Every maximiser of e_p over the visited graphs, for several p at once.
 
-    Pass visit to enumerate_graphs; ties are all kept.  best[p] is None
-    until a graph is visited, and max_edges is the largest edge count seen.
+    Pass visit to _visit or enumerate_graphs; ties are all kept.  best[p]
+    is None until a graph is visited, and max_edges is the largest edge
+    count seen.
     """
 
     def __init__(self, p_values: Sequence[int]) -> None:
@@ -462,8 +629,9 @@ class ExtremalTracker:
                 self._wits[p].append(g)
 
     def witnesses(self, p: int) -> tuple[str, ...]:
-        """graph6 of the maximisers at p, sorted."""
-        return tuple(sorted(to_graph6(w).decode("ascii") for w in self._wits[p]))
+        """graph6 of the maximisers' canonical representatives, sorted."""
+        return tuple(sorted(to_graph6(canonical_graph(w)).decode("ascii")
+                            for w in self._wits[p]))
 
 
 @dataclass(frozen=True)
@@ -489,7 +657,7 @@ def extremal_ep(n: int, p: int, pred: SearchPredicate = SearchPredicate()) -> Ex
     if p < 1:
         raise ValueError("p must be >= 1")
     tracker = ExtremalTracker((p,))
-    examined = enumerate_graphs(n, pred, tracker.visit)
+    examined = _visit(n, pred, tracker.visit)
     return ExtremalReport(
         n=n,
         p=p,

@@ -33,9 +33,9 @@ from typing import Callable, NamedTuple, Sequence
 from .enumeration import (
     ExtremalTracker,
     SearchPredicate,
+    _visit,
     canonical_graph,
     check_enumerable,
-    enumerate_graphs,
 )
 from .families import (
     FAMILIES,
@@ -275,7 +275,7 @@ def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int]) -> list[Verifica
             if restricted_pred.leaf_ok(g):
                 restricted.visit(g)
 
-    examined = enumerate_graphs(n, pred, visit)
+    examined = _visit(n, pred, visit)
     records = []
     for p in p_values:
         values = [(to_graph6(g).decode("ascii"), ep_closed_form(fam, n, p), ep(g, p))

@@ -3,14 +3,27 @@
 These deliberately avoid the library's algorithms: connectivity is checked
 by removing vertex subsets, even cycles by a from-scratch DFS over paths,
 C4s by explicit 4-tuple search, so library results are checked against a
-second route everywhere it matters.
+second route everywhere it matters.  every_class, the one helper that
+calls the library's enumeration, shares each order's class list across
+the test modules.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
+from degpow.enumeration import enumerate_graphs
 from degpow.graphs import Graph, new_graph, remove_edge
+
+
+@cache
+def every_class(n: int) -> tuple[Graph, ...]:
+    """enumerate_graphs' representatives at order n, enumerated once per
+    session: each call computes every class's min-lex form."""
+    acc: list[Graph] = []
+    enumerate_graphs(n, visit=acc.append)
+    return tuple(acc)
 
 
 def all_labeled_graphs(n: int):

@@ -12,7 +12,7 @@ import random
 import time
 from itertools import combinations
 
-from degpow.enumeration import canonical_form, canonical_graph, enumerate_graphs
+from degpow.enumeration import canonical_form, canonical_graph
 from degpow.families import FamilyId, complete_bipartite, ep_closed_form, polarity_graph
 from degpow.graphs import Graph, degree_sequence, ep, to_graph6
 from degpow.majorization import Prop1Verdict, prop1_check
@@ -36,6 +36,7 @@ from degpow.verify import (
 
 from helpers import (
     cycle_has_chord,
+    every_class,
     oracle_cycles,
     oracle_edge_connectivity,
     oracle_has_c4,
@@ -49,12 +50,6 @@ def _verdict(criterion: str, ok: bool, started: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} ({time.time() - started:.1f}s)")
     assert ok, f"criterion {criterion}"
-
-
-def _classes(n: int) -> list[Graph]:
-    acc: list[Graph] = []
-    enumerate_graphs(n, visit=acc.append)
-    return acc
 
 
 def _cg6(g: Graph) -> str:
@@ -202,7 +197,7 @@ def test_criterion_11a_class_counts():
     ok = True
     counts = []
     for n in range(1, 9):
-        classes = _classes(n)
+        classes = every_class(n)
         counts.append(len(classes))
         for g in classes:  # handshake over every enumerated graph
             ok &= sum(degree_sequence(g)) == 2 * g.edge_count() == ep(g, 1)
@@ -215,7 +210,7 @@ def test_criterion_11b_even_cycle_oracle():
     ok = all(
         has_even_cycle(g) == oracle_has_even_cycle(g)
         for n in range(1, 9)
-        for g in _classes(n)
+        for g in every_class(n)
     )
     _verdict("11b even-cycle detection vs DFS oracle (n<=8)", ok, t0)
 
@@ -225,7 +220,7 @@ def test_criterion_11c_vertex_connectivity_oracle():
     ok = all(
         vertex_connectivity(g) == oracle_vertex_connectivity(g)
         for n in range(1, 8)
-        for g in _classes(n)
+        for g in every_class(n)
     )
     _verdict("11c vertex connectivity vs cut oracle (n<=7)", ok, t0)
 
@@ -266,7 +261,7 @@ def test_criterion_11e_c4_engine():
     t0 = time.time()
     ok = True
     for n in range(1, 8):
-        for g in _classes(n):
+        for g in every_class(n):
             ok &= has_c4(g) == oracle_has_c4(g)
             if not has_c4(g):
                 # the union/intersection degree bound behind the C4-free case
@@ -299,7 +294,7 @@ def test_criterion_11f_minimally_connected_lemmas():
     t0 = time.time()
     ok = True
     for n in range(2, 9):
-        for g in _classes(n):
+        for g in every_class(n):
             degs = degree_sequence(g)
             for t in (1, 2, 3):
                 if _minimally_connected(g, t):
@@ -322,7 +317,7 @@ def test_criterion_11g_minimally_edge_connected_lemmas():
     t0 = time.time()
     ok = True
     for n in range(2, 9):
-        for g in _classes(n):
+        for g in every_class(n):
             if _minimally_2_edge_connected(g):
                 ok &= degree_sequence(g)[-1] == 2
                 if 6 <= n <= 8:
@@ -341,7 +336,7 @@ def test_criterion_11h_cycles_in_minimally_3_connected():
     """Membership by the flow definition; cycles from the path-DFS oracle."""
     t0 = time.time()
     ok = True
-    for g in _classes(8):
+    for g in every_class(8):
         if _minimally_connected(g, 3):
             for cycle in oracle_cycles(g):
                 ok &= sum(1 for v in cycle if g.degree(v) == 3) >= 2
@@ -352,7 +347,7 @@ def test_criterion_11i_maximal_degenerate_lemma():
     t0 = time.time()
     ok = True
     for n in range(2, 9):
-        for g in _classes(n):
+        for g in every_class(n):
             for k in (1, 2, 3):
                 if n >= k + 1 and is_maximal_k_degenerate(g, k):
                     ok &= degree_sequence(g)[-1] == k

@@ -95,6 +95,17 @@ class TestEp:
         code, out, _ = run_cli(capsys, "ep", "--file", str(path), "--p", "2")
         assert code == 0 and out.split() == ["36", "12"]
 
+    def test_value_past_the_digit_limit_printed_whole(self, capsys):
+        # the star on 64 vertices at p=3000: 63**3000 + 63 has 5,398 digits,
+        # past the interpreter's default int-to-str limit of 4300
+        _, g6, _ = run_cli(capsys, "construct", "star", "64")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "ep", "--g6", g6.strip(), "--p", "3000")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        with cli_mod._exact_digits():
+            assert out == f"{63**3000 + 63}\n"
+
     def test_format_flag_is_gone(self, capsys):
         # the input tells its format: graph6 bytes are 63-126, never a digit
         code, out, err = run_cli(capsys, "ep", "--g6", "C~", "--p", "2", "--format", "edgelist")
@@ -345,7 +356,15 @@ class TestVerify:
          "threshold scans stop at n_max=9000; got n_max=9001"),
         (("appendixA", "--p", "12", "--nmax", "16001"),
          "appendixA scans stop at n_max=16000; got n_max=16001"),
-    ], ids=["lemma1", "lemma12", "lemma1-huge", "thresholds", "appendixA"])
+        # a p axis is refused by its length, before any task or p tuple
+        (("lemma1", "--n", "7", "--p", "2..1000000001"),
+         "--p takes at most 1000 values of p; got 1000000000"),
+        (("thm1", "--n", "4", "--p", "2..1000000001"),
+         "--p takes at most 1000 values of p; got 1000000000"),
+        (("thresholds", "--pmax", "1000000000"),
+         "--pmax takes at most 1000 values of p; got 999999999"),
+    ], ids=["lemma1", "lemma12", "lemma1-huge", "thresholds", "appendixA", "lemma1-p-huge",
+            "thm1-p-huge", "pmax-huge"])
     def test_scan_above_its_cap_exits_two_before_running(self, capsys, monkeypatch, argv,
                                                          message):
         # caps are checked on the axis bounds, before any task is built
@@ -359,7 +378,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ("lemma1", "--n", "4001", "--p", "2"), ("lemma12", "--n", "4000", "--p", "2"),
         ("thresholds", "--nmax", "9000"), ("appendixA", "--nmax", "16000"),
-    ], ids=["lemma1", "lemma12", "thresholds", "appendixA"])
+        ("lemma1", "--n", "7", "--p", "2..1001"), ("thm1", "--n", "4", "--p", "2..1001"),
+    ], ids=["lemma1", "lemma12", "thresholds", "appendixA", "lemma1-p-axis", "thm1-p-axis"])
     def test_scan_at_its_cap_admitted(self, argv):
         assert _build_tasks(build_parser().parse_args(["verify", *argv]))
 
@@ -396,13 +416,13 @@ class TestVerify:
 
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
         enumerations = []
-        enumerate_graphs = verify_mod.enumerate_graphs
+        visit_classes = verify_mod._visit
 
         def counting(n, pred, visit):
             enumerations.append(n)
-            return enumerate_graphs(n, pred, visit)
+            return visit_classes(n, pred, visit)
 
-        monkeypatch.setattr(verify_mod, "enumerate_graphs", counting)
+        monkeypatch.setattr(verify_mod, "_visit", counting)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert out.splitlines() == records + [f"{len(records)}/{len(records)} checks passed"]

@@ -61,15 +61,16 @@ EVEN_CYCLE_FREE_KEYS = [key for key in PINNED_CLASS_SETS if key[2]]
 
 @pytest.fixture
 def searches(monkeypatch):
-    """A cold class cache, and a counter of the canonical searches run."""
+    """A cold class cache, and a counter of the labelling searches that
+    generation runs."""
     counter = Counter()
-    search = enumeration._canon_search
+    search = enumeration._label_search
 
     def counting(n, adj):
         counter["calls"] += 1
         return search(n, adj)
 
-    monkeypatch.setattr(enumeration, "_canon_search", counting)
+    monkeypatch.setattr(enumeration, "_label_search", counting)
     monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
     return counter
 
@@ -279,6 +280,60 @@ class TestAutomorphismGenerators:
     def test_forests_n7(self):
         for g in forests_n7():
             self.check(g)
+
+
+def random_graph(n, rng):
+    density = rng.random()
+    return new_graph(n, [e for e in itertools.combinations(range(n), 2)
+                         if rng.random() < density])
+
+
+class TestLabelSearch:
+    """The refinement labelling that generation runs, against canonical_form
+    and brute force."""
+
+    def test_certificate_invariant_under_relabelling(self):
+        # the certificate is the adjacency of g relabelled by perm, and
+        # every relabelling of g gives the same one
+        rng = random.Random(17)
+        graphs = [random_graph(n, rng) for n in (7, 8, 9, 10) for _ in range(40)]
+        graphs += [cycle_graph(9), wheel(9), friendship(9), complete_bipartite(4, 9),
+                   split_graph(9, 3)] + forests_n7()
+        for g in graphs:
+            cert, perm, _ = enumeration._label_search(g.n, g.adj)
+            assert sorted(perm) == list(range(g.n))
+            assert cert == permute(g, enumeration._inverse(perm)).adj
+            for _ in range(3):
+                h = shuffled(g, rng)
+                assert enumeration._label_search(h.n, h.adj)[0] == cert
+
+    def test_same_classes_as_canonical_form(self):
+        # every labelled graph at n <= 5 and a seeded sample at n = 6: equal
+        # certificates iff equal canonical forms
+        rng = random.Random(61)
+        for n in range(1, 7):
+            graphs = all_labeled_graphs(n) if n <= 5 else (random_graph(6, rng)
+                                                           for _ in range(1500))
+            form_of, cert_of = {}, {}
+            for g in graphs:
+                cert, form = enumeration._label_search(n, g.adj)[0], canonical_form(g)
+                assert form_of.setdefault(cert, form) == form
+                assert cert_of.setdefault(form, cert) == cert
+            if n <= 5:
+                assert len(form_of) == CLASS_COUNTS[n - 1]
+
+    def test_generators_give_the_pair_orbits(self):
+        # every labelled graph at n <= 5, and a seeded sample at n = 6
+        rng = random.Random(66)
+        graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+        graphs += [shuffled(g, rng) for g in (cycle_graph(6), wheel(6), friendship(5),
+                                              complete_bipartite(3, 6), split_graph(6, 2))]
+        graphs += [random_graph(6, rng) for _ in range(150)]
+        for g in graphs:
+            _, _, gens = enumeration._label_search(g.n, g.adj)
+            for gamma in gens:
+                assert permute(g, gamma) == g
+            assert pair_orbits(g.n, gens) == pair_orbits(g.n, brute_automorphisms(g))
 
 
 class TestEnumeration:

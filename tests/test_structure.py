@@ -26,6 +26,7 @@ from degpow.graphs import from_graph6, induced_subgraph, permute, remove_edge
 from helpers import (
     all_labeled_graphs,
     cycle_has_chord,
+    every_class,
     oracle_cycles,
     oracle_degeneracy,
     oracle_edge_connectivity,
@@ -229,8 +230,7 @@ class TestMinimalityPrefilters:
 
     def test_agree_with_flows_on_every_class(self):
         for n in range(1, 9):
-            classes = []
-            enumerate_graphs(n, visit=classes.append)
+            classes = every_class(n)
             for (public, flows, _), t in LEAVES:
                 assert [public(g, t) for g in classes] == [flows(g, t) for g in classes], (n, t)
 
@@ -273,9 +273,7 @@ class TestMinimalityPrefilters:
         monkeypatch.setattr(structure, "_flows_minimally_t_connected", counted)
         monkeypatch.setattr(structure, "_flows_minimally_t_edge_connected", no_flow)
         for n in (7, 8):
-            classes = []
-            enumerate_graphs(n, visit=classes.append)
-            for g in classes:
+            for g in every_class(n):
                 for t in (2, 3):
                     is_minimally_t_connected(g, t)
                 is_minimally_t_edge_connected(g, 2)

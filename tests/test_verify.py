@@ -339,7 +339,7 @@ class TestSuites:
         # enumeration, on every entry point
         import degpow.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "enumerate_graphs",
+        monkeypatch.setattr(verify_mod, "_visit",
                             lambda *args: pytest.fail("enumeration started"))
         task = ("theorem", {"thm": thm, "n": 5, "p_values": p_values, "k_values": k_values})
         for run in (lambda: validate_task(task), lambda: run_task(task),
