@@ -51,7 +51,7 @@ MUTANTS = (
            ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
             "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
     Mutant("c1-min-degree-filter", "src/degpow/verify.py",
-           "replace(pred, min_degree=1)", "replace(pred, min_degree=2)",
+           "replace(probe.pred, min_degree=1)", "replace(probe.pred, min_degree=2)",
            ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",)),
     Mutant("even-cycle-shared-edge", STRUCTURE,
            "if (on_cycle >> x) & 1:", "if False:",
@@ -88,13 +88,21 @@ MUTANTS = (
             "tests/test_enumeration.py::TestLabelSearch::"
             "test_certificate_invariant_under_relabelling")),
     Mutant("even-cycles-kept", ENUMERATION,
-           "if ecf:", "if False:",
+           "cap and not (ecf and structure.has_even_cycle(g))", "cap",
            ("tests/test_enumeration.py::TestClassSets::"
             "test_pinned_class_set_by_route",
             "tests/test_acceptance.py::test_criterion_04_corollary1_brute_force")),
     Mutant("edge-cap-not-cut", ENUMERATION,
-           "    classes = classes[:bisect_right(classes, cap, key=Graph.edge_count)]\n", "",
+           "return g.edge_count() <= cap and ", "return ",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",)),
+    Mutant("merge-drops-tied-witnesses", ENUMERATION,
+           "self._wits[p] += other._wits[p]", "pass",
+           ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),
+    Mutant("frontier-not-expanded", "src/degpow/grid.py",
+           "classes = _expand(unit.entries, unit.c4_free)[0]",
+           "classes = [entry[0] for entry in unit.entries]",
+           ("tests/test_grid.py::test_grid_units_visit_each_class_once",
+            "tests/test_cli.py::test_report_digests_pinned_with_a_process_pool")),
     Mutant("forest-edge-count", STRUCTURE,
            "if ends >= 2 * comp.bit_count():", "if False:",
            ("tests/test_structure.py::TestMinimalityPrefilters::"
@@ -124,6 +132,13 @@ MUTANTS = (
            ("tests/test_structure.py::TestConnectivity::"
             "test_only_cut_contains_the_least_degree_vertex",
             "tests/test_acceptance.py::test_criterion_11c_vertex_connectivity_oracle")),
+    Mutant("parse-range-materialised", "src/degpow/cli.py",
+           "values = range(int(lo), int(hi) + 1)", "values = list(range(int(lo), int(hi) + 1))",
+           ("tests/test_cli.py::TestVerify::test_range_flag_is_never_materialised",)),
+    Mutant("exact-digits-not-lifted", "src/degpow/cli.py",
+           "    sys.set_int_max_str_digits(0)\n", "",
+           ("tests/test_cli.py::TestVerify::test_value_past_the_digit_limit_reported_whole",
+            "tests/test_cli.py::TestEp::test_value_past_the_digit_limit_printed_whole")),
     Mutant("wheel-3", "src/degpow/families.py",
            "domain=lambda n: n >= 4", "domain=lambda n: n >= 3",
            ("tests/test_families.py::TestConstructors::test_parameter_validation",

@@ -40,7 +40,8 @@ from . import structure
 from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from .families import FAMILIES
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
-from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks, run_task,
+from .grid import run_grid
+from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks,
                      suite_rows, validate_task)
 
 FORMAT_VERSION = 1
@@ -340,6 +341,13 @@ def _write(path: str, text: str, mode: str = "w") -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
@@ -349,14 +357,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for path in filter(None, (args.json, args.csv)):
         _write(path, "", "a")
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
-    # never more workers than tasks: the pool forks all of them up front
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_task, tasks))
-    else:
-        chunks = [run_task(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+    # never more workers than CPUs to run them, nor (run_grid's cap) units
+    records = run_grid(tasks, min(args.jobs, _cpus()), ProcessPoolExecutor)
     finished = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     with _exact_digits():
         if args.json:

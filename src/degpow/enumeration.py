@@ -37,15 +37,24 @@ automorphisms for its own expansion.  Both families generated (below) are
 closed under edge deletion, so every class in them is reached exactly once,
 from the class obtained by deleting its canonical deletion edge.
 
+The tree is expanded below a list of entries (a labelled class, its
+automorphism generators, its edge count) by _expand, which may stop at a
+frontier edge count and return the entries it reached there unexpanded.
+_head is that expansion from the empty graph, and with no frontier it is
+the whole family.  A class is labelled by its own search, not by its
+parent's, so a subtree expanded by itself, in any process, yields the same
+representatives as the whole tree, and the subtrees below distinct
+frontier classes are disjoint: degpow.grid splits the large families so.
+
 Two families are generated per order, each whole and uncapped: all graphs
 and the C4-free graphs, each in (edge count, certificate) order.  Every
-class is cut or filtered out of one of them: an edge cap is a cut of that
-order, and an even-cycle-free class is the C4-free family filtered by
-has_even_cycle, so theorem 1 and corollary 1 at the same order share one
+class is cut or filtered out of one of them (_in_cut): an edge cap is a cut
+of that order, and an even-cycle-free class is the C4-free family filtered
+by has_even_cycle, so theorem 1 and corollary 1 at the same order share one
 generation.  The two families are kept in a module cache; derived tuples
 are not cached.  _visit walks a family's classes as generated, and is what
-the theorem passes and extremal_ep use; enumerate_graphs sorts the min-lex
-representatives of the same classes.
+extremal_ep uses; enumerate_graphs sorts the min-lex representatives of
+the same classes.
 
 The limits are resource limits only: orders 1 to ENUM_HARD_CAP, and the
 top order only for the C4-free and even-cycle-free families (all graphs on
@@ -54,7 +63,6 @@ top order only for the C4-free and even-cycle-free families (all graphs on
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -504,14 +512,24 @@ def _deletion_ties(adj: tuple[int, ...], u: int, v: int) -> list[tuple[int, int]
     return ties
 
 
-def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
-    """Every isomorphism class at order n, or every C4-free one, in (edge
-    count, certificate) order, each labelled by _label_search."""
-    root, _, gens = _labelled(new_graph(n, []))
-    found: list[tuple[int, Graph]] = [(0, root)]
-    stack = [(root, gens, 0)]
+# a labelled class, its automorphism generators and its edge count
+_Entry = tuple[Graph, list[list[int]], int]
+
+
+def _expand(entries: list[_Entry], c4_free: bool,
+            frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
+    """Every class below the entries in the augmentation tree, each
+    labelled by _label_search, and the frontier: the entries reached with
+    frontier edges, returned among the classes but not expanded."""
+    found: list[Graph] = []
+    reached: list[_Entry] = []
+    stack = list(entries)
     while stack:
-        g, gens, m = stack.pop()
+        entry = stack.pop()
+        g, gens, m = entry
+        if frontier is not None and m >= frontier:
+            reached.append(entry)
+            continue
         for u, v in _non_edge_orbits(g, gens):
             if c4_free and _creates_c4(g.adj, u, v):
                 continue
@@ -526,29 +544,50 @@ def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
                 added = tuple(sorted((sigma[u], sigma[v])))
                 if added not in _pair_orbit(child_gens, best):
                     continue
-            found.append((m + 1, rep))
+            found.append(rep)
             stack.append((rep, child_gens, m + 1))
+    return found, reached
+
+
+def _head(n: int, c4_free: bool, frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
+    """The family's classes with at most frontier edges (all of them for
+    None), the empty graph first, and the frontier entries below which
+    the rest of the family lies."""
+    root, _, gens = _labelled(new_graph(n, []))
+    found, reached = _expand([(root, gens, 0)], c4_free, frontier)
+    return [root, *found], reached
+
+
+def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
+    """Every isomorphism class at order n, or every C4-free one, in (edge
+    count, certificate) order, each labelled by _label_search."""
     # a labelled graph's adjacency is its certificate
-    found.sort(key=lambda item: (item[0], item[1].adj))
-    return tuple(rep for _, rep in found)
+    return tuple(sorted(_head(n, c4_free)[0], key=lambda g: (g.edge_count(), g.adj)))
+
+
+def _family(n: int, c4_free: bool) -> tuple[Graph, ...]:
+    """The family (n, c4_free) in _generate's order, generated once per
+    process."""
+    key = (n, c4_free)
+    if key not in _CLASS_CACHE:
+        _CLASS_CACHE[key] = _generate(*key)
+    return _CLASS_CACHE[key]
+
+
+def _in_cut(hkey: tuple[bool, bool, int], g: Graph) -> bool:
+    """Whether g, a class of the family hkey is read from (C4-free for
+    either cycle filter), passes hkey's edge cap and even-cycle filter."""
+    _, ecf, cap = hkey
+    return g.edge_count() <= cap and not (ecf and structure.has_even_cycle(g))
 
 
 def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
     """All isomorphism classes passing the hereditary filters, in
-    (edge count, certificate) order, as _label_search representatives.
-
-    Cut at the cap out of the cached family (n, c4_free); even cycles are
-    filtered out of the C4-free family.
-    """
-    c4f, ecf, cap = hkey
-    key = (n, c4f or ecf)
-    if key not in _CLASS_CACHE:
-        _CLASS_CACHE[key] = _generate(*key)
-    classes = _CLASS_CACHE[key]
-    classes = classes[:bisect_right(classes, cap, key=Graph.edge_count)]
-    if ecf:
-        classes = tuple(g for g in classes if not structure.has_even_cycle(g))
-    return classes
+    (edge count, certificate) order, as _label_search representatives:
+    the cached family (n, c4_free) cut at the cap, the C4-free family for
+    even-cycle-free classes."""
+    c4f, ecf, _ = hkey
+    return tuple(g for g in _family(n, c4f or ecf) if _in_cut(hkey, g))
 
 
 def check_enumerable(n: int, pred: SearchPredicate) -> None:
@@ -609,16 +648,20 @@ class ExtremalTracker:
     """Every maximiser of e_p over the visited graphs, for several p at once.
 
     Pass visit to _visit or enumerate_graphs; ties are all kept.  best[p]
-    is None until a graph is visited, and max_edges is the largest edge
-    count seen.
+    is None until a graph is visited, max_edges is the largest edge count
+    seen and count the number of graphs visited.  Trackers over disjoint
+    parts of a class merge into the tracker over the whole, whatever the
+    split and the visit order.
     """
 
     def __init__(self, p_values: Sequence[int]) -> None:
         self.best: dict[int, int | None] = dict.fromkeys(p_values)
         self._wits: dict[int, list[Graph]] = {p: [] for p in self.best}
         self.max_edges = 0
+        self.count = 0
 
     def visit(self, g: Graph) -> None:
+        self.count += 1
         self.max_edges = max(self.max_edges, g.edge_count())
         for p, best in self.best.items():
             value = ep(g, p)
@@ -627,6 +670,22 @@ class ExtremalTracker:
                 self._wits[p] = [g]
             elif value == best:
                 self._wits[p].append(g)
+
+    def merge(self, other: ExtremalTracker) -> None:
+        """Fold in a tracker over other graphs of the class, for the same p:
+        the larger maximum wins, the maximisers of a tied maximum are
+        united, and the counts add."""
+        self.count += other.count
+        self.max_edges = max(self.max_edges, other.max_edges)
+        for p, theirs in other.best.items():
+            ours = self.best[p]
+            if theirs is None:
+                continue
+            if ours is None or theirs > ours:
+                self.best[p] = theirs
+                self._wits[p] = list(other._wits[p])
+            elif theirs == ours:
+                self._wits[p] += other._wits[p]
 
     def witnesses(self, p: int) -> tuple[str, ...]:
         """graph6 of the maximisers' canonical representatives, sorted."""

@@ -13,7 +13,8 @@ places that state the checks:
 - THEOREMS, the brute-forced statements: per check id its least order,
   its graph class and its claimed extremal families.  A theorem task is
   planned (validated) once and enumerates each check's class once (once
-  per k for t4), scoring every p in that pass.
+  per k for t4), scoring every p in that pass; degpow.grid runs a whole
+  grid with one pass per family instead, through the same scoring.
 - LEMMAS, the parity and least order of Lemma 1 and Lemma 1.2, whose
   comparison tuples one builder (lemma_tuples) states for both.
 - THRESHOLD_PAIRS, the crossover tables: families, scanned orders,
@@ -28,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .enumeration import (
     ExtremalTracker,
     SearchPredicate,
-    _visit,
+    _family,
+    _in_cut,
     canonical_graph,
     check_enumerable,
 )
@@ -256,26 +258,68 @@ def _theorem_plans(thm: str, n: int, p_values: Sequence[int],
     return [_theorem_plan(check, n, p_values, k) for check, k in checks]
 
 
-def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int]) -> list[VerificationRecord]:
-    """One enumeration of the check's class, scored at every p.
+class _Probe(NamedTuple):
+    """What one plan asks of each class of its family, picklable: the
+    predicate, the exponents scored, and whether the min-degree >= 1
+    subclass is tracked too (borrowed facts)."""
+
+    pred: SearchPredicate
+    p_values: tuple[int, ...]
+    borrowed: bool
+
+
+# a probe's trackers: over its class, and over the class's min-degree >= 1
+# subclass (None unless the probe borrows facts)
+_Trackers = tuple[ExtremalTracker, "ExtremalTracker | None"]
+
+
+def _probe(plan: _Plan, p_values: Sequence[int]) -> _Probe:
+    return _Probe(plan[3], tuple(p_values), plan[2].borrowed_facts)
+
+
+def _reads_c4_free(pred: SearchPredicate) -> bool:
+    """Whether pred's classes are read out of the C4-free family."""
+    return pred.c4_free or pred.even_cycle_free
+
+
+def _probe_classes(n: int, probes: Sequence[_Probe], classes: Iterable[Graph]) -> list[_Trackers]:
+    """One pass over classes of one family for every probe: its edge cap
+    and even-cycle filter, its leaf predicate, and its trackers."""
+    full = n * (n - 1) // 2
+    tests = []
+    for probe in probes:
+        hkey = probe.pred.hereditary_key(n)
+        # a probe without a cap or a cycle filter takes the whole family
+        cut = hkey if hkey[1] or hkey[2] < full else None
+        restricted = replace(probe.pred, min_degree=1) if probe.borrowed else None
+        tests.append((cut, probe.pred, restricted))
+    trackers = [(ExtremalTracker(probe.p_values),
+                 ExtremalTracker(probe.p_values) if probe.borrowed else None) for probe in probes]
+    for g in classes:
+        for (cut, pred, restricted_pred), (tracker, restricted) in zip(tests, trackers):
+            if (cut is None or _in_cut(cut, g)) and pred.leaf_ok(g):
+                tracker.visit(g)
+                if restricted_pred is not None and restricted_pred.leaf_ok(g):
+                    restricted.visit(g)
+    return trackers
+
+
+def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int],
+                  trackers: _Trackers | None = None) -> list[VerificationRecord]:
+    """The check's records, one per p, scored from its trackers: those
+    given, or one pass over the family cached in this process.
 
     For each p the maximum and the complete witness set must equal those of
     the claimed extremal families (uniqueness included), and each family's
     closed form must equal e_p of its construction.
     """
     check, k, spec, pred = plan
+    if trackers is None:
+        family = _family(n, _reads_c4_free(pred))
+        trackers = _probe_classes(n, [_probe(plan, p_values)], family)[0]
+    tracker, restricted = trackers
     claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
-    tracker = ExtremalTracker(p_values)
-    visit = tracker.visit
-    if spec.borrowed_facts:
-        restricted_pred, restricted = replace(pred, min_degree=1), ExtremalTracker(p_values)
-
-        def visit(g: Graph) -> None:
-            tracker.visit(g)
-            if restricted_pred.leaf_ok(g):
-                restricted.visit(g)
-
-    examined = _visit(n, pred, visit)
+    examined = tracker.count
     records = []
     for p in p_values:
         values = [(to_graph6(g).decode("ascii"), ep_closed_form(fam, n, p), ep(g, p))
@@ -286,7 +330,7 @@ def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int]) -> list[Verifica
         best, found = tracker.best[p], tracker.witnesses(p)
         ok = not mismatch and best == expected_max and found == expected
         detail: dict = {"predicate": pred.describe(), "graphs_examined": examined}
-        if spec.borrowed_facts:
+        if restricted is not None:
             agrees = restricted.best[p] == best and restricted.witnesses(p) == found
             ok = ok and tracker.max_edges <= _edge_cap(n) and agrees
             detail = {"graphs_examined": examined, "max_edges_seen": tracker.max_edges,
@@ -297,6 +341,11 @@ def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int]) -> list[Verifica
         params = {"n": n, "p": p, **({"k": k} if spec.takes_k else {})}
         records.append(VerificationRecord.judged(ok, check, params, best, witness, detail))
     return records
+
+
+def _p_major(passes: list[list[VerificationRecord]]) -> list[VerificationRecord]:
+    """One task's records: for each p, every check and k."""
+    return [records[i] for i in range(len(passes[0])) for records in passes]
 
 
 def brute_force_theorem(thm: str, n: int, p: int, *, k: int | None = None) -> VerificationRecord:
@@ -516,9 +565,8 @@ def theorem_records(
     Whatever validate_task rejects, such as t4 with n < k+1 for every k,
     raises the same ValueError before anything is enumerated.
     """
-    passes = [_theorem_pass(plan, n, p_values)
-              for plan in _theorem_plans(thm, n, p_values, k_values)]
-    return [records[i] for i in range(len(p_values)) for records in passes]
+    return _p_major([_theorem_pass(plan, n, p_values)
+                     for plan in _theorem_plans(thm, n, p_values, k_values)])
 
 
 class _TaskKind(NamedTuple):

@@ -255,7 +255,7 @@ class TestVerify:
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     def test_unwritable_report_exits_two_before_running(self, tmp_path, capsys, monkeypatch,
                                                         flag):
-        monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
+        monkeypatch.setattr(cli_mod, "run_grid", lambda *args: pytest.fail("task ran"))
         path = str(tmp_path / "nonexistent" / "r.out")
         code, out, err = run_cli(capsys, "verify", "lemma1", "--n", "7", "--p", "2", flag, path)
         assert code == 2 and out == ""
@@ -265,7 +265,7 @@ class TestVerify:
     @pytest.mark.parametrize("kept_first", [True, False])
     def test_refused_run_leaves_existing_reports_intact(self, tmp_path, capsys, monkeypatch,
                                                         kept, bad, kept_first):
-        monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
+        monkeypatch.setattr(cli_mod, "run_grid", lambda *args: pytest.fail("task ran"))
         keep = tmp_path / "keep.out"
         keep.write_bytes(b"an earlier report\n")
         flags = [[kept, str(keep)], [bad, str(tmp_path / "nonexistent" / "r.out")]]
@@ -290,7 +290,7 @@ class TestVerify:
         bad = VerificationRecord(
             check="demo", params={"n": 4}, verdict="fail", witness={"g6": "C~"}
         )
-        monkeypatch.setattr(cli_mod, "run_task", lambda task: [bad])
+        monkeypatch.setattr(cli_mod, "run_grid", lambda *args: [bad])
         code, out, _ = run_cli(capsys, "verify", "polarity", "--q", "2", "--p", "2")
         assert code == 1
         assert "witness" in out and "C~" in out
@@ -325,6 +325,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "thm2", "--n", "4..x")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--n" in err and "4..x" in err
+
+    def test_range_flag_is_never_materialised(self):
+        # the guard and the caps read a range's bounds; a list of its values
+        # would cost memory in proportion to the range typed
+        assert cli_mod._parse_range("n", "4..9") == range(4, 10)
+        assert isinstance(cli_mod._parse_range("p", "2..2"), range)
 
     def test_empty_range_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "thm2", "--p", "5..2")
@@ -370,7 +376,7 @@ class TestVerify:
         # caps are checked on the axis bounds, before any task is built
         monkeypatch.setattr(cli_mod, "grid_tasks", lambda row: pytest.fail("tasks built"))
         monkeypatch.setattr(cli_mod, "validate_task", lambda task: pytest.fail("validated"))
-        monkeypatch.setattr(cli_mod, "run_task", lambda task: pytest.fail("task ran"))
+        monkeypatch.setattr(cli_mod, "run_grid", lambda *args: pytest.fail("task ran"))
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err == f"degpow: error: {message}\n"
@@ -401,33 +407,34 @@ class TestVerify:
         args = build_parser().parse_args(["verify", "lemma1", "--n", "4..9", "--p", "1..2"])
         assert [kw["n"] for _, kw in _build_tasks(args)] == [7, 9]
 
-    @pytest.mark.parametrize("argv, records", [
-        (("thm1", "--n", "5", "--p", "2,2"), ["t1 [n=5;p=2] pass value=32"]),
-        (("thm1", "--n", "5,5", "--p", "2"), ["t1 [n=5;p=2] pass value=32"]),
-        (("thm4", "--n", "5", "--k", "1,1", "--p", "2"), ["t4 [k=1;n=5;p=2] pass value=20"]),
-        (("polarity", "--q", "2,2", "--p", "2"), ["polarity [p=2;q=2] pass value=-12"]),
+    @pytest.mark.parametrize("argv, records, families", [
+        (("thm1", "--n", "5", "--p", "2,2"), ["t1 [n=5;p=2] pass value=32"], [(5, True)]),
+        (("thm1", "--n", "5,5", "--p", "2"), ["t1 [n=5;p=2] pass value=32"], [(5, True)]),
+        (("thm4", "--n", "5", "--k", "1,1", "--p", "2"), ["t4 [k=1;n=5;p=2] pass value=20"],
+         [(5, False)]),
+        (("polarity", "--q", "2,2", "--p", "2"), ["polarity [p=2;q=2] pass value=-12"], []),
         (("thm1", "--n", "6,5,6", "--p", "3,2,3"),
          ["t1 [n=6;p=3] pass value=158", "t1 [n=6;p=2] pass value=42",
-          "t1 [n=5;p=3] pass value=96", "t1 [n=5;p=2] pass value=32"]),
+          "t1 [n=5;p=3] pass value=96", "t1 [n=5;p=2] pass value=32"], [(6, True), (5, True)]),
     ], ids=["p-twice", "n-twice", "k-twice", "q-twice", "first-kept"])
-    def test_repeated_values_run_once(self, capsys, monkeypatch, argv, records):
-        # a repeated value is kept once, in the order it first appears
-        import degpow.verify as verify_mod
+    def test_repeated_values_run_once(self, capsys, monkeypatch, argv, records, families):
+        # a repeated value is kept once, in the order it first appears, and
+        # each (n, family) is generated once, from the empty graph
+        import degpow.grid as grid_mod
 
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
-        enumerations = []
-        visit_classes = verify_mod._visit
+        generated = []
+        head = grid_mod._head
 
-        def counting(n, pred, visit):
-            enumerations.append(n)
-            return visit_classes(n, pred, visit)
+        def counting(n, c4_free, *frontier):
+            generated.append((n, c4_free))
+            return head(n, c4_free, *frontier)
 
-        monkeypatch.setattr(verify_mod, "_visit", counting)
+        monkeypatch.setattr(grid_mod, "_head", counting)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert out.splitlines() == records + [f"{len(records)}/{len(records)} checks passed"]
-        if argv[0] != "polarity":
-            assert len(enumerations) == len(set(enumerations))
+        assert generated == families
 
     def test_theorem_tasks_running_no_check_are_dropped(self, monkeypatch):
         # t4 with k runs at n >= k+1 only; the orders below run nothing
@@ -556,12 +563,18 @@ def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     (("thm2", "--n", "4..5"), "3", [2]),
     (("thm2", "--n", "4"), "8", []),
     (("thm2", "--n", "4..7"), "1", []),
+    (("thm2", "--n", "7"), "2", [2]),
+    (("lemma1",), "5000", [2]),
 ])
 def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
+    # workers = min(--jobs, CPUs the process may run on, units), with 4
+    # CPUs here.  thm2 --n 4..7 is 11 units (n = 4, 5, 6 whole, n = 7 split
+    # in 8), --n 4..5 two, --n 4 one, and the one task at n = 7 eight; the 28
+    # lemma1 tasks at p = 2 run 16 to a unit.  No process starts.
     built = []
 
     class RecordingPool:
-        """Records max_workers and runs the tasks in this process."""
+        """Records max_workers and runs the units in this process."""
 
         def __init__(self, max_workers):
             built.append(max_workers)
@@ -576,5 +589,18 @@ def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
             return map(fn, items)
 
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     code, _, _ = run_cli(capsys, "verify", *argv, "--p", "2", "--jobs", jobs)
     assert code == 0 and built == workers
+
+
+@pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("thm2", "--n", "4..7"),
+                                  ("thm4", "--n", "2..7")], ids=" ".join)
+def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv):
+    # a real pool of two workers, whatever the CPUs here
+    monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", "2", "--json", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]

@@ -48,6 +48,18 @@ def test_no_parameter_named_large():
     assert _nodes(large_parameter) == []
 
 
+def test_only_the_cli_imports_process_pools():
+    # importing concurrent.futures costs the task workloads about 20 ms of
+    # setup; the grid runner takes its pool from the CLI
+    def pool_import(node: ast.AST) -> bool:
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        return any(name.split(".")[0] in ("concurrent", "multiprocessing") for name in names)
+
+    assert [site for site in _nodes(pool_import) if not site.startswith("cli.py:")] == []
+    assert [site for site in _nodes(pool_import) if site.startswith("cli.py:")]
+
+
 def test_benchmark_trace_targets_exist():
     # the traced benchmark pass wraps these functions by name at install;
     # read the table without importing the tracer

@@ -339,11 +339,17 @@ class TestSuites:
         # enumeration, on every entry point
         import degpow.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "_visit",
-                            lambda *args: pytest.fail("enumeration started"))
+        import degpow.grid as grid_mod
+
+        def generation(*args):
+            pytest.fail("enumeration started")
+
+        monkeypatch.setattr(verify_mod, "_family", generation)
+        monkeypatch.setattr(grid_mod, "_head", generation)
         task = ("theorem", {"thm": thm, "n": 5, "p_values": p_values, "k_values": k_values})
         for run in (lambda: validate_task(task), lambda: run_task(task),
-                    lambda: theorem_records(thm, 5, p_values, k_values)):
+                    lambda: theorem_records(thm, 5, p_values, k_values),
+                    lambda: grid_mod.run_grid([task])):
             with pytest.raises(ValueError) as raised:
                 run()
             assert str(raised.value) == message
