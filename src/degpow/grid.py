@@ -7,8 +7,7 @@ c4_free), so that each family is generated once per run, and one pass over
 each class serves every plan grouped on its family.
 
 The work is cut into units that do not depend on the worker count:
-- the non-theorem tasks run whole, TASKS_PER_UNIT consecutive ones to a
-  unit;
+- each non-theorem task runs whole, as one unit;
 - a family _split_depth keeps whole is one unit;
 - any other family is generated down to its split depth by the caller
   (its head), and the frontier classes there are dealt into UNITS_PER_SPLIT
@@ -33,7 +32,6 @@ from .verify import (VerificationRecord, _Trackers, _p_major, _Probe, _probe, _p
                      _reads_c4_free, _theorem_pass, _theorem_plans, run_task)
 
 UNITS_PER_SPLIT = 8
-TASKS_PER_UNIT = 16
 
 _Family = tuple[int, bool]  # (n, c4_free)
 
@@ -62,25 +60,28 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
 
 
 def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
-    """The frontier entries dealt round robin into parts, heaviest first.
+    """The frontier entries dealt round robin into parts, least e_2 first.
 
-    The largest subtrees lie below the frontier classes whose degrees are
-    spread most evenly, those of least e_2, so each part gets one of them
-    before any gets a second."""
+    The largest subtrees lie below frontier classes of small e_2, whose
+    degrees are spread evenly: by e_2 the three largest rank 2, 3 and 9 of
+    221 at n = 8, 2, 5 and 7 of 65 at n = 7 and, C4-free, 2, 4 and 5 of 103
+    at n = 9, so they go to different parts.  Handed to two workers in
+    unit order, the parts leave the busier worker 4 to 12 per cent fewer
+    classes than the entries dealt unsorted (BENCH_18.json)."""
     ordered = sorted(entries, key=lambda entry: ep(entry[0], 2))
     return [ordered[i::parts] for i in range(parts)]
 
 
-def run_unit(unit: _Unit | list[tuple[str, dict]]) -> list:
+def run_unit(unit: _Unit | tuple[str, dict]) -> list:
     """One unit (picklable, for process pools): a family unit's trackers,
-    one pair per probe, or the records of each of a list of grid tasks."""
+    one pair per probe, or a grid task's records."""
     if isinstance(unit, _Unit):
         if unit.entries is None:
             classes = _head(unit.n, unit.c4_free)[0]
         else:
             classes = _expand(unit.entries, unit.c4_free)[0]
         return _probe_classes(unit.n, unit.probes, classes)
-    return [run_task(task) for task in unit]
+    return run_task(unit)
 
 
 def _merge(found: list[_Trackers], part: list[_Trackers]) -> None:
@@ -90,31 +91,28 @@ def _merge(found: list[_Trackers], part: list[_Trackers]) -> None:
             restricted.merge(theirs_restricted)
 
 
-def _run_units(mapper: Callable[..., Iterable], batches: list[list[tuple[str, dict]]],
+def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
                families: dict[_Family, list[_Probe]],
                split: dict[_Family, int]) -> tuple[list[list[VerificationRecord]], dict]:
-    """The records of the batched tasks, and each family's trackers per
-    probe.
+    """The records of each non-theorem task, in grid order, and each
+    family's trackers per probe.
 
-    The units that need no head go first; each split family's subtree
-    units follow as soon as its head is generated, and its head classes
-    are visited here while they run."""
+    The heads are generated first and every unit goes out in one map: the
+    split families' subtree units, the whole families, then the tasks.  The
+    head classes are visited here while the units run."""
+    heads = {key: _head(*key, depth) for key, depth in split.items()}
+    parts = [(key, _Unit(*key, families[key], part))
+             for key, (_, entries) in heads.items() for part in _deal(entries, UNITS_PER_SPLIT)]
     whole = [key for key in families if key not in split]
-    first = mapper(run_unit, [*batches, *(_Unit(*key, families[key], None) for key in whole)])
-    heads = []
-    for key, depth in split.items():
-        classes, entries = _head(*key, depth)
-        parts = mapper(run_unit, [_Unit(*key, families[key], part)
-                                  for part in _deal(entries, UNITS_PER_SPLIT)])
-        heads.append((key, _probe_classes(key[0], families[key], classes), parts))
-    results = iter(first)
-    chunks = [records for _ in batches for records in next(results)]
-    found = dict(zip(whole, results))
-    for key, merged, parts in heads:
-        for part in parts:
-            _merge(merged, part)
-        found[key] = merged
-    return chunks, found
+    results = iter(mapper(run_unit, [*(unit for _, unit in parts),
+                                     *(_Unit(*key, families[key], None) for key in whole),
+                                     *other]))
+    found = {key: _probe_classes(key[0], families[key], classes)
+             for key, (classes, _) in heads.items()}
+    for key, _ in parts:
+        _merge(found[key], next(results))
+    found.update((key, next(results)) for key in whole)
+    return list(results), found
 
 
 def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
@@ -140,17 +138,16 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
             probes.append(_probe(plan, kw["p_values"]))
         layout.append(slots)
     other = [task for task, slots in zip(tasks, layout) if slots is None]
-    batches = [other[i:i + TASKS_PER_UNIT] for i in range(0, len(other), TASKS_PER_UNIT)]
     # the largest families first: all graphs before C4-free, higher orders first
     split = {key: depth for key in sorted(families, key=lambda key: (not key[1], key[0]),
                                           reverse=True)
              if (depth := _split_depth(*key)) is not None}
-    units = len(batches) + len(families) - len(split) + UNITS_PER_SPLIT * len(split)
+    units = len(other) + len(families) - len(split) + UNITS_PER_SPLIT * len(split)
     if pool is not None and min(workers, units) > 1:
         with pool(max_workers=min(workers, units)) as executor:
-            chunks, found = _run_units(executor.map, batches, families, split)
+            chunks, found = _run_units(executor.map, other, families, split)
     else:
-        chunks, found = _run_units(map, batches, families, split)
+        chunks, found = _run_units(map, other, families, split)
     records: list[VerificationRecord] = []
     chunk = iter(chunks)
     for (_, kw), slots in zip(tasks, layout):

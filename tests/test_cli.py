@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -558,19 +559,22 @@ def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
 
 
 @pytest.mark.parametrize("argv, jobs, workers", [
-    (("thm2", "--n", "4..7"), "5000", [4]),
-    (("thm2", "--n", "4..7"), "2", [2]),
-    (("thm2", "--n", "4..5"), "3", [2]),
-    (("thm2", "--n", "4"), "8", []),
-    (("thm2", "--n", "4..7"), "1", []),
-    (("thm2", "--n", "7"), "2", [2]),
-    (("lemma1",), "5000", [2]),
+    (("thm2", "--n", "4..7", "--p", "2"), "5000", [4]),
+    (("thm2", "--n", "4..7", "--p", "2"), "2", [2]),
+    (("thm2", "--n", "4..5", "--p", "2"), "3", [2]),
+    (("thm2", "--n", "4", "--p", "2"), "8", []),
+    (("thm2", "--n", "4..7", "--p", "2"), "1", []),
+    (("thm2", "--n", "7", "--p", "2"), "2", [2]),
+    (("lemma1", "--p", "2"), "5000", [4]),
+    (("thresholds",), "2", [2]),
+    (("appendixA",), "3", [3]),
 ])
 def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
     # workers = min(--jobs, CPUs the process may run on, units), with 4
     # CPUs here.  thm2 --n 4..7 is 11 units (n = 4, 5, 6 whole, n = 7 split
-    # in 8), --n 4..5 two, --n 4 one, and the one task at n = 7 eight; the 28
-    # lemma1 tasks at p = 2 run 16 to a unit.  No process starts.
+    # in 8), --n 4..5 two, --n 4 one, and the one task at n = 7 eight; each
+    # of the 28 lemma1 tasks at p = 2, the 17 thresholds tasks and the 13
+    # appendixA tasks is a unit.  No process starts.
     built = []
 
     class RecordingPool:
@@ -590,17 +594,27 @@ def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
 
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    code, _, _ = run_cli(capsys, "verify", *argv, "--p", "2", "--jobs", jobs)
+    code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", jobs)
     assert code == 0 and built == workers
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("thm2", "--n", "4..7"),
                                   ("thm4", "--n", "2..7")], ids=" ".join)
-def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv):
-    # a real pool of two workers, whatever the CPUs here
+def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv, jobs):
+    # a real pool of --jobs workers, whatever the CPUs here: an odd count
+    # deals the units to the workers in another schedule
     monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    built = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
     path = tmp_path / "r.json"
-    code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", "2", "--json", str(path))
-    assert code == 0
+    code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", str(jobs), "--json", str(path))
+    assert code == 0 and built == [jobs]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]

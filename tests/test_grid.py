@@ -18,10 +18,9 @@ from degpow.verify import run_task
 from test_enumeration import PINNED_CLASS_SETS
 
 # (n, c4_free, frontier depth): several depths per family, _split_depth's
-# among them; the whole n=8 family only at its own
+# among them; the n=8 all-graph family has a test of its own
 SPLITS = sorted({(n, False, depth) for n in range(1, 8) for depth in (0, n // 2, n, 30)}
-                | {(n, True, depth) for n in range(4, 10) for depth in (0, n - 2, n + 1)}
-                | {(8, False, 8)})
+                | {(n, True, depth) for n in range(4, 10) for depth in (0, n - 2, n + 1)})
 
 
 @cache
@@ -61,6 +60,17 @@ def test_subtrees_partition_the_family(n, c4_free, depth):
             assert hashlib.sha256(b"".join(cut)).hexdigest() == digest
 
 
+def test_split_units_partition_the_n8_family():
+    # the largest family as run_grid splits it: the head and the units, each
+    # expanding its entries at once, hold each class once.  The family's
+    # forms are pinned by test_enumeration's check of this cached family.
+    head, entries = enumeration._head(8, False, grid._split_depth(8, False))
+    union = Counter(head)
+    for part in grid._deal(entries, grid.UNITS_PER_SPLIT):
+        union.update(enumeration._expand(part, False)[0])
+    assert union == Counter(enumeration._family(8, False))
+
+
 # every class on 6 vertices with at most 7 edges; e_1 = 2m, so at p=1 every
 # class of the largest edge count in a part is a maximiser
 CLASSES = [g for g in enumeration._generate(6, False) if g.edge_count() <= 7]
@@ -97,10 +107,10 @@ def test_empty_trackers_merge_to_an_empty_tracker():
 
 
 # two split families (all graphs at n=7, C4-free at n=9), one kept whole and
-# read by two checks (C4-free at n=6), and a closed-form task
+# read by two checks (C4-free at n=6), and closed-form tasks between them
 TASKS = [
     ("theorem", {"thm": "t2", "n": 7, "p_values": (2, 3)}),
-    ("lemma", {"lemma": "lemma1", "n": 9, "p": 3}),
+    *[("lemma", {"lemma": "lemma1", "n": n, "p": 3}) for n in range(7, 47, 2)],
     ("theorem", {"thm": "t4", "n": 7, "p_values": (2,), "k_values": (1, 2, 3)}),
     ("theorem", {"thm": "c1", "n": 6, "p_values": (2, 3)}),
     ("theorem", {"thm": "t1", "n": 9, "p_values": (2,)}),
