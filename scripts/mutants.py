@@ -87,6 +87,17 @@ MUTANTS = (
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestLabelSearch::"
             "test_certificate_invariant_under_relabelling")),
+    Mutant("degree-test-too-strict", ENUMERATION,
+           "at_least[deg[v] + 2] and not adj[v] & at_least[deg[u] + 2]",
+           "at_least[deg[v] + 1] and not adj[v] & at_least[deg[u] + 1]",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestAugmentation::"
+            "test_degree_rule_drops_only_rejected_orbits")),
+    Mutant("degree-test-one-sided", ENUMERATION,
+           " and not adj[v] & at_least[deg[u] + 2]", "",
+           ("tests/test_enumeration.py::TestAugmentation::test_work_counts_pinned",
+            "tests/test_enumeration.py::TestAugmentation::"
+            "test_degree_rule_drops_only_rejected_orbits")),
     Mutant("even-cycles-kept", ENUMERATION,
            "cap and not (ecf and structure.has_even_cycle(g))", "cap",
            ("tests/test_enumeration.py::TestClassSets::"
@@ -132,6 +143,10 @@ MUTANTS = (
            ("tests/test_structure.py::TestConnectivity::"
             "test_only_cut_contains_the_least_degree_vertex",
             "tests/test_acceptance.py::test_criterion_11c_vertex_connectivity_oracle")),
+    Mutant("part-ii-built-up-front", "src/degpow/verify.py",
+           "return t1, t2, _PartII(n, o)", "return t1, t2, dict(_PartII(n, o))",
+           ("tests/test_verify.py::TestLemmaTuples::"
+            "test_record_at_the_lemma_cap_holds_one_tuple_at_a_time",)),
     Mutant("parse-range-materialised", "src/degpow/cli.py",
            "values = range(int(lo), int(hi) + 1)", "values = list(range(int(lo), int(hi) + 1))",
            ("tests/test_cli.py::TestVerify::test_range_flag_is_never_materialised",)),

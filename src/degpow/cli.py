@@ -226,7 +226,8 @@ def _first_above(values: range | list[int], bound: int) -> int | None:
 # the largest order each closed-form scan kind may reach, as (task keyword,
 # cap).  At the threshold and appendix caps the costliest admitted task (the
 # exponent its window admits that costs most) takes 8-9 s on a 2-vCPU VM;
-# the lemma cap bounds the part (ii) tuples held at once (77 MB, 1.7 s at p=8)
+# the lemma cap bounds a task's time (1.8 s at p=8), as its tuples are
+# built one at a time
 SCAN_CAPS = {"lemma": ("n", 4001), "threshold": ("n_max", 9000), "appendixA": ("n_max", 16_000)}
 # the most values a p axis (--p, or --pmax's range) may hold: each is a scan
 # task or an exponent every theorem class is scored at.  Its length is

@@ -31,11 +31,16 @@ by one non-edge per orbit of its automorphism group.  A child is kept only
 if the added edge lies in the orbit of the child's canonical deletion edge:
 among the edges maximising (degree sum, smaller degree, common neighbours),
 the one whose pair of labelled positions is largest.  The invariant
-rejects most children before any search, as in nauty's geng; a surviving
-child costs one labelling search, which also relabels it and supplies its
-automorphisms for its own expansion.  Both families generated (below) are
-closed under edge deletion, so every class in them is reached exactly once,
-from the class obtained by deleting its canonical deletion edge.
+rejects most children before any search, as in nauty's geng, and most of
+those before they are built: the parent's degrees already show when an
+edge at u or v would beat the new edge uv on degree sum, so that orbit of
+non-edges is dropped whole (_non_edge_orbits; 102,642 of the 125,120
+candidates at n = 8).  The others are built and scanned in full
+(_deletion_ties).  A surviving child costs one labelling search, which
+also relabels it and supplies its automorphisms for its own expansion.
+Both families generated (below) are closed under edge deletion, so every
+class in them is reached exactly once, from the class obtained by deleting
+its canonical deletion edge.
 
 The tree is expanded below a list of entries (a labelled class, its
 automorphism generators, its edge count) by _expand, which may stop at a
@@ -471,10 +476,29 @@ def _pair_orbit(gens: list[list[int]], pair: tuple[int, int]) -> set[tuple[int, 
 
 
 def _non_edge_orbits(g: Graph, gens: list[list[int]]) -> list[tuple[int, int]]:
-    """One non-edge per orbit of the automorphism group gens generate."""
+    """One non-edge per orbit of the automorphism group gens generate, the
+    least pair of each, leaving out the orbits whose child _deletion_ties
+    would reject on degree sums alone.
+
+    Adding uv gives it the degree sum deg[u] + deg[v] + 2, in the parent's
+    degrees, and gives an edge xu the sum deg[x] + deg[u] + 1 (x is not v).
+    So if u has a neighbour of degree deg[v] + 2 or more, or v one of
+    degree deg[u] + 2 or more, some edge of the child has a larger
+    invariant than uv.  The rule is symmetric in u and v and reads only
+    degrees, which automorphisms keep, so it keeps or drops each orbit
+    whole, and a kept orbit keeps its representative.
+    """
     adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    # at_least[d]: the vertices of degree d or more; a non-edge uv has deg[v] <= n - 2
+    at_least = [0] * (g.n + 1)
+    for x, d in enumerate(deg):
+        at_least[d] |= 1 << x
+    for d in range(g.n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
     non_edges = [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not (adj[u] >> v) & 1
+        and not adj[u] & at_least[deg[v] + 2] and not adj[v] & at_least[deg[u] + 2]
     ]
     if not gens:
         return non_edges

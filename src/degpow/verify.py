@@ -28,8 +28,8 @@ rows.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from itertools import product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain, product
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .enumeration import (
     ExtremalTracker,
@@ -88,7 +88,7 @@ class VerificationRecord:
 # Lemma 1 (odd n) plus F_n's unmatched leaf, so with o = 1 - n % 2 one
 # builder states the tuples of both.
 LEMMAS = {"lemma1": (1, 7), "lemma12": (0, 6)}
-_LemmaTuples = tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]
+_LemmaTuples = tuple[tuple[int, ...], tuple[int, ...], Mapping[int, tuple[int, ...]]]
 
 
 def _lemma_parity(lemma: str, n: int) -> int:
@@ -101,9 +101,30 @@ def _lemma_parity(lemma: str, n: int) -> int:
     return parity
 
 
+class _PartII(Mapping):
+    """Part (ii)'s tuples by q, each built when it is read, so a check
+    holds one n-tuple at a time rather than (n-1)/2 of them."""
+
+    def __init__(self, n: int, o: int) -> None:
+        self.n, self.o, self.qs = n, o, range(2, (n - 1) // 2)
+
+    def __getitem__(self, q: int) -> tuple[int, ...]:
+        if q not in self.qs:
+            raise KeyError(q)
+        n = self.n
+        r, eps = divmod((q - 1) * (n - 2) + self.o, q)
+        return (n - q,) + (q + 1,) * (n - r - 2) + (q + 1 - eps,) + (1,) * r
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.qs)
+
+    def __len__(self) -> int:
+        return len(self.qs)
+
+
 def lemma_tuples(lemma: str, n: int) -> _LemmaTuples:
     """The two displayed n-tuples of part (i) and, per admitted q, that of
-    part (ii); lemma_tuple_check checks their shape.
+    part (ii), built lazily; lemma_tuple_check checks their shape.
 
     Each sums to 3(n-1) - o.  Part (ii) admits 2 <= q < floor((n-1)/2) (none at
     a boundary n) with r, epsilon = divmod((q-1)(n-2) + o, q), epsilon being
@@ -112,11 +133,7 @@ def lemma_tuples(lemma: str, n: int) -> _LemmaTuples:
     o, h = 1 - _lemma_parity(lemma, n), n // 2 + 1
     t1 = (n - 1,) + (2,) * (n - 1 - o) + (1,) * o
     t2 = (h, h - o, h - o, h - 1 - o) + (1,) * (n - 4)
-    part_ii = {}
-    for q in range(2, (n - 1) // 2):
-        r, eps = divmod((q - 1) * (n - 2) + o, q)
-        part_ii[q] = (n - q,) + (q + 1,) * (n - r - 2) + (q + 1 - eps,) + (1,) * r
-    return t1, t2, part_ii
+    return t1, t2, _PartII(n, o)
 
 
 def _check_lemma_args(lemma: str, n: int, p: int) -> None:
@@ -135,7 +152,8 @@ def lemma_tuple_check(lemma: str, n: int, p: int) -> VerificationRecord:
     t1, t2, part_ii = lemma_tuples(lemma, n)
     params = {"n": n, "p": p}
     total = 3 * (n - 1) - (1 - n % 2)
-    for t in (t1, t2, *part_ii.values()):
+    # a malformed tuple wins over a norm failure; part (ii) is built again below
+    for t in chain((t1, t2), part_ii.values()):
         if len(t) != n or sum(t) != total or any(a < b for a, b in zip(t, t[1:])):
             return VerificationRecord.judged(False, lemma, params,
                                              witness={"malformed": list(t), "sum": total})

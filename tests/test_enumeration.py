@@ -18,7 +18,7 @@ from degpow.enumeration import (
     extremal_ep,
 )
 from degpow.families import complete_bipartite, cycle_graph, friendship, split_graph, wheel
-from degpow.graphs import from_graph6, new_graph, permute, to_graph6
+from degpow.graphs import add_edge, from_graph6, new_graph, permute, to_graph6
 from degpow.structure import has_c4
 
 from helpers import all_labeled_graphs
@@ -447,6 +447,59 @@ class TestClassSets:
         count = enumerate_graphs(7, THEOREMS["c1"].predicate(7, None))
         assert count == PINNED_CLASS_SETS[(7, False, True, 21)][0]
         assert searches["calls"] == generated
+
+
+def degree_rule_drops(g, u, v):
+    """The parent-side deletion rule on the non-edge uv, from the parent's
+    degrees: some neighbour of u has degree above deg(v) + 1, or some
+    neighbour of v above deg(u) + 1."""
+    deg = [g.degree(x) for x in range(g.n)]
+    top = [max((deg[y] for y in range(g.n) if g.has_edge(x, y)), default=0)
+           for x in range(g.n)]
+    return top[u] > deg[v] + 1 or top[v] > deg[u] + 1
+
+
+class TestAugmentation:
+    """The degree rule that drops non-edge orbits before their child is
+    built, and the work generation does with it."""
+
+    @pytest.mark.parametrize("n, c4_free", [(n, False) for n in range(1, 8)]
+                             + [(n, True) for n in range(1, 9)])
+    def test_degree_rule_drops_only_rejected_orbits(self, n, c4_free):
+        # every class of the family as a parent: each dropped non-edge's
+        # child fails the deletion test, and the orbits returned are every
+        # non-edge orbit the rule keeps, each by its least pair
+        for g in enumeration._family(n, c4_free):
+            _, _, gens = enumeration._label_search(g.n, g.adj)
+            non_edges = {pair for pair in itertools.combinations(range(n), 2)
+                         if not g.has_edge(*pair)}
+            dropped = {pair for pair in non_edges if degree_rule_drops(g, *pair)}
+            for u, v in dropped:
+                assert enumeration._deletion_ties(add_edge(g, u, v).adj, u, v) is None
+            orbits = [orbit for orbit in pair_orbits(n, gens) if orbit <= non_edges]
+            assert all(orbit <= dropped or not orbit & dropped for orbit in orbits)
+            kept = sorted(min(orbit) for orbit in orbits if not orbit & dropped)
+            assert enumeration._non_edge_orbits(g, gens) == kept
+
+    @pytest.mark.parametrize("n, c4_free, deletion_tests, labellings",
+                             [(7, False, 1637, 1212), (8, True, 604, 405)])
+    def test_work_counts_pinned(self, monkeypatch, n, c4_free, deletion_tests, labellings):
+        # deterministic counts: without the degree rule every child of a
+        # non-edge orbit (C4-free ones only for C4-free families) got a
+        # deletion test, 6,564 and 1,739 of them (125,120 for all graphs
+        # at n = 8, where 22,478 remain); the rule drops only children the
+        # deletion test rejects, so the labelling searches do not change
+        counter = Counter()
+        for name in ("_deletion_ties", "_label_search"):
+            original = getattr(enumeration, name)
+
+            def counting(*args, name=name, original=original):
+                counter[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(enumeration, name, counting)
+        enumeration._generate(n, c4_free)
+        assert counter == {"_deletion_ties": deletion_tests, "_label_search": labellings}
 
 
 class TestNetworkxOracle:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from degpow.families import FamilyId, ep_closed_form
@@ -76,6 +78,11 @@ class TestLemmaTuples:
         assert lemma_tuples("lemma12", 6)[2] == {}
         assert list(lemma_tuples("lemma1", 9)[2]) == [2, 3]
         assert list(lemma_tuples("lemma12", 10)[2]) == [2, 3]
+        part_ii = lemma_tuples("lemma1", 9)[2]
+        assert len(part_ii) == 2
+        for q in (1, 4):
+            with pytest.raises(KeyError):
+                part_ii[q]
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
@@ -101,6 +108,19 @@ class TestLemmaTuples:
         rec = lemma_tuple_check("lemma12", 6, 2)
         assert rec.verdict == "pass"
         assert rec.detail["norm1"] - rec.detail["norm2"] == 2
+
+    def test_record_at_the_lemma_cap_holds_one_tuple_at_a_time(self):
+        # n = 4001, the CLI's lemma cap: holding its 1,998 part (ii)
+        # 4001-tuples at once traced a 61 MB peak; one at a time stays small
+        tracemalloc.start()
+        try:
+            rec = lemma_tuple_check("lemma1", 4001, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.verdict == "pass" and rec.value == 0
+        assert rec.detail["q_checked"] == 1998
+        assert peak < 2**20
 
 
 class TestThresholds:
