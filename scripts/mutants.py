@@ -35,22 +35,23 @@ class Mutant(NamedTuple):
 
 STRUCTURE = "src/degpow/structure.py"
 ENUMERATION = "src/degpow/enumeration.py"
+VERIFY = "src/degpow/verify.py"
 
 MUTANTS = (
-    Mutant("t2ii-odd-n-friendship", "src/degpow/verify.py",
+    Mutant("t2ii-odd-n-friendship", VERIFY,
            "lambda n, k: (_K2, _F) if n % 2 else (_K2,)",
            "lambda n, k: (_K2, _F) if not n % 2 else (_K2,)",
            ("tests/test_verify.py::TestBruteForce::test_t2ii_even_n_excludes_friendship",
             "tests/test_verify.py::TestBruteForce::test_t2ii_odd_n_friendship_wins_small")),
-    Mutant("verdict-ignores-ok", "src/degpow/verify.py",
+    Mutant("verdict-ignores-ok", VERIFY,
            '"pass" if ok else "fail"', '"pass"',
            ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
             "tests/test_failing_records.py::test_failing_record_pinned")),
-    Mutant("pass-keeps-witness", "src/degpow/verify.py",
+    Mutant("pass-keeps-witness", VERIFY,
            "None if ok else witness", "witness",
            ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
             "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
-    Mutant("c1-min-degree-filter", "src/degpow/verify.py",
+    Mutant("c1-min-degree-filter", VERIFY,
            "replace(probe.pred, min_degree=1)", "replace(probe.pred, min_degree=2)",
            ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",)),
     Mutant("even-cycle-shared-edge", STRUCTURE,
@@ -109,11 +110,21 @@ MUTANTS = (
     Mutant("merge-drops-tied-witnesses", ENUMERATION,
            "self._wits[p] += other._wits[p]", "pass",
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),
-    Mutant("frontier-not-expanded", "src/degpow/grid.py",
+    Mutant("frontier-not-expanded", VERIFY,
            "classes = _expand(unit.entries, unit.c4_free)[0]",
            "classes = [entry[0] for entry in unit.entries]",
            ("tests/test_grid.py::test_grid_units_visit_each_class_once",
             "tests/test_cli.py::test_report_digests_pinned_with_a_process_pool")),
+    Mutant("split-without-a-pool", VERIFY,
+           "if pooled and (depth := _split_depth(*key)) is not None}",
+           "if (depth := _split_depth(*key)) is not None}",
+           ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
+            "tests/test_grid.py::test_grid_units_visit_each_class_once")),
+    Mutant("whole-family-not-cached", VERIFY,
+           "classes = _family(unit.n, unit.c4_free)",
+           "classes = _head(unit.n, unit.c4_free)[0]",
+           ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
+            "tests/test_grid.py::test_grid_units_visit_each_class_once")),
     Mutant("forest-edge-count", STRUCTURE,
            "if ends >= 2 * comp.bit_count():", "if False:",
            ("tests/test_structure.py::TestMinimalityPrefilters::"
@@ -143,7 +154,7 @@ MUTANTS = (
            ("tests/test_structure.py::TestConnectivity::"
             "test_only_cut_contains_the_least_degree_vertex",
             "tests/test_acceptance.py::test_criterion_11c_vertex_connectivity_oracle")),
-    Mutant("part-ii-built-up-front", "src/degpow/verify.py",
+    Mutant("part-ii-built-up-front", VERIFY,
            "return t1, t2, _PartII(n, o)", "return t1, t2, dict(_PartII(n, o))",
            ("tests/test_verify.py::TestLemmaTuples::"
             "test_record_at_the_lemma_cap_holds_one_tuple_at_a_time",)),

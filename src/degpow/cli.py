@@ -40,9 +40,8 @@ from . import structure
 from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from .families import FAMILIES
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
-from .grid import run_grid
 from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks,
-                     suite_rows, validate_task)
+                     run_grid, suite_rows, validate_task)
 
 FORMAT_VERSION = 1
 
@@ -147,7 +146,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     params = dict(zip(row.params, args.params))
     with _bad_input():
         row.check(**params)
-        g = row.graph(**params)
+        g = row.build(**params)
     print(_emit_graph(g, args.out))
     return 0
 

@@ -11,9 +11,7 @@ the partitions of McKay & Piperno (J. Symb. Comput. 60 (2014) 94-112), so
 the tie set is the first cell and placing a vertex splits each cell into
 its non-neighbours, then its neighbours.  A tied vertex with no unplaced
 neighbour is branched on alone: every optimal completion places one of its
-twins next (see _canon_search).  The same search yields generators of the
-automorphism group: every leaf equal to the incumbent gives one, and the
-collapsed transpositions give the rest.
+twins next (see _canon_search).
 
 Generation labels classes by a cheaper canonical labelling instead
 (_label_search): equitable refinement by a splitter queue, then
@@ -49,7 +47,8 @@ _head is that expansion from the empty graph, and with no frontier it is
 the whole family.  A class is labelled by its own search, not by its
 parent's, so a subtree expanded by itself, in any process, yields the same
 representatives as the whole tree, and the subtrees below distinct
-frontier classes are disjoint: degpow.grid splits the large families so.
+frontier classes are disjoint: verify.run_grid splits the large families
+so for a pool of workers.
 
 Two families are generated per order, each whole and uncapped: all graphs
 and the C4-free graphs, each in (edge count, certificate) order.  Every
@@ -78,11 +77,8 @@ ENUM_HARD_CAP = 10
 ENUM_FAST_CAP = 8  # the CLI's default guard
 
 
-def _canon_search(
-    n: int, adj: tuple[int, ...]
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """Minimal column sequence, the permutation (position -> vertex), and
-    generators (vertex -> vertex) of the automorphism group.
+def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Minimal column sequence and the permutation (position -> vertex).
 
     Column d of an ordering is the adjacency of its d-th vertex to the
     vertices before it, the first of them as the highest bit.  The unplaced
@@ -104,15 +100,13 @@ def _canon_search(
     optimal completion places a twin of z next.  The loose vertices of the
     tie set are one twin class and z is its least vertex, the one the twin
     collapse keeps, so the skipped branches hold no optimal leaf: the
-    permutation and the group the generators generate are those of the
-    search without the rule.
+    permutation is that of the search without the rule.
     """
     if n > ENUM_HARD_CAP:
         raise ValueError(f"canonical form limited to n <= {ENUM_HARD_CAP}, got n={n}")
     if n <= 1:
-        return [0] * n, [0] * n, []
+        return [0] * n, [0] * n
     tau = _transposition_automorphisms(n, adj)
-    gens = _twin_generators(n, tau)
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
     gen = 0
@@ -147,19 +141,11 @@ def _canon_search(
                 entry_gen = gen
             rest = unassigned & ~(1 << v)
             if not rest:
-                perm.append(v)
+                # a leaf below the incumbent replaces it; one equal to it is dropped
                 if state or best_cols is None:
                     best_cols = cols.copy()
-                    best_perm = perm.copy()
+                    best_perm = perm + [v]
                     gen += 1
-                else:
-                    # equal to the incumbent: best_perm[i] -> perm[i] preserves
-                    # adjacency, and stays an automorphism if the incumbent changes
-                    gamma = [0] * n
-                    for b, w in zip(best_perm, perm):
-                        gamma[b] = w
-                    gens.append(gamma)
-                perm.pop()
                 continue
             av = adj[v]
             child_state = state
@@ -187,7 +173,7 @@ def _canon_search(
     dfs(0, 0, [((1 << n) - 1, 0)], (1 << n) - 1)
     if best_cols is None or best_perm is None:
         raise RuntimeError(f"canonical search reached no leaf for n={n}")
-    return best_cols, best_perm, gens
+    return best_cols, best_perm
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
@@ -342,7 +328,7 @@ def canonical_form(g: Graph) -> bytes:
 
     Two graphs have equal canonical form iff they are isomorphic.
     """
-    cols, _, _ = _canon_search(g.n, g.adj)
+    cols, _ = _canon_search(g.n, g.adj)
     return bytes([g.n]) + _pack_cols(g.n, cols)
 
 
@@ -361,7 +347,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 def _canon_pair(g: Graph) -> tuple[bytes, Graph]:
     """Canonical form and the canonically relabeled graph."""
-    cols, perm, _ = _canon_search(g.n, g.adj)
+    cols, perm = _canon_search(g.n, g.adj)
     return bytes([g.n]) + _pack_cols(g.n, cols), permute(g, _inverse(perm))
 
 

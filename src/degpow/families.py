@@ -7,7 +7,8 @@ graph, which builds the member; and closed_form, its e_p, which never
 builds it, since threshold scans evaluate it far above the 64-vertex
 cap.  construct and ep_closed_form are a row lookup plus the domain
 check, and the named constructors (star, ..., split_graph) call
-construct.
+construct.  construct and the construct CLI build through _Family.build,
+which refuses an order past the cap before listing an edge.
 
 Labelings are fixed for determinism: stars and friendship graphs put the
 center at vertex 0, wheels put the hub last, the split graph's clique comes
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .graphs import Graph, new_graph
+from .graphs import Graph, check_vertex_count, new_graph
 
 POLARITY_ORDERS = (2, 3, 4, 5, 7)  # q^2+q+1 <= 64
 
@@ -243,6 +244,13 @@ class _Family(NamedTuple):
         if not self.domain(**params):
             raise ValueError(self.error.format(**params))
 
+    def build(self, **params: int) -> Graph:
+        """The member of checked params; an order past the vertex cap is
+        refused before any edge is listed (polarity_graph checks its q)."""
+        if "n" in params:
+            check_vertex_count(params["n"])
+        return self.graph(**params)
+
 
 FAMILIES: dict[str, _Family] = {
     "star": _Family(
@@ -297,7 +305,7 @@ def _member(family: FamilyId, size: int) -> tuple[_Family, dict[str, int]]:
 def construct(family: FamilyId, size: int) -> Graph:
     """Build the family member; size is n, except q for polarity graphs."""
     row, params = _member(family, size)
-    return row.graph(**params)
+    return row.build(**params)
 
 
 def ep_closed_form(family: FamilyId, size: int, p: int) -> int:

@@ -49,13 +49,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError for n outside [1, MAX_VERTICES]."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+
+
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from an edge list (duplicates collapse).
 
     Raises ValueError for n outside [1, 64], loops, or out-of-range endpoints.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+    check_vertex_count(n)
     adj = [0] * n
     for u, v in edges:
         if u == v:

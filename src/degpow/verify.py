@@ -12,9 +12,8 @@ Each check is one table row, and these tables and SUITES are the only
 places that state the checks:
 - THEOREMS, the brute-forced statements: per check id its least order,
   its graph class and its claimed extremal families.  A theorem task is
-  planned (validated) once and enumerates each check's class once (once
-  per k for t4), scoring every p in that pass; degpow.grid runs a whole
-  grid with one pass per family instead, through the same scoring.
+  planned (validated) once, one plan per check (and per k for t4), and
+  every p is scored in one pass over the classes.
 - LEMMAS, the parity and least order of Lemma 1 and Lemma 1.2, whose
   comparison tuples one builder (lemma_tuples) states for both.
 - THRESHOLD_PAIRS, the crossover tables: families, scanned orders,
@@ -23,6 +22,26 @@ places that state the checks:
   exponent and scanned orders.
 SUITES is the one default grid; the CLI only filters and overrides its
 rows.
+
+run_grid is the one theorem runner: run_task, brute_force_theorem and the
+CLI all score theorems through it.  It groups the plans of a whole grid by
+the family they read, (n, c4_free), so one pass over each class serves
+every plan on its family, and cuts the work into units:
+- each closed-form task runs whole, through run_task, as one unit;
+- given a pool of at least 2 workers, a family _split_depth names is
+  generated down to that edge count by the caller (its head), and the
+  frontier classes there are dealt into UNITS_PER_SPLIT units, each
+  expanding the subtrees below its classes.  The subtrees of McKay's
+  augmentation tree are disjoint and each class is labelled by its own
+  search, so the units together visit the family once;
+- every other family is one unit, read from the family cached in the
+  process that runs it, so checks on one family in one process (t2 and t4
+  at one order, t1 and c1) share one generation across calls.
+A unit returns records or trackers, never classes.  Each family's trackers
+are merged in unit order (ExtremalTracker.merge) and scored by
+_theorem_pass, so the records do not depend on who ran a unit.  This
+module starts no process: the caller passes a pool or every unit runs
+inline.
 """
 
 from __future__ import annotations
@@ -34,7 +53,10 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .enumeration import (
     ExtremalTracker,
     SearchPredicate,
+    _Entry,
+    _expand,
     _family,
+    _head,
     _in_cut,
     canonical_graph,
     check_enumerable,
@@ -291,15 +313,6 @@ class _Probe(NamedTuple):
 _Trackers = tuple[ExtremalTracker, "ExtremalTracker | None"]
 
 
-def _probe(plan: _Plan, p_values: Sequence[int]) -> _Probe:
-    return _Probe(plan[3], tuple(p_values), plan[2].borrowed_facts)
-
-
-def _reads_c4_free(pred: SearchPredicate) -> bool:
-    """Whether pred's classes are read out of the C4-free family."""
-    return pred.c4_free or pred.even_cycle_free
-
-
 def _probe_classes(n: int, probes: Sequence[_Probe], classes: Iterable[Graph]) -> list[_Trackers]:
     """One pass over classes of one family for every probe: its edge cap
     and even-cycle filter, its leaf predicate, and its trackers."""
@@ -323,18 +336,14 @@ def _probe_classes(n: int, probes: Sequence[_Probe], classes: Iterable[Graph]) -
 
 
 def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int],
-                  trackers: _Trackers | None = None) -> list[VerificationRecord]:
-    """The check's records, one per p, scored from its trackers: those
-    given, or one pass over the family cached in this process.
+                  trackers: _Trackers) -> list[VerificationRecord]:
+    """The check's records, one per p, scored from its trackers.
 
     For each p the maximum and the complete witness set must equal those of
     the claimed extremal families (uniqueness included), and each family's
     closed form must equal e_p of its construction.
     """
     check, k, spec, pred = plan
-    if trackers is None:
-        family = _family(n, _reads_c4_free(pred))
-        trackers = _probe_classes(n, [_probe(plan, p_values)], family)[0]
     tracker, restricted = trackers
     claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
     examined = tracker.count
@@ -371,9 +380,11 @@ def brute_force_theorem(thm: str, n: int, p: int, *, k: int | None = None) -> Ve
 
     Runs the extremal search for the theorem's graph class and compares the
     maximum and the complete witness set against the claimed extremal
-    families of THEOREMS[thm].
+    families of THEOREMS[thm], as run_task does for the one-check task.
     """
-    return _theorem_pass(_theorem_plan(thm, n, (p,), k), n, (p,))[0]
+    _theorem_plan(thm, n, (p,), k)  # a check id (t2i, not t2), with its own errors
+    kw = {"thm": thm, "n": n, "p_values": (p,), "k_values": None if k is None else (k,)}
+    return run_task(("theorem", kw))[0]
 
 
 # -- closed-form scans ---------------------------------------------------------
@@ -569,24 +580,6 @@ def polarity_check(q: int, p: int) -> VerificationRecord:
 # -- suite plumbing -------------------------------------------------------------
 
 
-def theorem_records(
-    thm: str,
-    n: int,
-    p_values: Sequence[int],
-    k_values: Sequence[int] | None = None,
-) -> list[VerificationRecord]:
-    """All records for one theorem at one order.
-
-    t2 stands for t2i and t2ii, and t4 runs once per k in k_values.  Each
-    check (and k) enumerates its class once and scores every p in that one
-    pass; the records come out p-major: for each p, every check and k.
-    Whatever validate_task rejects, such as t4 with n < k+1 for every k,
-    raises the same ValueError before anything is enumerated.
-    """
-    return _p_major([_theorem_pass(plan, n, p_values)
-                     for plan in _theorem_plans(thm, n, p_values, k_values)])
-
-
 class _TaskKind(NamedTuple):
     """check raises ValueError for the task's keywords where run would,
     without running anything."""
@@ -596,7 +589,7 @@ class _TaskKind(NamedTuple):
 
 
 _TASK_KINDS = {
-    "theorem": _TaskKind(_theorem_plans, theorem_records),
+    "theorem": _TaskKind(_theorem_plans, lambda **kw: run_grid([("theorem", kw)])),
     "lemma": _TaskKind(_check_lemma_args, lambda **kw: [lemma_tuple_check(**kw)]),
     "threshold": _TaskKind(_threshold_window, lambda **kw: [threshold_record(**kw)]),
     "appendixA": _TaskKind(_appendix_window, lambda **kw: [appendix_a_scan(**kw)]),
@@ -611,7 +604,12 @@ def _task_kind(kind: str) -> _TaskKind:
 
 
 def run_task(task: tuple[str, dict]) -> list[VerificationRecord]:
-    """Dispatch one grid task (picklable, for process pools)."""
+    """Run one grid task in this process (picklable, for process pools).
+
+    A theorem task's records come out p-major: for each p, every check
+    (t2 is t2i and t2ii) and every k.  Whatever validate_task rejects, such
+    as t4 with n < k+1 for every k, raises the same ValueError before
+    anything is enumerated."""
     kind, kw = task
     return _task_kind(kind).run(**kw)
 
@@ -683,3 +681,138 @@ def suite_rows(suite: str) -> list[GridRow]:
 def suite_tasks(suite: str) -> list[tuple[str, dict]]:
     """The grid of one suite."""
     return [task for row in suite_rows(suite) for task in grid_tasks(row)]
+
+
+# -- grid runs -------------------------------------------------------------------
+
+
+UNITS_PER_SPLIT = 8
+
+_FamilyKey = tuple[int, bool]  # (n, c4_free)
+
+
+class _Unit(NamedTuple):
+    """The classes of one family below entries (the whole family for None),
+    visited by every probe grouped on the family."""
+
+    n: int
+    c4_free: bool
+    probes: list[_Probe]
+    entries: list[_Entry] | None
+
+
+def _split_depth(n: int, c4_free: bool) -> int | None:
+    """The edge count at which a pool splits the family into subtree
+    units, or None to keep it one unit.
+
+    The subtree sizes are heavy tailed.  At these depths the head holds 4
+    to 16 per cent of the family's classes, and the largest subtree below
+    the frontier 29 per cent of the rest at n = 8 (3506 of 11910 classes),
+    34 at n = 7 and, C4-free, 23 at n = 9."""
+    if c4_free:
+        return n - 2 if n >= 9 else None
+    return n if n >= 7 else None
+
+
+def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
+    """The frontier entries dealt round robin into parts, least e_2 first.
+
+    The largest subtrees lie below frontier classes of small e_2, whose
+    degrees are spread evenly: by e_2 the three largest rank 2, 3 and 9 of
+    221 at n = 8, 2, 5 and 7 of 65 at n = 7 and, C4-free, 2, 4 and 5 of 103
+    at n = 9, so they go to different parts.  Handed to two workers in
+    unit order, the parts leave the busier worker 4 to 12 per cent fewer
+    classes than the entries dealt unsorted (BENCH_18.json)."""
+    ordered = sorted(entries, key=lambda entry: ep(entry[0], 2))
+    return [ordered[i::parts] for i in range(parts)]
+
+
+def run_unit(unit: _Unit | tuple[str, dict]) -> list:
+    """One unit (picklable, for process pools): a family unit's trackers,
+    one pair per probe, or a closed-form task's records."""
+    if isinstance(unit, _Unit):
+        if unit.entries is None:
+            classes = _family(unit.n, unit.c4_free)
+        else:
+            classes = _expand(unit.entries, unit.c4_free)[0]
+        return _probe_classes(unit.n, unit.probes, classes)
+    return run_task(unit)
+
+
+def _merge(found: list[_Trackers], part: list[_Trackers]) -> None:
+    for (tracker, restricted), (theirs, theirs_restricted) in zip(found, part):
+        tracker.merge(theirs)
+        if restricted is not None:
+            restricted.merge(theirs_restricted)
+
+
+def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
+               families: dict[_FamilyKey, list[_Probe]],
+               split: dict[_FamilyKey, int]) -> tuple[list[list[VerificationRecord]], dict]:
+    """The records of each closed-form task, in grid order, and each
+    family's trackers per probe.
+
+    The heads are generated first and every unit goes out in one map: the
+    split families' subtree units, the whole families, then the tasks.  The
+    head classes are visited here while the units run."""
+    heads = {key: _head(*key, depth) for key, depth in split.items()}
+    parts = [(key, _Unit(*key, families[key], part))
+             for key, (_, entries) in heads.items() for part in _deal(entries, UNITS_PER_SPLIT)]
+    whole = [key for key in families if key not in split]
+    results = iter(mapper(run_unit, [*(unit for _, unit in parts),
+                                     *(_Unit(*key, families[key], None) for key in whole),
+                                     *other]))
+    found = {key: _probe_classes(key[0], families[key], classes)
+             for key, (classes, _) in heads.items()}
+    for key, _ in parts:
+        _merge(found[key], next(results))
+    found.update((key, next(results)) for key in whole)
+    return list(results), found
+
+
+def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
+             pool: Callable | None = None) -> list[VerificationRecord]:
+    """Every task's records in task order, as run_task gives them.
+
+    pool(max_workers=k) must give a context manager whose map returns the
+    results in item order, like a process pool's.  The families are split
+    only when a pool is given and workers is at least 2; the pool is used
+    with k the smaller of workers and the number of units, when that is
+    above 1.  Otherwise every unit runs in this process.  Every task is
+    planned before any unit runs.
+    """
+    families: dict[_FamilyKey, list[_Probe]] = {}
+    layout = []  # per task: None, or (plan, family, probe index) per plan
+    for kind, kw in tasks:
+        if kind != "theorem":
+            layout.append(None)
+            continue
+        slots = []
+        for plan in _theorem_plans(kw["thm"], kw["n"], kw["p_values"], kw.get("k_values")):
+            _, _, spec, pred = plan
+            key = (kw["n"], pred.c4_free or pred.even_cycle_free)
+            probes = families.setdefault(key, [])
+            slots.append((plan, key, len(probes)))
+            probes.append(_Probe(pred, tuple(kw["p_values"]), spec.borrowed_facts))
+        layout.append(slots)
+    other = [task for task, slots in zip(tasks, layout) if slots is None]
+    pooled = pool is not None and workers > 1
+    # the largest families first: all graphs before C4-free, higher orders first
+    split = {key: depth for key in sorted(families, key=lambda key: (not key[1], key[0]),
+                                          reverse=True)
+             if pooled and (depth := _split_depth(*key)) is not None}
+    units = len(other) + len(families) + (UNITS_PER_SPLIT - 1) * len(split)
+    if pooled and min(workers, units) > 1:
+        with pool(max_workers=min(workers, units)) as executor:
+            chunks, found = _run_units(executor.map, other, families, split)
+    else:
+        chunks, found = _run_units(map, other, families, split)
+    records: list[VerificationRecord] = []
+    chunk = iter(chunks)
+    for (_, kw), slots in zip(tasks, layout):
+        if slots is None:
+            records += next(chunk)
+        else:
+            records += _p_major([_theorem_pass(plan, kw["n"], kw["p_values"], found[key][i])
+                                 for plan, key, i in slots])
+    return records

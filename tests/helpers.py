@@ -3,9 +3,9 @@
 These deliberately avoid the library's algorithms: connectivity is checked
 by removing vertex subsets, even cycles by a from-scratch DFS over paths,
 C4s by explicit 4-tuple search, so library results are checked against a
-second route everywhere it matters.  every_class, the one helper that
-calls the library's enumeration, shares each order's class list across
-the test modules.
+second route everywhere it matters.  Two helpers call into the library's
+enumeration: every_class shares each order's class list across the test
+modules, and count_generations records which families a test generates.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
+from degpow import enumeration, verify
 from degpow.enumeration import enumerate_graphs
 from degpow.graphs import Graph, new_graph, remove_edge
 
@@ -24,6 +25,23 @@ def every_class(n: int) -> tuple[Graph, ...]:
     acc: list[Graph] = []
     enumerate_graphs(n, visit=acc.append)
     return tuple(acc)
+
+
+def count_generations(monkeypatch) -> list[tuple[int, bool]]:
+    """Empty the class cache for the test, and record the (n, c4_free) of
+    every family generated from the empty graph after that: whole, into
+    the cache, or as the head of a split."""
+    generated: list[tuple[int, bool]] = []
+    head = enumeration._head
+
+    def counting(n, c4_free, *frontier):
+        generated.append((n, c4_free))
+        return head(n, c4_free, *frontier)
+
+    monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+    monkeypatch.setattr(enumeration, "_head", counting)
+    monkeypatch.setattr(verify, "_head", counting)
+    return generated
 
 
 def all_labeled_graphs(n: int):

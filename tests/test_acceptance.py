@@ -30,7 +30,7 @@ from degpow.verify import (
     brute_force_theorem,
     lemma_tuple_check,
     polarity_check,
-    theorem_records,
+    run_task,
     threshold_scan,
 )
 
@@ -102,7 +102,7 @@ def test_criterion_05_theorem2_brute_force():
     ps = (2, 3, 4, 5)
     for n in range(4, 9):
         # one pass per check scores every p; records come out p-major
-        records = theorem_records("t2", n, ps)
+        records = run_task(("theorem", {"thm": "t2", "n": n, "p_values": ps}))
         ok &= [(r.check, r.params["p"]) for r in records] == [
             (check, p) for p in ps for check in ("t2i", "t2ii")]
         for p, rec_i, rec_ii in zip(ps, records[::2], records[1::2]):

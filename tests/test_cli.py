@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -13,8 +14,11 @@ import pytest
 import degpow.cli as cli_mod
 from degpow.cli import _build_tasks, _enum_guard, build_parser, main
 from degpow.enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
+from degpow.families import FamilyId, construct
 from degpow.graphs import degree_sequence, from_graph6
 from degpow.verify import SUITES, suite_tasks
+
+from helpers import count_generations
 
 # sha256 of `verify ... --json`, pinned from the reports before the theorem
 # table replaced the per-theorem code
@@ -68,6 +72,29 @@ class TestConstruct:
         code, out, _ = run_cli(capsys, "construct", "split", "6", "2")
         assert code == 0
         assert degree_sequence(from_graph6(out.strip())) == (5, 5, 2, 2, 2, 2)
+
+    @pytest.mark.parametrize("params, family", [
+        (("star", "N"), FamilyId("star")), (("cycle", "N"), FamilyId("cycle")),
+        (("friendship", "N"), FamilyId("friendship")),
+        (("complete_bipartite", "1", "N"), FamilyId("complete_bipartite", t=1)),
+        (("wheel", "N"), FamilyId("wheel")), (("split", "N", "1"), FamilyId("split", k=1)),
+    ], ids=["star", "cycle", "friendship", "complete_bipartite", "wheel", "split"])
+    def test_order_past_the_cap_refused_before_any_edge(self, capsys, params, family):
+        # a million vertices: the edge list alone would hold about 90 MB
+        # (a star's) before the vertex cap refused it
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "construct",
+                                     *[str(n) if param == "N" else param for param in params])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == f"degpow: error: vertex count must be in [1, 64], got {n}\n"
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="^vertex count must be in"):
+            construct(family, n)
 
 
 class TestEp:
@@ -421,17 +448,8 @@ class TestVerify:
     def test_repeated_values_run_once(self, capsys, monkeypatch, argv, records, families):
         # a repeated value is kept once, in the order it first appears, and
         # each (n, family) is generated once, from the empty graph
-        import degpow.grid as grid_mod
-
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
-        generated = []
-        head = grid_mod._head
-
-        def counting(n, c4_free, *frontier):
-            generated.append((n, c4_free))
-            return head(n, c4_free, *frontier)
-
-        monkeypatch.setattr(grid_mod, "_head", counting)
+        generated = count_generations(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert out.splitlines() == records + [f"{len(records)}/{len(records)} checks passed"]

@@ -96,7 +96,7 @@ def columns(g, order):
 
 
 def check_against_brute_minimum(g):
-    cols, perm, _ = enumeration._canon_search(g.n, g.adj)
+    cols, perm = enumeration._canon_search(g.n, g.adj)
     assert cols == min(columns(g, order) for order in itertools.permutations(range(g.n)))
     assert sorted(perm) == list(range(g.n)) and columns(g, perm) == cols
 
@@ -162,15 +162,15 @@ class TestCanonicalForm:
     def test_twin_collapse_keeps_symmetric_searches_to_one_leaf(self):
         # every leaf after the first that equals the incumbent adds a
         # generator; these groups are generated by twin transpositions, so
-        # the collapsed search reaches one leaf and returns just those
+        # the collapsed labelling search reaches one leaf and returns just those
         rng = random.Random(5)
         cases = [(new_graph(7, itertools.combinations(range(7), 2)), 6),
                  (complete_bipartite(3, 7), 5), (split_graph(7, 3), 5)]
         for g, transpositions in cases:
-            _, _, gens = enumeration._canon_search(g.n, g.adj)
+            _, _, gens = enumeration._label_search(g.n, g.adj)
             assert len(gens) == transpositions
             g = shuffled(g, rng)
-            _, _, gens = enumeration._canon_search(g.n, g.adj)
+            _, _, gens = enumeration._label_search(g.n, g.adj)
             assert len(gens) == transpositions
 
     def test_equal_iff_isomorphic_exhaustive(self):
@@ -213,8 +213,8 @@ class TestCanonicalForm:
         assert canonical_form(cg) == canonical_form(g)
 
     def test_orders_zero_and_one(self):
-        assert enumeration._canon_search(0, ()) == ([], [], [])
-        assert enumeration._canon_search(1, (0,)) == ([0], [0], [])
+        assert enumeration._canon_search(0, ()) == ([], [])
+        assert enumeration._canon_search(1, (0,)) == ([0], [0])
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -250,8 +250,10 @@ def brute_automorphisms(g):
 
 
 class TestAutomorphismGenerators:
+    """The generators _label_search returns, against brute force."""
+
     def check(self, g):
-        _, _, gens = enumeration._canon_search(g.n, g.adj)
+        _, _, gens = enumeration._label_search(g.n, g.adj)
         for gamma in gens:
             assert sorted(gamma) == list(range(g.n))
             assert permute(g, gamma) == g

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degpow import enumeration, grid
+from degpow import enumeration, verify
 from degpow.enumeration import ExtremalTracker, SearchPredicate, canonical_form
 from degpow.verify import run_task
 
+from helpers import count_generations
 from test_enumeration import PINNED_CLASS_SETS
 
 # (n, c4_free, frontier depth): several depths per family, _split_depth's
@@ -38,7 +39,7 @@ def test_subtrees_partition_the_family(n, c4_free, depth):
     assert len(below) == len(entries)
     family = Counter(enumeration._family(n, c4_free))
     for parts in range(1, 5):
-        dealt = grid._deal(entries, parts)
+        dealt = verify._deal(entries, parts)
         assert len(dealt) == parts
         assert Counter(entry[0] for part in dealt for entry in part) == Counter(list(below))
         # the head and the parts' subtrees hold each class of the family once
@@ -64,9 +65,9 @@ def test_split_units_partition_the_n8_family():
     # the largest family as run_grid splits it: the head and the units, each
     # expanding its entries at once, hold each class once.  The family's
     # forms are pinned by test_enumeration's check of this cached family.
-    head, entries = enumeration._head(8, False, grid._split_depth(8, False))
+    head, entries = enumeration._head(8, False, verify._split_depth(8, False))
     union = Counter(head)
-    for part in grid._deal(entries, grid.UNITS_PER_SPLIT):
+    for part in verify._deal(entries, verify.UNITS_PER_SPLIT):
         union.update(enumeration._expand(part, False)[0])
     assert union == Counter(enumeration._family(8, False))
 
@@ -136,17 +137,15 @@ class _ReversedPool:
         return reversed([fn(item) for item in reversed(items)])
 
 
-@pytest.mark.parametrize("pool", [None, _ReversedPool], ids=["inline", "reversed"])
-def test_grid_units_visit_each_class_once(monkeypatch, pool):
+@pytest.mark.parametrize("pool, heads", [(None, []), (_ReversedPool, [(7, False), (9, True)])],
+                         ids=["inline", "reversed"])
+def test_grid_units_visit_each_class_once(monkeypatch, pool, heads):
+    generated = count_generations(monkeypatch)
     expected = [record for task in TASKS for record in run_task(task)]
-    generated = []
-    head = grid._head
-
-    def counting(n, c4_free, *frontier):
-        generated.append((n, c4_free))
-        return head(n, c4_free, *frontier)
-
-    monkeypatch.setattr(grid, "_head", counting)
-    assert grid.run_grid(TASKS, 2, pool) == expected
     # t2 and t4 share the n=7 family, c1 and t1 the C4-free one at n=6
     assert sorted(generated) == [(6, True), (7, False), (9, True)]
+    generated.clear()
+    # inline the grid reads the families cached above; a pool of two
+    # generates the heads of the families it splits, and no family whole
+    assert verify.run_grid(TASKS, 2, pool) == expected
+    assert sorted(generated) == heads

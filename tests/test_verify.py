@@ -13,13 +13,15 @@ from degpow.verify import (
     lemma_tuple_check,
     lemma_tuples,
     polarity_check,
+    run_grid,
     run_task,
     suite_tasks,
-    theorem_records,
     threshold_record,
     threshold_scan,
     validate_task,
 )
+
+from helpers import count_generations
 
 
 class TestVerificationRecord:
@@ -341,7 +343,7 @@ class TestSuites:
         task = ("theorem", {"thm": thm, "n": n, "p_values": (2,), "k_values": k_values})
         with pytest.raises(ValueError, match="runs no check") as rejected:
             validate_task(task)
-        for run in (lambda: run_task(task), lambda: theorem_records(thm, n, (2,), k_values)):
+        for run in (lambda: run_task(task), lambda: run_grid([task])):
             with pytest.raises(ValueError) as raised:
                 run()
             assert str(raised.value) == str(rejected.value)
@@ -357,22 +359,25 @@ class TestSuites:
     def test_idle_theorem_arguments_raise(self, monkeypatch, thm, p_values, k_values, message):
         # arguments that would do nothing raise from planning, before any
         # enumeration, on every entry point
-        import degpow.verify as verify_mod
-
-        import degpow.grid as grid_mod
-
-        def generation(*args):
-            pytest.fail("enumeration started")
-
-        monkeypatch.setattr(verify_mod, "_family", generation)
-        monkeypatch.setattr(grid_mod, "_head", generation)
+        generated = count_generations(monkeypatch)
         task = ("theorem", {"thm": thm, "n": 5, "p_values": p_values, "k_values": k_values})
         for run in (lambda: validate_task(task), lambda: run_task(task),
-                    lambda: theorem_records(thm, 5, p_values, k_values),
-                    lambda: grid_mod.run_grid([task])):
+                    lambda: run_grid([task])):
             with pytest.raises(ValueError) as raised:
                 run()
             assert str(raised.value) == message
+        assert generated == []
+
+    def test_checks_on_one_family_share_its_generation(self, monkeypatch):
+        # t2 and t4 read the all-graph family at n=7, t1 and c1 the C4-free
+        # one at n=8: run one task after another, each family is generated once
+        generated = count_generations(monkeypatch)
+        for task in (("theorem", {"thm": "t2", "n": 7, "p_values": (2,)}),
+                     ("theorem", {"thm": "t4", "n": 7, "p_values": (2,), "k_values": (1, 2, 3)}),
+                     ("theorem", {"thm": "t1", "n": 8, "p_values": (2,)}),
+                     ("theorem", {"thm": "c1", "n": 8, "p_values": (2,)})):
+            assert all(record.verdict == "pass" for record in run_task(task))
+        assert generated == [(7, False), (8, True)]
 
     def test_brute_force_theorem_refuses_k_it_does_not_take(self):
         with pytest.raises(ValueError, match="^theorem 1 takes no degeneracy bound k$"):
