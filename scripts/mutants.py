@@ -52,8 +52,9 @@ MUTANTS = (
            ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
             "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
     Mutant("c1-min-degree-filter", VERIFY,
-           "replace(probe.pred, min_degree=1)", "replace(probe.pred, min_degree=2)",
-           ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",)),
+           "if all(g.adj):", "if all(a & (a - 1) for a in g.adj):",
+           ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",
+            "tests/test_verify.py::TestOnePass::test_grouped_probes_see_what_each_sees_alone")),
     Mutant("even-cycle-shared-edge", STRUCTURE,
            "if (on_cycle >> x) & 1:", "if False:",
            ("tests/test_structure.py::TestEvenCycle::test_against_dfs_oracle_small",
@@ -99,14 +100,21 @@ MUTANTS = (
            ("tests/test_enumeration.py::TestAugmentation::test_work_counts_pinned",
             "tests/test_enumeration.py::TestAugmentation::"
             "test_degree_rule_drops_only_rejected_orbits")),
+    # the cut rows name a test on each route through _pass: enumerate_graphs
+    # or extremal_ep, and run_task or run_grid
     Mutant("even-cycles-kept", ENUMERATION,
-           "cap and not (ecf and structure.has_even_cycle(g))", "cap",
+           " or ecf and structure.has_even_cycle(g)", "",
            ("tests/test_enumeration.py::TestClassSets::"
             "test_pinned_class_set_by_route",
             "tests/test_acceptance.py::test_criterion_04_corollary1_brute_force")),
     Mutant("edge-cap-not-cut", ENUMERATION,
-           "return g.edge_count() <= cap and ", "return ",
-           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",)),
+           "g.edge_count() > cap or ", "",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
+    Mutant("capped-probe-uncut", ENUMERATION,
+           "(ecf or cap < full,", "(ecf,",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
     Mutant("merge-drops-tied-witnesses", ENUMERATION,
            "self._wits[p] += other._wits[p]", "pass",
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),

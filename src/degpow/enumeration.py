@@ -51,14 +51,14 @@ frontier classes are disjoint: verify.run_grid splits the large families
 so for a pool of workers.
 
 Two families are generated per order, each whole and uncapped: all graphs
-and the C4-free graphs, each in (edge count, certificate) order.  Every
-class is cut or filtered out of one of them (_in_cut): an edge cap is a cut
-of that order, and an even-cycle-free class is the C4-free family filtered
-by has_even_cycle, so theorem 1 and corollary 1 at the same order share one
-generation.  The two families are kept in a module cache; derived tuples
-are not cached.  _visit walks a family's classes as generated, and is what
-extremal_ep uses; enumerate_graphs sorts the min-lex representatives of
-the same classes.
+and the C4-free graphs, each in (edge count, certificate) order, and kept
+in a module cache.  _family_key names the one a predicate reads, and
+_pass, the one pass over a family's classes for extremal_ep,
+enumerate_graphs and verify.run_grid alike, cuts or filters every other
+class out of it: an edge cap is a cut of that order, and an
+even-cycle-free class is the C4-free family filtered by has_even_cycle, so
+theorem 1 and corollary 1 at the same order share one generation.
+enumerate_graphs then sorts the min-lex representatives of its classes.
 
 The limits are resource limits only: orders 1 to ENUM_HARD_CAP, and the
 top order only for the C4-free and even-cycle-free families (all graphs on
@@ -68,7 +68,7 @@ top order only for the C4-free and even-cycle-free families (all graphs on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import structure
 from .graphs import Graph, add_edge, ep, new_graph, permute, to_graph6
@@ -584,20 +584,30 @@ def _family(n: int, c4_free: bool) -> tuple[Graph, ...]:
     return _CLASS_CACHE[key]
 
 
-def _in_cut(hkey: tuple[bool, bool, int], g: Graph) -> bool:
-    """Whether g, a class of the family hkey is read from (C4-free for
-    either cycle filter), passes hkey's edge cap and even-cycle filter."""
-    _, ecf, cap = hkey
-    return g.edge_count() <= cap and not (ecf and structure.has_even_cycle(g))
+def _family_key(n: int, pred: SearchPredicate) -> tuple[int, bool]:
+    """The family pred's classes are read from, (n, c4_free): the C4-free
+    graphs for either cycle filter, all graphs otherwise."""
+    return n, pred.c4_free or pred.even_cycle_free
 
 
-def _classes(n: int, hkey: tuple[bool, bool, int]) -> tuple[Graph, ...]:
-    """All isomorphism classes passing the hereditary filters, in
-    (edge count, certificate) order, as _label_search representatives:
-    the cached family (n, c4_free) cut at the cap, the C4-free family for
-    even-cycle-free classes."""
-    c4f, ecf, _ = hkey
-    return tuple(g for g in _family(n, c4f or ecf) if _in_cut(hkey, g))
+def _pass(n: int, classes: Iterable[Graph],
+          probes: Sequence[tuple[SearchPredicate, Callable[[Graph], None]]]) -> None:
+    """One pass over classes of one family, in the order given, for every
+    probe (a predicate and a visit) that reads it.  A probe's visit gets
+    each class within its edge cap, and without an even cycle if it filters
+    them, that passes its leaf predicate.  A probe with neither a cap below
+    the order's edge count nor a cycle filter takes every class uncut."""
+    full = n * (n - 1) // 2
+    tests = []
+    for pred, visit in probes:
+        _, ecf, cap = pred.hereditary_key(n)
+        tests.append((ecf or cap < full, ecf, cap, pred.leaf_ok, visit))
+    for g in classes:
+        for cut, ecf, cap, leaf_ok, visit in tests:
+            if cut and (g.edge_count() > cap or ecf and structure.has_even_cycle(g)):
+                continue
+            if leaf_ok(g):
+                visit(g)
 
 
 def check_enumerable(n: int, pred: SearchPredicate) -> None:
@@ -609,28 +619,11 @@ def check_enumerable(n: int, pred: SearchPredicate) -> None:
     """
     if not 1 <= n <= ENUM_HARD_CAP:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_HARD_CAP}")
-    if n == ENUM_HARD_CAP and not (pred.c4_free or pred.even_cycle_free):
+    if n == ENUM_HARD_CAP and not _family_key(n, pred)[1]:
         raise ValueError(
             f"n={n} enumeration needs a C4-free or even-cycle-free class; "
             "all graphs on 10 vertices are 12,005,168 classes"
         )
-
-
-def _visit(n: int, pred: SearchPredicate, visit: Callable[[Graph], None] | None) -> int:
-    """Visit one representative per isomorphism class passing pred, as
-    labelled by _label_search, in (edge count, certificate) order.
-
-    Returns the number visited.  Orders check_enumerable rejects raise
-    before anything is generated.
-    """
-    check_enumerable(n, pred)
-    count = 0
-    for g in _classes(n, pred.hereditary_key(n)):
-        if pred.leaf_ok(g):
-            count += 1
-            if visit is not None:
-                visit(g)
-    return count
 
 
 def enumerate_graphs(
@@ -641,27 +634,29 @@ def enumerate_graphs(
     """Visit one canonical representative per isomorphism class passing pred.
 
     Returns the number visited.  Visit order is deterministic: increasing
-    edge count, then canonical form.  Orders check_enumerable rejects raise
-    before anything is generated.
+    edge count, then canonical form, so given a visit it holds every
+    accepted representative, with its canonical form, to sort them before
+    the first visit.  Orders check_enumerable rejects raise before anything
+    is generated.
     """
-    if visit is None:
-        return _visit(n, pred, None)
-    reps: list[tuple[int, bytes, Graph]] = []
-    count = _visit(n, pred, lambda g: reps.append((g.edge_count(), *_canon_pair(g))))
-    reps.sort(key=lambda item: item[:2])
-    for _, _, rep in reps:
-        visit(rep)
-    return count
+    check_enumerable(n, pred)
+    found: list[Graph] = []
+    _pass(n, _family(*_family_key(n, pred)), [(pred, found.append)])
+    if visit is not None:
+        reps = sorted(((g.edge_count(), *_canon_pair(g)) for g in found), key=lambda r: r[:2])
+        for _, _, rep in reps:
+            visit(rep)
+    return len(found)
 
 
 class ExtremalTracker:
     """Every maximiser of e_p over the visited graphs, for several p at once.
 
-    Pass visit to _visit or enumerate_graphs; ties are all kept.  best[p]
-    is None until a graph is visited, max_edges is the largest edge count
-    seen and count the number of graphs visited.  Trackers over disjoint
-    parts of a class merge into the tracker over the whole, whatever the
-    split and the visit order.
+    Pass visit to enumerate_graphs or in a probe to _pass; ties are all
+    kept.  best[p] is None until a graph is visited, max_edges is the
+    largest edge count seen and count the number of graphs visited.
+    Trackers over disjoint parts of a class merge into the tracker over the
+    whole, whatever the split and the visit order.
     """
 
     def __init__(self, p_values: Sequence[int]) -> None:
@@ -725,13 +720,14 @@ def extremal_ep(n: int, p: int, pred: SearchPredicate = SearchPredicate()) -> Ex
     """Maximize the degree power over the predicate class, keeping all ties."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    check_enumerable(n, pred)
     tracker = ExtremalTracker((p,))
-    examined = _visit(n, pred, tracker.visit)
+    _pass(n, _family(*_family_key(n, pred)), [(pred, tracker.visit)])
     return ExtremalReport(
         n=n,
         p=p,
         predicate=pred.describe(),
         max_value=tracker.best[p],
         witnesses=tracker.witnesses(p),
-        graphs_examined=examined,
+        graphs_examined=tracker.count,
     )

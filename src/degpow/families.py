@@ -147,11 +147,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.mul_table[a].index(1)
-
 
 def finite_field(q: int) -> FiniteField:
     """Field tables for GF(q), q = p**k a prime power with q <= 64."""

@@ -82,16 +82,6 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def remove_edge(g: Graph, u: int, v: int) -> Graph:
-    """Return g minus edge uv (which must exist)."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
-
-
 def permute(g: Graph, perm: Iterable[int]) -> Graph:
     """Relabel g: vertex v becomes perm[v]."""
     p = list(perm)

@@ -25,8 +25,8 @@ rows.
 
 run_grid is the one theorem runner: run_task, brute_force_theorem and the
 CLI all score theorems through it.  It groups the plans of a whole grid by
-the family they read, (n, c4_free), so one pass over each class serves
-every plan on its family, and cuts the work into units:
+the family they read (enumeration._family_key), so one enumeration._pass
+over its classes serves every plan on it, and cuts the work into units:
 - each closed-form task runs whole, through run_task, as one unit;
 - given a pool of at least 2 workers, a family _split_depth names is
   generated down to that edge count by the caller (its head), and the
@@ -46,7 +46,8 @@ inline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,8 +57,9 @@ from .enumeration import (
     _Entry,
     _expand,
     _family,
+    _family_key,
     _head,
-    _in_cut,
+    _pass,
     canonical_graph,
     check_enumerable,
 )
@@ -314,25 +316,21 @@ _Trackers = tuple[ExtremalTracker, "ExtremalTracker | None"]
 
 
 def _probe_classes(n: int, probes: Sequence[_Probe], classes: Iterable[Graph]) -> list[_Trackers]:
-    """One pass over classes of one family for every probe: its edge cap
-    and even-cycle filter, its leaf predicate, and its trackers."""
-    full = n * (n - 1) // 2
-    tests = []
-    for probe in probes:
-        hkey = probe.pred.hereditary_key(n)
-        # a probe without a cap or a cycle filter takes the whole family
-        cut = hkey if hkey[1] or hkey[2] < full else None
-        restricted = replace(probe.pred, min_degree=1) if probe.borrowed else None
-        tests.append((cut, probe.pred, restricted))
+    """Every probe's trackers over classes of one family, from one _pass:
+    the classes a probe accepts go to its tracker, and those with no
+    isolated vertex to its restricted tracker too."""
     trackers = [(ExtremalTracker(probe.p_values),
                  ExtremalTracker(probe.p_values) if probe.borrowed else None) for probe in probes]
-    for g in classes:
-        for (cut, pred, restricted_pred), (tracker, restricted) in zip(tests, trackers):
-            if (cut is None or _in_cut(cut, g)) and pred.leaf_ok(g):
-                tracker.visit(g)
-                if restricted_pred is not None and restricted_pred.leaf_ok(g):
-                    restricted.visit(g)
+    _pass(n, classes, [(probe.pred, tracker.visit if restricted is None
+                        else partial(_visit_both, tracker, restricted))
+                       for probe, (tracker, restricted) in zip(probes, trackers)])
     return trackers
+
+
+def _visit_both(tracker: ExtremalTracker, restricted: ExtremalTracker, g: Graph) -> None:
+    tracker.visit(g)
+    if all(g.adj):  # no isolated vertex
+        restricted.visit(g)
 
 
 def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int],
@@ -678,11 +676,6 @@ def suite_rows(suite: str) -> list[GridRow]:
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def suite_tasks(suite: str) -> list[tuple[str, dict]]:
-    """The grid of one suite."""
-    return [task for row in suite_rows(suite) for task in grid_tasks(row)]
-
-
 # -- grid runs -------------------------------------------------------------------
 
 
@@ -790,7 +783,7 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
         slots = []
         for plan in _theorem_plans(kw["thm"], kw["n"], kw["p_values"], kw.get("k_values")):
             _, _, spec, pred = plan
-            key = (kw["n"], pred.c4_free or pred.even_cycle_free)
+            key = _family_key(kw["n"], pred)
             probes = families.setdefault(key, [])
             slots.append((plan, key, len(probes)))
             probes.append(_Probe(pred, tuple(kw["p_values"]), spec.borrowed_facts))

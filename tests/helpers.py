@@ -15,7 +15,7 @@ from itertools import combinations
 
 from degpow import enumeration, verify
 from degpow.enumeration import enumerate_graphs
-from degpow.graphs import Graph, new_graph, remove_edge
+from degpow.graphs import Graph, new_graph
 
 
 @cache
@@ -42,6 +42,16 @@ def count_generations(monkeypatch) -> list[tuple[int, bool]]:
     monkeypatch.setattr(enumeration, "_head", counting)
     monkeypatch.setattr(verify, "_head", counting)
     return generated
+
+
+def remove_edge(g: Graph, u: int, v: int) -> Graph:
+    """Return g minus edge uv (which must exist)."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"edge ({u},{v}) not present")
+    adj = list(g.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    return Graph(g.n, tuple(adj))
 
 
 def all_labeled_graphs(n: int):

@@ -16,7 +16,7 @@ from degpow.cli import _build_tasks, _enum_guard, build_parser, main
 from degpow.enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
 from degpow.families import FamilyId, construct
 from degpow.graphs import degree_sequence, from_graph6
-from degpow.verify import SUITES, suite_tasks
+from degpow.verify import SUITES, grid_tasks, suite_rows
 
 from helpers import count_generations
 
@@ -505,12 +505,12 @@ class TestVerify:
     def test_default_grid_is_the_suite_table(self, monkeypatch, suite):
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
         tasks = _build_tasks(build_parser().parse_args(["verify", suite]))
+        grid = [task for row in suite_rows(suite) for task in grid_tasks(row)]
         if suite == "all-desk":
-            assert tasks == suite_tasks("all-desk")
+            assert tasks == grid
         else:
             # default orders clamp to the guard of 8
-            assert tasks == [(kind, kw) for kind, kw in suite_tasks(suite)
-                             if kind != "theorem" or kw["n"] <= 8]
+            assert tasks == [(kind, kw) for kind, kw in grid if kind != "theorem" or kw["n"] <= 8]
 
     def test_malformed_env_guard_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGPOW_MAX_N", "abc")

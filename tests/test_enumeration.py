@@ -535,7 +535,7 @@ class TestOrderAndCapChecks:
         def no_generation(*args):
             raise AssertionError("generation started")
 
-        monkeypatch.setattr(enumeration, "_classes", no_generation)
+        monkeypatch.setattr(enumeration, "_family", no_generation)
         with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
             enumerate_graphs(8, SearchPredicate(**{field: value}))
 
@@ -549,7 +549,7 @@ class TestOrderAndCapChecks:
         def no_generation(*args):
             raise AssertionError("generation started")
 
-        monkeypatch.setattr(enumeration, "_classes", no_generation)
+        monkeypatch.setattr(enumeration, "_family", no_generation)
         for pred in (SearchPredicate(), SearchPredicate(max_edges=3),
                      SearchPredicate(minimally_connected=2)):
             with pytest.raises(ValueError, match="n=10"):
@@ -560,11 +560,11 @@ class TestOrderAndCapChecks:
         # the hard limits raises first
         requested = []
 
-        def no_classes(n, hkey):
+        def no_classes(n, c4_free):
             requested.append(n)
             return ()
 
-        monkeypatch.setattr(enumeration, "_classes", no_classes)
+        monkeypatch.setattr(enumeration, "_family", no_classes)
         assert enumerate_graphs(9, SearchPredicate()) == 0
         assert requested == [9]
         for n, pred in ((0, SearchPredicate()), (11, SearchPredicate(c4_free=True)),

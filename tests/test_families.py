@@ -171,13 +171,6 @@ class TestFiniteField:
             assert (add == 0).sum(axis=1).min() == 1
             assert all((mul[x] == 1).sum() == 1 for x in range(1, q))
 
-    def test_inv_helper(self):
-        f = finite_field(9)
-        for x in range(1, 9):
-            assert f.mul(x, f.inv(x)) == 1
-        with pytest.raises(ZeroDivisionError):
-            f.inv(0)
-
 
 class TestPolarityGraph:
     def test_point_count(self):

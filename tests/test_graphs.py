@@ -17,9 +17,10 @@ from degpow.graphs import (
     induced_subgraph,
     new_graph,
     permute,
-    remove_edge,
     to_graph6,
 )
+
+from helpers import remove_edge
 
 K3 = new_graph(3, [(0, 1), (1, 2), (0, 2)])
 K4 = new_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])

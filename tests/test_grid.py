@@ -54,9 +54,10 @@ def test_subtrees_partition_the_family(n, c4_free, depth):
     forms = _forms(n, c4_free)
     for key, (count, digest) in PINNED_CLASS_SETS.items():
         if key[0] == n and (key[1] or key[2]) == c4_free:
-            hkey = SearchPredicate(c4_free=key[1], even_cycle_free=key[2],
-                                   max_edges=key[3]).hereditary_key(n)
-            cut = sorted(forms[g] for g in union if enumeration._in_cut(hkey, g))
+            pred = SearchPredicate(c4_free=key[1], even_cycle_free=key[2], max_edges=key[3])
+            cut: list[bytes] = []
+            enumeration._pass(n, union, [(pred, lambda g: cut.append(forms[g]))])
+            cut.sort()
             assert len(cut) == count
             assert hashlib.sha256(b"".join(cut)).hexdigest() == digest
 

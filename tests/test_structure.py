@@ -21,7 +21,7 @@ from degpow.structure import (
 
 from degpow import structure
 from degpow.enumeration import enumerate_graphs
-from degpow.graphs import from_graph6, induced_subgraph, permute, remove_edge
+from degpow.graphs import from_graph6, induced_subgraph, permute
 
 from helpers import (
     all_labeled_graphs,
@@ -34,6 +34,7 @@ from helpers import (
     oracle_has_even_cycle,
     oracle_is_minimal,
     oracle_vertex_connectivity,
+    remove_edge,
 )
 
 K4 = new_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])

@@ -1,21 +1,25 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 
 import pytest
 
+from degpow import enumeration, verify
 from degpow.families import FamilyId, ep_closed_form
 from degpow.majorization import p_power_norm
 from degpow.verify import (
+    THEOREMS,
     VerificationRecord,
     appendix_a_scan,
     brute_force_theorem,
+    grid_tasks,
     lemma_tuple_check,
     lemma_tuples,
     polarity_check,
     run_grid,
     run_task,
-    suite_tasks,
+    suite_rows,
     threshold_record,
     threshold_scan,
     validate_task,
@@ -319,9 +323,10 @@ class TestGuardsWithoutAsserts:
 
 class TestSuites:
     def test_task_lists_deterministic(self):
-        assert suite_tasks("polarity") == suite_tasks("polarity")
+        assert [grid_tasks(row) for row in suite_rows("polarity")] == [
+            grid_tasks(row) for row in suite_rows("polarity")]
         with pytest.raises(ValueError):
-            suite_tasks("nope")
+            suite_rows("nope")
 
     def test_run_task_dispatch(self):
         records = run_task(("lemma", {"lemma": "lemma1", "n": 7, "p": 2}))
@@ -413,8 +418,9 @@ class TestSuites:
                 validate_task(("lemma", kw))
 
     def test_every_suite_task_validates(self):
-        for task in suite_tasks("all-desk"):
-            validate_task(task)
+        for row in suite_rows("all-desk"):
+            for task in grid_tasks(row):
+                validate_task(task)
 
     @pytest.mark.parametrize("task", [
         ("polarity", {"q": 6, "p": 2}),
@@ -432,3 +438,45 @@ class TestSuites:
     def test_invalid_task_rejected_before_running(self, task):
         with pytest.raises(ValueError):
             validate_task(task)
+
+
+class _Seen(list):
+    """The classes a probe's visit was given, in order."""
+
+    visit = list.append
+
+
+def _probes(preds):
+    """Fresh probes for (borrowed, predicate) pairs, each with the classes
+    it accepts and, when it borrows facts, those with no isolated vertex."""
+    probes, seen = [], []
+    for borrowed, pred in preds:
+        accepted, restricted = _Seen(), _Seen()
+        visit = partial(verify._visit_both, accepted, restricted) if borrowed else accepted.visit
+        probes.append((pred, visit))
+        seen.append((accepted, restricted))
+    return probes, seen
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("n, c4_free, checks", [
+        (7, False, ["t2i", "t2ii", "t3", "t4", "t4", "t4"]), (8, True, ["t1", "c1"])])
+    def test_grouped_probes_see_what_each_sees_alone(self, n, c4_free, checks):
+        # every THEOREMS predicate that reads the family (t4 for k = 1, 2,
+        # 3, c1 with its min-degree >= 1 tracker) in one pass: each probe
+        # is given the classes, in the order, of a pass with it alone
+        preds = [(check, spec.borrowed_facts, spec.predicate(n, k))
+                 for check, spec in THEOREMS.items()
+                 for k in ((1, 2, 3) if spec.takes_k else (None,))]
+        preds = [(check, borrowed, pred) for check, borrowed, pred in preds
+                 if enumeration._family_key(n, pred) == (n, c4_free)]
+        assert [check for check, _, _ in preds] == checks
+        family = enumeration._family(n, c4_free)
+        probes, grouped = _probes([(borrowed, pred) for _, borrowed, pred in preds])
+        enumeration._pass(n, family, probes)
+        for (check, borrowed, pred), (accepted, restricted) in zip(preds, grouped):
+            alone_probes, [alone] = _probes([(borrowed, pred)])
+            enumeration._pass(n, family, alone_probes)
+            assert (accepted, restricted) == alone and accepted, check
+            no_isolated = [g for g in accepted if min(map(g.degree, range(n))) >= 1]
+            assert restricted == (no_isolated if borrowed else []), check
