@@ -100,6 +100,17 @@ MUTANTS = (
            ("tests/test_enumeration.py::TestAugmentation::test_work_counts_pinned",
             "tests/test_enumeration.py::TestAugmentation::"
             "test_degree_rule_drops_only_rejected_orbits")),
+    Mutant("middle-level-mirrored", ENUMERATION,
+           "if not c4_free and 2 * m < g.n * (g.n - 1) // 2:",
+           "if not c4_free and 2 * m <= g.n * (g.n - 1) // 2:",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
+    Mutant("expanded-past-the-middle", ENUMERATION,
+           """        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
+            continue
+""", "",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
     # the cut rows name a test on each route through _pass: enumerate_graphs
     # or extremal_ep, and run_task or run_grid
     Mutant("even-cycles-kept", ENUMERATION,
@@ -110,7 +121,8 @@ MUTANTS = (
     Mutant("edge-cap-not-cut", ENUMERATION,
            "g.edge_count() > cap or ", "",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
-            "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
+            "tests/test_cli.py::TestVerify::test_report_digests_pinned",
+            "tests/test_acceptance.py::test_criterion_03_theorem1_brute_force")),
     Mutant("capped-probe-uncut", ENUMERATION,
            "(ecf or cap < full,", "(ecf,",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",

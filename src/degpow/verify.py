@@ -698,10 +698,13 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
     """The edge count at which a pool splits the family into subtree
     units, or None to keep it one unit.
 
-    The subtree sizes are heavy tailed.  At these depths the head holds 4
-    to 16 per cent of the family's classes, and the largest subtree below
-    the frontier 29 per cent of the rest at n = 8 (3506 of 11910 classes),
-    34 at n = 7 and, C4-free, 23 at n = 9."""
+    The subtree sizes are heavy tailed.  At these depths the head holds 7
+    to 28 per cent of the family's classes (for all graphs, with the
+    complements of its classes), and the largest subtree below the
+    frontier, complements included, 18 per cent of the rest at n = 8 (2020
+    of 11474 classes), 21 at n = 7 and, C4-free, 23 at n = 9.  The largest
+    of the 8 units takes 26 per cent of the units' time at n = 8 and 29 at
+    n = 7 (BENCH_22.json)."""
     if c4_free:
         return n - 2 if n >= 9 else None
     return n if n >= 7 else None
@@ -711,11 +714,12 @@ def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
     """The frontier entries dealt round robin into parts, least e_2 first.
 
     The largest subtrees lie below frontier classes of small e_2, whose
-    degrees are spread evenly: by e_2 the three largest rank 2, 3 and 9 of
+    degrees are spread evenly: by e_2 the three largest rank 2, 9 and 11 of
     221 at n = 8, 2, 5 and 7 of 65 at n = 7 and, C4-free, 2, 4 and 5 of 103
     at n = 9, so they go to different parts.  Handed to two workers in
-    unit order, the parts leave the busier worker 4 to 12 per cent fewer
-    classes than the entries dealt unsorted (BENCH_18.json)."""
+    unit order, the parts leave the busier worker 6 per cent fewer classes
+    than the entries dealt unsorted at n = 8, 4 per cent C4-free at n = 9
+    and under 1 per cent at n = 7 (BENCH_22.json)."""
     ordered = sorted(entries, key=lambda entry: ep(entry[0], 2))
     return [ordered[i::parts] for i in range(parts)]
 

@@ -75,6 +75,14 @@ def test_criterion_02_friendship_thresholds():
     _verdict("2 friendship-vs-K2 thresholds", ok, t0)
 
 
+# Theorem 1's classes: C4-free, at most 3(n-1)/2 edges, no isolated vertex.
+# They are the pinned capped C4-free classes (tests/test_enumeration.py's
+# PINNED_CLASS_SETS) less those with an isolated vertex, which are the
+# C4-free classes on n - 1 vertices (4, 8, 18, 44, 117, 351; each has at
+# most ex(n - 1, C4) edges, within the cap).  The cap binds from n = 8 on.
+T1_CLASSES = {4: 4, 5: 10, 6: 26, 7: 73, 8: 229, 9: 869}
+
+
 def test_criterion_03_theorem1_brute_force():
     t0 = time.time()
     ok = True
@@ -82,6 +90,7 @@ def test_criterion_03_theorem1_brute_force():
         for p in (2, 3):
             rec = brute_force_theorem("t1", n, p)
             ok &= rec.verdict == "pass"
+            ok &= rec.detail["graphs_examined"] == T1_CLASSES[n]
     _verdict("3 theorem 1 brute force (n<=9)", ok, t0)
 
 

@@ -21,7 +21,7 @@ from degpow.families import complete_bipartite, cycle_graph, friendship, split_g
 from degpow.graphs import add_edge, from_graph6, new_graph, permute, to_graph6
 from degpow.structure import has_c4
 
-from helpers import all_labeled_graphs
+from helpers import all_labeled_graphs, every_class
 
 # distinct isomorphism classes of simple graphs, n = 1..8
 CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -57,6 +57,10 @@ PINNED_CLASS_SETS = {
 
 
 EVEN_CYCLE_FREE_KEYS = [key for key in PINNED_CLASS_SETS if key[2]]
+
+# classes of graphs on n vertices with half of the n(n-1)/2 pairs as edges,
+# for the n at which that is a whole number (OEIS A008406)
+MIDDLE_LEVEL_COUNTS = {1: 1, 4: 3, 5: 6, 8: 1646}
 
 
 @pytest.fixture
@@ -450,6 +454,22 @@ class TestClassSets:
         assert count == PINNED_CLASS_SETS[(7, False, True, 21)][0]
         assert searches["calls"] == generated
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complements_mirror_the_family(self, n):
+        # the family is closed under complement, each class's complement is
+        # another class once, and the middle edge count, which complement
+        # maps to itself, holds its own classes once each
+        reps = every_class(n)  # the min-lex forms of _family(n, False)
+        complements = Counter(
+            canonical_graph(new_graph(n, [pair for pair in itertools.combinations(range(n), 2)
+                                          if not g.has_edge(*pair)]))
+            for g in reps)
+        assert len(set(reps)) == len(reps) == CLASS_COUNTS[n - 1]
+        assert complements == Counter(reps)
+        full = n * (n - 1) // 2
+        middle = [g for g in reps if 2 * g.edge_count() == full]
+        assert len(middle) == MIDDLE_LEVEL_COUNTS.get(n, 0)
+
 
 def degree_rule_drops(g, u, v):
     """The parent-side deletion rule on the non-edge uv, from the parent's
@@ -484,13 +504,15 @@ class TestAugmentation:
             assert enumeration._non_edge_orbits(g, gens) == kept
 
     @pytest.mark.parametrize("n, c4_free, deletion_tests, labellings",
-                             [(7, False, 1637, 1212), (8, True, 604, 405)])
+                             [(7, False, 806, 587), (8, False, 12636, 8521),
+                              (8, True, 604, 405)])
     def test_work_counts_pinned(self, monkeypatch, n, c4_free, deletion_tests, labellings):
-        # deterministic counts: without the degree rule every child of a
-        # non-edge orbit (C4-free ones only for C4-free families) got a
-        # deletion test, 6,564 and 1,739 of them (125,120 for all graphs
-        # at n = 8, where 22,478 remain); the rule drops only children the
-        # deletion test rejects, so the labelling searches do not change
+        # deterministic counts; the all-graph tree is expanded only up to
+        # its middle edge count.  Without the degree rule every child of a
+        # non-edge orbit (C4-free ones only for C4-free families) gets a
+        # deletion test, 2,748, 62,560 and 1,739 of them; the rule drops
+        # only children the deletion test rejects, so the labelling searches
+        # do not change
         counter = Counter()
         for name in ("_deletion_ties", "_label_search"):
             original = getattr(enumeration, name)

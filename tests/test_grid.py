@@ -33,7 +33,10 @@ def _forms(n: int, c4_free: bool) -> dict:
 @pytest.mark.parametrize("n, c4_free, depth", SPLITS, ids=str)
 def test_subtrees_partition_the_family(n, c4_free, depth):
     head, entries = enumeration._head(n, c4_free, depth)
-    assert all(g.edge_count() <= depth for g in head)
+    # every head class, or for all graphs its complement, has at most depth edges
+    full = n * (n - 1) // 2
+    assert all(g.edge_count() <= depth or not c4_free and full - g.edge_count() <= depth
+               for g in head)
     assert all(m == depth and g in head for g, _, m in entries)
     below = {entry[0]: enumeration._expand([entry], c4_free)[0] for entry in entries}
     assert len(below) == len(entries)
