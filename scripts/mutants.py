@@ -51,10 +51,15 @@ MUTANTS = (
            "None if ok else witness", "witness",
            ("tests/test_verify.py::TestVerificationRecord::test_judged_verdict_follows_ok",
             "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
+    # F_n's leaf at even n fails the mutated no-isolated-vertex test
     Mutant("c1-min-degree-filter", VERIFY,
-           "if all(g.adj):", "if all(a & (a - 1) for a in g.adj):",
+           "all(all(g.adj) for g in", "all(all(a & (a - 1) for a in g.adj) for g in",
            ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",
-            "tests/test_verify.py::TestOnePass::test_grouped_probes_see_what_each_sees_alone")),
+            "tests/test_verify.py::test_borrowed_facts_match_a_restricted_tracker")),
+    Mutant("max-edges-not-halved", VERIFY,
+           "(tracker.best[1] or 0) // 2", "(tracker.best[1] or 0)",
+           ("tests/test_acceptance.py::test_criterion_04_corollary1_brute_force",
+            "tests/test_verify.py::test_borrowed_facts_match_a_restricted_tracker")),
     Mutant("even-cycle-shared-edge", STRUCTURE,
            "if (on_cycle >> x) & 1:", "if False:",
            ("tests/test_structure.py::TestEvenCycle::test_against_dfs_oracle_small",
@@ -128,7 +133,7 @@ MUTANTS = (
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
     Mutant("merge-drops-tied-witnesses", ENUMERATION,
-           "self._wits[p] += other._wits[p]", "pass",
+           "self.maximisers[p] += other.maximisers[p]", "pass",
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),
     Mutant("frontier-not-expanded", VERIFY,
            "classes = _expand(unit.entries, unit.c4_free)[0]",
@@ -181,6 +186,10 @@ MUTANTS = (
     Mutant("parse-range-materialised", "src/degpow/cli.py",
            "values = range(int(lo), int(hi) + 1)", "values = list(range(int(lo), int(hi) + 1))",
            ("tests/test_cli.py::TestVerify::test_range_flag_is_never_materialised",)),
+    Mutant("k-and-q-axes-uncapped", "src/degpow/cli.py",
+           'for flag in ("p", "k", "q"):', 'for flag in ("p",):',
+           ("tests/test_cli.py::TestVerify::"
+            "test_axis_past_its_cap_refused_in_bounded_time_and_memory",)),
     Mutant("exact-digits-not-lifted", "src/degpow/cli.py",
            "    sys.set_int_max_str_digits(0)\n", "",
            ("tests/test_cli.py::TestVerify::test_value_past_the_digit_limit_reported_whole",

@@ -17,8 +17,8 @@ only for the C4-free and even-cycle-free classes) still apply.  Default
 grids are verify.SUITES with the flags applied.  The closed-form scans
 have fixed caps instead (SCAN_CAPS): a lemma order or a threshold or
 appendix window above its cap is bad input, the all-desk grid included.
-A p axis (--p, or the range --pmax gives) longer than P_AXIS_CAP is bad
-input too.
+A --p, --k or --q axis (or the p range --pmax gives) longer than AXIS_CAP
+is bad input too.
 """
 
 from __future__ import annotations
@@ -228,15 +228,15 @@ def _first_above(values: range | list[int], bound: int) -> int | None:
 # the lemma cap bounds a task's time (1.8 s at p=8), as its tuples are
 # built one at a time
 SCAN_CAPS = {"lemma": ("n", 4001), "threshold": ("n_max", 9000), "appendixA": ("n_max", 16_000)}
-# the most values a p axis (--p, or --pmax's range) may hold: each is a scan
-# task or an exponent every theorem class is scored at.  Its length is
-# checked before any task or p tuple is built.
-P_AXIS_CAP = 1000
+# the most values a --p, --k or --q axis (or --pmax's range) may hold: each
+# is a task or a value every theorem class is scored at.  Its length is
+# checked before any task or tuple of the axis is built.
+AXIS_CAP = 1000
 
 
-def _check_p_axis(flag: str, values: range | list[int]) -> None:
-    if len(values) > P_AXIS_CAP:
-        raise UsageError(f"--{flag} takes at most {P_AXIS_CAP} values of p; got {len(values)}")
+def _check_axis(flag: str, axis: str, values: range | list[int]) -> None:
+    if len(values) > AXIS_CAP:
+        raise UsageError(f"--{flag} takes at most {AXIS_CAP} values of {axis}; got {len(values)}")
 
 
 def _enum_guard() -> int:
@@ -272,7 +272,7 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
         axes["p"] = range(row.axes["p"].start, args.pmax + 1)
         if not axes["p"]:
             raise UsageError(f"--pmax must be >= {row.axes['p'].start}, got {args.pmax}")
-        _check_p_axis("pmax", axes["p"])
+        _check_axis("pmax", "p", axes["p"])
     if args.nmax is not None and "n_max" in fixed:
         fixed["n_max"] = args.nmax
     if row.kind == "theorem":
@@ -317,8 +317,9 @@ def _build_tasks(args: argparse.Namespace) -> list[tuple[str, dict]]:
         guard = _enum_guard()
         given = {flag: _parse_range(flag, getattr(args, flag))
                  for flag in ("n", "p", "k", "q") if getattr(args, flag)}
-        if "p" in given:
-            _check_p_axis("p", given["p"])
+        for flag in ("p", "k", "q"):
+            if flag in given:
+                _check_axis(flag, flag, given[flag])
         rows = [_apply_flags(args, row, given, guard) for row in rows
                 if not args.pair or row.fixed.get("pair", args.pair) == args.pair]
     # every cap is checked on the rows' bounds, before any task is built

@@ -678,49 +678,47 @@ class ExtremalTracker:
     """Every maximiser of e_p over the visited graphs, for several p at once.
 
     Pass visit to enumerate_graphs or in a probe to _pass; ties are all
-    kept.  best[p] is None until a graph is visited, max_edges is the
-    largest edge count seen and count the number of graphs visited.
+    kept.  best[p] is None until a graph is visited, maximisers[p] holds
+    the visited graphs attaining it, and count is the number of graphs
+    visited.  At p = 1 the maximum is twice the largest edge count seen.
     Trackers over disjoint parts of a class merge into the tracker over the
     whole, whatever the split and the visit order.
     """
 
     def __init__(self, p_values: Sequence[int]) -> None:
         self.best: dict[int, int | None] = dict.fromkeys(p_values)
-        self._wits: dict[int, list[Graph]] = {p: [] for p in self.best}
-        self.max_edges = 0
+        self.maximisers: dict[int, list[Graph]] = {p: [] for p in self.best}
         self.count = 0
 
     def visit(self, g: Graph) -> None:
         self.count += 1
-        self.max_edges = max(self.max_edges, g.edge_count())
         for p, best in self.best.items():
             value = ep(g, p)
             if best is None or value > best:
                 self.best[p] = value
-                self._wits[p] = [g]
+                self.maximisers[p] = [g]
             elif value == best:
-                self._wits[p].append(g)
+                self.maximisers[p].append(g)
 
     def merge(self, other: ExtremalTracker) -> None:
         """Fold in a tracker over other graphs of the class, for the same p:
         the larger maximum wins, the maximisers of a tied maximum are
         united, and the counts add."""
         self.count += other.count
-        self.max_edges = max(self.max_edges, other.max_edges)
         for p, theirs in other.best.items():
             ours = self.best[p]
             if theirs is None:
                 continue
             if ours is None or theirs > ours:
                 self.best[p] = theirs
-                self._wits[p] = list(other._wits[p])
+                self.maximisers[p] = list(other.maximisers[p])
             elif theirs == ours:
-                self._wits[p] += other._wits[p]
+                self.maximisers[p] += other.maximisers[p]
 
     def witnesses(self, p: int) -> tuple[str, ...]:
         """graph6 of the maximisers' canonical representatives, sorted."""
         return tuple(sorted(to_graph6(canonical_graph(w)).decode("ascii")
-                            for w in self._wits[p]))
+                            for w in self.maximisers[p]))
 
 
 @dataclass(frozen=True)

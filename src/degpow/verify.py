@@ -39,7 +39,9 @@ over its classes serves every plan on it, and cuts the work into units:
   at one order, t1 and c1) share one generation across calls.
 A unit returns records or trackers, never classes.  Each family's trackers
 are merged in unit order (ExtremalTracker.merge) and scored by
-_theorem_pass, so the records do not depend on who ran a unit.  This
+_theorem_pass, so the records do not depend on who ran a unit.  Each check
+has one tracker: Corollary 1's borrowed facts (its edge bound and its
+min-degree >= 1 subclass) are read off it too (_borrowed_facts).  This
 module starts no process: the caller passes a pool or every unit runs
 inline.
 """
@@ -47,7 +49,6 @@ inline.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -222,9 +223,9 @@ class TheoremSpec(NamedTuple):
     The check runs at n >= least_n, plus k where it takes a degeneracy
     bound k.  predicate and families take (n, k), k None unless taken;
     families are the claimed extremal graphs of order n.  With borrowed
-    facts, the same pass also confirms the two facts the statement
-    borrows: at most _edge_cap(n) edges, and the min-degree >= 1 subclass
-    has the same extremal set.
+    facts, the check's one tracker also confirms the two facts the
+    statement borrows (_borrowed_facts): at most _edge_cap(n) edges, and
+    the min-degree >= 1 subclass has the same extremal set.
     """
 
     title: str
@@ -302,47 +303,42 @@ def _theorem_plans(thm: str, n: int, p_values: Sequence[int],
 
 class _Probe(NamedTuple):
     """What one plan asks of each class of its family, picklable: the
-    predicate, the exponents scored, and whether the min-degree >= 1
-    subclass is tracked too (borrowed facts)."""
+    predicate and the exponents scored, p = 1 among them for a check with
+    borrowed facts."""
 
     pred: SearchPredicate
     p_values: tuple[int, ...]
-    borrowed: bool
 
 
-# a probe's trackers: over its class, and over the class's min-degree >= 1
-# subclass (None unless the probe borrows facts)
-_Trackers = tuple[ExtremalTracker, "ExtremalTracker | None"]
-
-
-def _probe_classes(n: int, probes: Sequence[_Probe], classes: Iterable[Graph]) -> list[_Trackers]:
-    """Every probe's trackers over classes of one family, from one _pass:
-    the classes a probe accepts go to its tracker, and those with no
-    isolated vertex to its restricted tracker too."""
-    trackers = [(ExtremalTracker(probe.p_values),
-                 ExtremalTracker(probe.p_values) if probe.borrowed else None) for probe in probes]
-    _pass(n, classes, [(probe.pred, tracker.visit if restricted is None
-                        else partial(_visit_both, tracker, restricted))
-                       for probe, (tracker, restricted) in zip(probes, trackers)])
+def _probe_classes(n: int, probes: Sequence[_Probe],
+                   classes: Iterable[Graph]) -> list[ExtremalTracker]:
+    """Every probe's tracker over classes of one family, from one _pass."""
+    trackers = [ExtremalTracker(probe.p_values) for probe in probes]
+    _pass(n, classes, [(probe.pred, tracker.visit) for probe, tracker in zip(probes, trackers)])
     return trackers
 
 
-def _visit_both(tracker: ExtremalTracker, restricted: ExtremalTracker, g: Graph) -> None:
-    tracker.visit(g)
-    if all(g.adj):  # no isolated vertex
-        restricted.visit(g)
+def _borrowed_facts(tracker: ExtremalTracker, p: int) -> tuple[int, bool]:
+    """The most edges a class's graph has, and whether its min-degree >= 1
+    subclass has the same maximum and maximisers at p, read off the
+    class's tracker, which scores p = 1 too.
+
+    e_1 = 2m, so the most edges is half the maximum at p = 1 (0 for an
+    empty class).  The subclass reaches the class's maximum, with the same
+    maximisers, exactly when no maximiser has an isolated vertex.
+    """
+    return (tracker.best[1] or 0) // 2, all(all(g.adj) for g in tracker.maximisers[p])
 
 
 def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int],
-                  trackers: _Trackers) -> list[VerificationRecord]:
-    """The check's records, one per p, scored from its trackers.
+                  tracker: ExtremalTracker) -> list[VerificationRecord]:
+    """The check's records, one per p, scored from its tracker.
 
     For each p the maximum and the complete witness set must equal those of
     the claimed extremal families (uniqueness included), and each family's
     closed form must equal e_p of its construction.
     """
     check, k, spec, pred = plan
-    tracker, restricted = trackers
     claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
     examined = tracker.count
     records = []
@@ -355,10 +351,10 @@ def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int],
         best, found = tracker.best[p], tracker.witnesses(p)
         ok = not mismatch and best == expected_max and found == expected
         detail: dict = {"predicate": pred.describe(), "graphs_examined": examined}
-        if restricted is not None:
-            agrees = restricted.best[p] == best and restricted.witnesses(p) == found
-            ok = ok and tracker.max_edges <= _edge_cap(n) and agrees
-            detail = {"graphs_examined": examined, "max_edges_seen": tracker.max_edges,
+        if spec.borrowed_facts:
+            max_edges, agrees = _borrowed_facts(tracker, p)
+            ok = ok and max_edges <= _edge_cap(n) and agrees
+            detail = {"graphs_examined": examined, "max_edges_seen": max_edges,
                       "edge_cap": _edge_cap(n), "min_degree_filter_agrees": agrees}
         detail.update(expected_max=expected_max, expected_witnesses=list(expected),
                       found_witnesses=list(found))
@@ -726,7 +722,7 @@ def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:
     """One unit (picklable, for process pools): a family unit's trackers,
-    one pair per probe, or a closed-form task's records."""
+    one per probe, or a closed-form task's records."""
     if isinstance(unit, _Unit):
         if unit.entries is None:
             classes = _family(unit.n, unit.c4_free)
@@ -734,13 +730,6 @@ def run_unit(unit: _Unit | tuple[str, dict]) -> list:
             classes = _expand(unit.entries, unit.c4_free)[0]
         return _probe_classes(unit.n, unit.probes, classes)
     return run_task(unit)
-
-
-def _merge(found: list[_Trackers], part: list[_Trackers]) -> None:
-    for (tracker, restricted), (theirs, theirs_restricted) in zip(found, part):
-        tracker.merge(theirs)
-        if restricted is not None:
-            restricted.merge(theirs_restricted)
 
 
 def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
@@ -762,7 +751,8 @@ def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
     found = {key: _probe_classes(key[0], families[key], classes)
              for key, (classes, _) in heads.items()}
     for key, _ in parts:
-        _merge(found[key], next(results))
+        for tracker, theirs in zip(found[key], next(results)):
+            tracker.merge(theirs)
     found.update((key, next(results)) for key in whole)
     return list(results), found
 
@@ -790,7 +780,9 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
             key = _family_key(kw["n"], pred)
             probes = families.setdefault(key, [])
             slots.append((plan, key, len(probes)))
-            probes.append(_Probe(pred, tuple(kw["p_values"]), spec.borrowed_facts))
+            p_values = tuple(kw["p_values"])
+            # p >= 2 is planned, so p = 1 is scored only for the borrowed facts
+            probes.append(_Probe(pred, p_values + (1,) if spec.borrowed_facts else p_values))
         layout.append(slots)
     other = [task for task, slots in zip(tasks, layout) if slots is None]
     pooled = pool is not None and workers > 1

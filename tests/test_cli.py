@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -25,6 +26,9 @@ from helpers import count_generations
 REPORT_DIGESTS = {
     ("thm1", "--n", "4..8"): "27a6d052df3f665130cfb22386817c271070b97c0d9b6becd86b77143bd43ead",
     ("cor1",): "402e5d84f50bde42dde6a3b8d95e2fc9151bb3f3fa377897fd2fc2801fd5bd21",
+    # c1 on the C4-free families of n = 9 and 10, which a pool splits and
+    # all-desk does not reach for c1; run with DEGPOW_MAX_N=10 (REPORT_MAX_N)
+    ("cor1", "--n", "9..10"): "27d778dd067d47389635f4a0b39b9dff671eec3abe419aa127d5d435167443f3",
     ("thm2", "--n", "4..7"): "3e6490b306241566c5b85d96f1b910d848241349d5bc5349cd062bb421071345",
     ("thm4", "--n", "2..7"): "2aef61a27fe9ec5154d87118c774e36878bbb39b9b70d4c019ba2c5edbba99bf",
     ("lemma1",): "3a81b68aaef0a3aafca067dc74a54ae23e9efd8cdb591ce35f96b94f4119269a",
@@ -38,6 +42,16 @@ REPORT_DIGESTS = {
 # sha256 of the CSV and of stdout of `verify all-desk`, at --jobs 1 and 2
 ALL_DESK_CSV_DIGEST = "8a64ebc92300909b136e80974a35289a9c3705ef126b72251e2e098d7db4db57"
 ALL_DESK_STDOUT_DIGEST = "2643b190d2a5bbaded3d1767e3899c5dd7fed6732c3e3e852d700660d84e8230"
+# the DEGPOW_MAX_N a pinned report needs, where the default guard refuses it
+REPORT_MAX_N = {("cor1", "--n", "9..10"): "10"}
+
+
+def _report_guard(monkeypatch, argv) -> None:
+    """Set the enumeration guard a pinned report runs under."""
+    if argv in REPORT_MAX_N:
+        monkeypatch.setenv("DEGPOW_MAX_N", REPORT_MAX_N[argv])
+    else:
+        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -417,6 +431,29 @@ class TestVerify:
     def test_scan_at_its_cap_admitted(self, argv):
         assert _build_tasks(build_parser().parse_args(["verify", *argv]))
 
+    @pytest.mark.parametrize("argv, message", [
+        (("thm4", "--n", "8", "--k", "1..1000000"),
+         "--k takes at most 1000 values of k; got 1000000"),
+        (("polarity", "--q", "2..1000001", "--p", "2"),
+         "--q takes at most 1000 values of q; got 1000000"),
+    ], ids=["k", "q"])
+    def test_axis_past_its_cap_refused_in_bounded_time_and_memory(self, capsys, monkeypatch,
+                                                                  argv, message):
+        # like the p axis, refused from the parsed range's length: no k
+        # tuple, no q task
+        monkeypatch.setattr(cli_mod, "grid_tasks", lambda row: pytest.fail("tasks built"))
+        monkeypatch.setattr(cli_mod, "run_grid", lambda *args: pytest.fail("task ran"))
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "verify", *argv)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"degpow: error: {message}\n")
+        assert elapsed < 0.5 and peak < 5 << 20
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_two(self, capsys, jobs):
         code, out, err = run_cli(capsys, "verify", "thm2", "--jobs", jobs)
@@ -463,7 +500,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
     def test_report_digests_pinned(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+        _report_guard(monkeypatch, argv)
         path = tmp_path / "r.json"
         code, _, _ = run_cli(capsys, "verify", *argv, "--json", str(path))
         assert code == 0
@@ -617,12 +654,12 @@ def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-@pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("thm2", "--n", "4..7"),
-                                  ("thm4", "--n", "2..7")], ids=" ".join)
+@pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("cor1", "--n", "9..10"),
+                                  ("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")], ids=" ".join)
 def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv, jobs):
     # a real pool of --jobs workers, whatever the CPUs here: an odd count
     # deals the units to the workers in another schedule
-    monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
+    _report_guard(monkeypatch, argv)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     built = []
 

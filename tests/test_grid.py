@@ -83,8 +83,7 @@ P_VALUES = (1, 2, 3)
 
 
 def _state(tracker: ExtremalTracker) -> tuple:
-    return (tracker.best, {p: tracker.witnesses(p) for p in P_VALUES}, tracker.max_edges,
-            tracker.count)
+    return tracker.best, {p: tracker.witnesses(p) for p in P_VALUES}, tracker.count
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,7 +107,7 @@ def test_merged_trackers_equal_one_tracker(split):
 def test_empty_trackers_merge_to_an_empty_tracker():
     merged = ExtremalTracker(P_VALUES)
     merged.merge(ExtremalTracker(P_VALUES))
-    assert _state(merged) == ({1: None, 2: None, 3: None}, {1: (), 2: (), 3: ()}, 0, 0)
+    assert _state(merged) == ({1: None, 2: None, 3: None}, {1: (), 2: (), 3: ()}, 0)
 
 
 # two split families (all graphs at n=7, C4-free at n=9), one kept whole and

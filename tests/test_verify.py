@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import tracemalloc
-from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degpow import enumeration, verify
+from degpow.enumeration import ExtremalTracker
 from degpow.families import FamilyId, ep_closed_form
 from degpow.majorization import p_power_norm
 from degpow.verify import (
@@ -447,15 +449,9 @@ class _Seen(list):
 
 
 def _probes(preds):
-    """Fresh probes for (borrowed, predicate) pairs, each with the classes
-    it accepts and, when it borrows facts, those with no isolated vertex."""
-    probes, seen = [], []
-    for borrowed, pred in preds:
-        accepted, restricted = _Seen(), _Seen()
-        visit = partial(verify._visit_both, accepted, restricted) if borrowed else accepted.visit
-        probes.append((pred, visit))
-        seen.append((accepted, restricted))
-    return probes, seen
+    """Fresh probes for predicates, each with the classes it accepts."""
+    seen = [_Seen() for _ in preds]
+    return [(pred, accepted.visit) for pred, accepted in zip(preds, seen)], seen
 
 
 class TestOnePass:
@@ -463,20 +459,51 @@ class TestOnePass:
         (7, False, ["t2i", "t2ii", "t3", "t4", "t4", "t4"]), (8, True, ["t1", "c1"])])
     def test_grouped_probes_see_what_each_sees_alone(self, n, c4_free, checks):
         # every THEOREMS predicate that reads the family (t4 for k = 1, 2,
-        # 3, c1 with its min-degree >= 1 tracker) in one pass: each probe
-        # is given the classes, in the order, of a pass with it alone
-        preds = [(check, spec.borrowed_facts, spec.predicate(n, k))
-                 for check, spec in THEOREMS.items()
+        # 3) in one pass: each probe is given the classes, in the order, of
+        # a pass with it alone
+        preds = [(check, spec.predicate(n, k)) for check, spec in THEOREMS.items()
                  for k in ((1, 2, 3) if spec.takes_k else (None,))]
-        preds = [(check, borrowed, pred) for check, borrowed, pred in preds
+        preds = [(check, pred) for check, pred in preds
                  if enumeration._family_key(n, pred) == (n, c4_free)]
-        assert [check for check, _, _ in preds] == checks
+        assert [check for check, _ in preds] == checks
         family = enumeration._family(n, c4_free)
-        probes, grouped = _probes([(borrowed, pred) for _, borrowed, pred in preds])
+        probes, grouped = _probes([pred for _, pred in preds])
         enumeration._pass(n, family, probes)
-        for (check, borrowed, pred), (accepted, restricted) in zip(preds, grouped):
-            alone_probes, [alone] = _probes([(borrowed, pred)])
+        for (check, pred), accepted in zip(preds, grouped):
+            alone_probes, [alone] = _probes([pred])
             enumeration._pass(n, family, alone_probes)
-            assert (accepted, restricted) == alone and accepted, check
-            no_isolated = [g for g in accepted if min(map(g.degree, range(n))) >= 1]
-            assert restricted == (no_isolated if borrowed else []), check
+            assert accepted == alone and accepted, check
+
+
+# the all-graph classes on 6 and 7 vertices
+BORROWED_CLASSES = {n: enumeration._generate(n, False) for n in (6, 7)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BORROWED_CLASSES)).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(1, 3).flatmap(lambda parts: st.lists(
+        st.integers(-1, parts - 1), min_size=len(BORROWED_CLASSES[n]),
+        max_size=len(BORROWED_CLASSES[n]))))))
+def test_borrowed_facts_match_a_restricted_tracker(case):
+    # any subset of the classes (part -1 leaves a class out; a cap on the
+    # edge count makes isolated vertices common among the maximisers),
+    # split into parts and merged.  The reference is a second tracker fed
+    # only the classes with no isolated vertex
+    n, cap, owner = case
+    chosen = [(g, part) for g, part in zip(BORROWED_CLASSES[n], owner)
+              if part >= 0 and g.edge_count() <= cap]
+    p_values = (2, 3, 1)
+    parts = [ExtremalTracker(p_values) for _ in range(max(owner) + 1)]
+    restricted = ExtremalTracker(p_values)
+    for g, part in chosen:
+        parts[part].visit(g)
+        if all(g.adj):
+            restricted.visit(g)
+    tracker = ExtremalTracker(p_values)
+    for part in parts:
+        tracker.merge(part)
+    for p in (2, 3):
+        max_edges, agrees = verify._borrowed_facts(tracker, p)
+        assert max_edges == max((g.edge_count() for g, _ in chosen), default=0)
+        assert agrees == (restricted.best[p] == tracker.best[p]
+                          and restricted.witnesses(p) == tracker.witnesses(p))
