@@ -106,8 +106,8 @@ MUTANTS = (
             "tests/test_enumeration.py::TestAugmentation::"
             "test_degree_rule_drops_only_rejected_orbits")),
     Mutant("middle-level-mirrored", ENUMERATION,
-           "if not c4_free and 2 * m < g.n * (g.n - 1) // 2:",
-           "if not c4_free and 2 * m <= g.n * (g.n - 1) // 2:",
+           "(not c4_free and 2 * m < g.n * (g.n - 1) // 2",
+           "(not c4_free and 2 * m <= g.n * (g.n - 1) // 2",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
     Mutant("expanded-past-the-middle", ENUMERATION,
@@ -116,6 +116,22 @@ MUTANTS = (
 """, "",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
+    # a class with a dominating vertex has a complement with an isolated
+    # vertex, which the order below already gave
+    Mutant("dominating-complement-kept", ENUMERATION,
+           "\n            and all(a | 1 << v != full for v, a in enumerate(g.adj))", "",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
+    # a child with an isolated vertex is the order below's class plus a vertex
+    Mutant("parent-not-covering", ENUMERATION,
+           "        and not isolated & ~(1 << u | 1 << v)\n", "",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestClassSets::"
+            "test_isolated_vertex_classes_are_the_order_below")),
+    # every tie on the deletion invariant then costs a search
+    Mutant("cell-key-ignored", ENUMERATION,
+           "return sorted((index[pair[0]], index[pair[1]]))", "return [0, 0]",
+           ("tests/test_enumeration.py::TestAugmentation::test_work_counts_pinned",)),
     # the cut rows name a test on each route through _pass: enumerate_graphs
     # or extremal_ep, and run_task or run_grid
     Mutant("even-cycles-kept", ENUMERATION,
@@ -145,6 +161,10 @@ MUTANTS = (
            "if (depth := _split_depth(*key)) is not None}",
            ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
             "tests/test_grid.py::test_grid_units_visit_each_class_once")),
+    Mutant("held-family-split-again", VERIFY,
+           "for key, depth in split.items() if key not in held}",
+           "for key, depth in split.items()}",
+           ("tests/test_grid.py::test_split_family_a_head_caches_is_read_whole",)),
     Mutant("whole-family-not-cached", VERIFY,
            "classes = _family(unit.n, unit.c4_free)",
            "classes = _head(unit.n, unit.c4_free)[0]",
@@ -190,6 +210,11 @@ MUTANTS = (
            'for flag in ("p", "k", "q"):', 'for flag in ("p",):',
            ("tests/test_cli.py::TestVerify::"
             "test_axis_past_its_cap_refused_in_bounded_time_and_memory",)),
+    Mutant("exponent-uncapped", "src/degpow/cli.py",
+           """    if too_large is not None:
+        raise UsageError(f"exponents stop at p={cap}{at}; got p={too_large}")
+""", "",
+           ("tests/test_cli.py::TestVerify::test_scan_above_its_cap_exits_two_before_running",)),
     Mutant("exact-digits-not-lifted", "src/degpow/cli.py",
            "    sys.set_int_max_str_digits(0)\n", "",
            ("tests/test_cli.py::TestVerify::test_value_past_the_digit_limit_reported_whole",

@@ -17,8 +17,8 @@ only for the C4-free and even-cycle-free classes) still apply.  Default
 grids are verify.SUITES with the flags applied.  The closed-form scans
 have fixed caps instead (SCAN_CAPS): a lemma order or a threshold or
 appendix window above its cap is bad input, the all-desk grid included.
-A --p, --k or --q axis (or the p range --pmax gives) longer than AXIS_CAP
-is bad input too.
+A --p, --k or --q axis (or the p range --pmax gives) longer than AXIS_CAP,
+or an exponent above P_CAP, is bad input too.
 """
 
 from __future__ import annotations
@@ -223,15 +223,17 @@ def _first_above(values: range | list[int], bound: int) -> int | None:
 
 
 # the largest order each closed-form scan kind may reach, as (task keyword,
-# cap).  At the threshold and appendix caps the costliest admitted task (the
-# exponent its window admits that costs most) takes 8-9 s on a 2-vCPU VM;
-# the lemma cap bounds a task's time (1.8 s at p=8), as its tuples are
-# built one at a time
+# cap)
 SCAN_CAPS = {"lemma": ("n", 4001), "threshold": ("n_max", 9000), "appendixA": ("n_max", 16_000)}
 # the most values a --p, --k or --q axis (or --pmax's range) may hold: each
 # is a task or a value every theorem class is scored at.  Its length is
 # checked before any task or tuple of the axis is built.
 AXIS_CAP = 1000
+# the largest exponent: p*n at most LEMMA_PN_CAP for a lemma task, which
+# computes about n/2 values of p log10(n) digits, else the top of the
+# longest p axis from 2.  At every cap the costliest task takes 1-5 s on a
+# 2-vCPU VM
+P_CAP, LEMMA_PN_CAP = AXIS_CAP + 1, 2_000_000
 
 
 def _check_axis(flag: str, axis: str, values: range | list[int]) -> None:
@@ -286,13 +288,20 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
 
 
 def _check_cap(row: GridRow) -> None:
-    """Refuse a closed-form scan row whose order or window passes its cap."""
-    if row.kind not in SCAN_CAPS:
-        return
-    key, cap = SCAN_CAPS[row.kind]
-    too_large = _first_above(row.axes[key] if key in row.axes else [row.fixed[key]], cap)
+    """Refuse a closed-form scan row whose order or window passes its cap,
+    or a row whose exponent passes its cap."""
+    if row.kind in SCAN_CAPS:
+        key, cap = SCAN_CAPS[row.kind]
+        too_large = _first_above(row.axes[key] if key in row.axes else [row.fixed[key]], cap)
+        if too_large is not None:
+            raise UsageError(f"{row.kind} scans stop at {key}={cap}; got {key}={too_large}")
+    cap, at = P_CAP, ""
+    if row.kind == "lemma" and (ns := row.axes["n"]):
+        n = ns[-1] if isinstance(ns, range) else max(ns)
+        cap, at = LEMMA_PN_CAP // n, f" at n={n}"
+    too_large = _first_above(row.axes.get("p", row.fixed.get("p_values", ())), cap)
     if too_large is not None:
-        raise UsageError(f"{row.kind} scans stop at {key}={cap}; got {key}={too_large}")
+        raise UsageError(f"exponents stop at p={cap}{at}; got p={too_large}")
 
 
 # the grid keys through which each verify flag reaches a GridRow; a JSON

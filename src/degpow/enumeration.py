@@ -2,16 +2,10 @@
 
 Canonical form: the lexicographically minimal upper-triangle adjacency bit
 string (graph6 column order) over all vertex relabelings, found by
-backtracking.  At each position only vertices attaining the minimal next
-column can start an optimal completion, which prunes the search to those
-ties; ties that are swappable by a transposition automorphism collapse to
-one branch, so highly symmetric graphs stay cheap.  The unplaced vertices
-are kept as bitset cells of equal column value in increasing value, as in
-the partitions of McKay & Piperno (J. Symb. Comput. 60 (2014) 94-112), so
-the tie set is the first cell and placing a vertex splits each cell into
-its non-neighbours, then its neighbours.  A tied vertex with no unplaced
-neighbour is branched on alone: every optimal completion places one of its
-twins next (see _canon_search).
+backtracking over the vertices attaining the minimal next column, twins
+collapsed to one branch, with the unplaced vertices kept in cells as in
+the partitions of McKay & Piperno (J. Symb. Comput. 60 (2014) 94-112); see
+_canon_search.
 
 Generation labels classes by a cheaper canonical labelling instead
 (_label_search): equitable refinement by a splitter queue, then
@@ -23,48 +17,33 @@ computed only where it is printed or promised: for the witnesses an
 ExtremalTracker reports, and for the representatives enumerate_graphs
 visits.
 
-Generation is McKay's canonical augmentation (J. Algorithms 26 (1998)
-306-324), depth first from the empty graph.  A labelled parent is extended
-by one non-edge per orbit of its automorphism group.  A child is kept only
-if the added edge lies in the orbit of the child's canonical deletion edge:
-among the edges maximising (degree sum, smaller degree, common neighbours),
-the one whose pair of labelled positions is largest.  The invariant
-rejects most children before any search, as in nauty's geng, and most of
-those before they are built: the parent's degrees already show when an
-edge at u or v would beat the new edge uv on degree sum, so that orbit of
-non-edges is dropped whole (_non_edge_orbits; 49,924 of the 62,560
-candidates at n = 8).  The others are built and scanned in full
-(_deletion_ties).  A surviving child costs one labelling search, which
-also relabels it and supplies its automorphisms for its own expansion.
-Both families generated (below) are closed under edge deletion, so every
-class in them is reached exactly once, from the class obtained by deleting
-its canonical deletion edge.
+Each order grows from the cached order below: its classes with an
+isolated vertex are those at n - 1 plus a vertex, and the rest come from
+McKay's canonical augmentation (J. Algorithms 26 (1998) 306-324), depth
+first from the order-below classes with at most 2 isolated vertices
+(_non_edges).  A parent is extended by one non-edge per orbit of its
+automorphism group, and a child kept only if the added edge lies in the
+orbit of its canonical deletion edge (_kept).  A degree invariant rejects
+most children before any search, as in nauty's geng.  A class is kept as
+built and searched only where the answer is read: for generators, or for
+a deletion tie its equitable cells leave open.  Both families are closed
+under edge deletion, so every class is reached once.  All graphs are
+closed under complement too, so their tree stops at N/2 edges, N =
+n(n-1)/2 (_complement_below_middle).
 
-All graphs are closed under complement too, which maps the classes with m
-edges onto those with N - m, N = n(n-1)/2.  So their tree is expanded only
-up to the middle edge count, N/2 rounded down, and each class reached
-below the middle brings its complement: the classes above the middle are
-complements of labelled classes, not labelled themselves, and a middle
-level (N even) is generated.  So at n = 8 generation runs 8,521 labelling
-searches for 12,346 classes.  The C4-free family is not closed under
-complement and is expanded whole.
-
-The tree is expanded below a list of entries (a labelled class, its
-automorphism generators, its edge count) by _expand, which may stop at a
-frontier edge count and return the entries it reached there unexpanded.
-_head is that expansion from the empty graph, and with no frontier it is
-the whole family.  A class is labelled by its own search, not by its
-parent's, so a subtree expanded by itself, in any process, yields the same
-representatives as the whole tree, and the subtrees below distinct
-frontier classes are disjoint, complements included: verify.run_grid
-splits the large families so for a pool of workers.
+_expand grows the tree below a list of entries (a class, its generators or
+None, its edge count), stopping at a frontier edge count if given; _head
+is that expansion from the order below.  A representative is its parent's
+plus an edge, so a subtree expanded in any process yields the same
+classes, and the subtrees below distinct frontier classes are disjoint:
+verify.run_grid splits the large families so for a pool of workers.
 
 Two families are generated per order, each whole and uncapped: all graphs
 and the C4-free graphs, each in (edge count, adjacency) order, and kept
-in a module cache.  _family_key names the one a predicate reads, and
-_pass, the one pass over a family's classes for extremal_ep,
-enumerate_graphs and verify.run_grid alike, cuts or filters every other
-class out of it: an edge cap is a cut of that order, and an
+in a module cache with the orders below them.  _family_key names the one
+a predicate reads, and _pass, the one pass over a family's classes for
+extremal_ep, enumerate_graphs and verify.run_grid alike, cuts or filters
+every other class out of it: an edge cap is a cut of that order, and an
 even-cycle-free class is the C4-free family filtered by has_even_cycle, so
 theorem 1 and corollary 1 at the same order share one generation.
 enumerate_graphs then sorts the min-lex representatives of its classes.
@@ -80,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import structure
-from .graphs import Graph, add_edge, ep, new_graph, permute, to_graph6
+from .graphs import Graph, add_edge, ep, permute, to_graph6
 
 ENUM_HARD_CAP = 10
 ENUM_FAST_CAP = 8  # the CLI's default guard
@@ -221,13 +200,14 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> list[in
 
 
 def _label_search(
-    n: int, adj: tuple[int, ...]
+    n: int, adj: tuple[int, ...], root: list[int] | None = None
 ) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
     """A canonical labelling by refinement and individualisation: the
     certificate (the relabelled adjacency), the permutation (position ->
     vertex), and generators (vertex -> vertex) of the automorphism group.
 
-    The root is the unit partition refined by degree.  A node branches on
+    The root is the unit partition refined by degree (or root, if the
+    caller has it).  A node branches on
     each vertex of its first non-singleton cell, individualised ahead of
     the rest of it, unless the vertex is a twin of an explored sibling or
     in the orbit of one under the generators so far that fix the node's
@@ -283,7 +263,7 @@ def _label_search(
             prefix.pop()
 
     full = (1 << n) - 1
-    search(_refine(adj, [full], [full]))
+    search(_refine(adj, [full], [full]) if root is None else root)
     if best_cert is None:
         raise RuntimeError(f"labelling search reached no leaf for n={n}")
     return best_cert, best_perm, gens
@@ -365,14 +345,6 @@ def _inverse(perm: list[int]) -> list[int]:
     for pos, v in enumerate(perm):
         inverse[v] = pos
     return inverse
-
-
-def _labelled(g: Graph) -> tuple[Graph, list[int], list[list[int]]]:
-    """g relabelled by _label_search, the relabelling (vertex -> position)
-    and automorphism generators of the relabelled graph."""
-    cert, perm, gens = _label_search(g.n, g.adj)
-    sigma = _inverse(perm)
-    return Graph(g.n, cert), sigma, [[sigma[gamma[v]] for v in perm] for gamma in gens]
 
 
 @dataclass(frozen=True)
@@ -470,36 +442,38 @@ def _pair_orbit(gens: list[list[int]], pair: tuple[int, int]) -> set[tuple[int, 
     return orbit
 
 
-def _non_edge_orbits(g: Graph, gens: list[list[int]]) -> list[tuple[int, int]]:
-    """One non-edge per orbit of the automorphism group gens generate, the
-    least pair of each, leaving out the orbits whose child _deletion_ties
-    would reject on degree sums alone.
-
-    Adding uv gives it the degree sum deg[u] + deg[v] + 2, in the parent's
-    degrees, and gives an edge xu the sum deg[x] + deg[u] + 1 (x is not v).
-    So if u has a neighbour of degree deg[v] + 2 or more, or v one of
-    degree deg[u] + 2 or more, some edge of the child has a larger
-    invariant than uv.  The rule is symmetric in u and v and reads only
-    degrees, which automorphisms keep, so it keeps or drops each orbit
-    whole, and a kept orbit keeps its representative.
-    """
+def _non_edges(g: Graph, c4_free: bool) -> list[tuple[int, int]]:
+    """The non-edges uv (u < v) whose child may be kept: covering every
+    isolated vertex of g (deleting an edge never un-isolates one), making
+    no C4 if c4_free, and passing the degree rule: in g's degrees uv gets
+    the degree sum deg[u] + deg[v] + 2 and an edge xu deg[x] + deg[u] + 1,
+    so u with a neighbour of degree deg[v] + 2, or v with one of deg[u] + 2,
+    makes _deletion_ties reject the child.  Orbits are kept or dropped
+    whole."""
     adj = g.adj
     deg = [a.bit_count() for a in adj]
+    isolated = sum(1 << x for x, d in enumerate(deg) if not d)
+    if isolated.bit_count() > 2:
+        return []
     # at_least[d]: the vertices of degree d or more; a non-edge uv has deg[v] <= n - 2
     at_least = [0] * (g.n + 1)
     for x, d in enumerate(deg):
         at_least[d] |= 1 << x
     for d in range(g.n - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
-    non_edges = [
+    return [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not (adj[u] >> v) & 1
+        and not isolated & ~(1 << u | 1 << v)
         and not adj[u] & at_least[deg[v] + 2] and not adj[v] & at_least[deg[u] + 2]
+        and not (c4_free and _creates_c4(adj, u, v))
     ]
-    if not gens:
-        return non_edges
+
+
+def _orbit_reps(pairs: list[tuple[int, int]], gens: list[list[int]]) -> list[tuple[int, int]]:
+    """The least pair of each orbit of gens in pairs, a union of orbits."""
     seen: set[tuple[int, int]] = set()
     reps: list[tuple[int, int]] = []
-    for pair in non_edges:
+    for pair in pairs:
         if pair not in seen:
             reps.append(pair)
             seen |= _pair_orbit(gens, pair)
@@ -531,16 +505,48 @@ def _deletion_ties(adj: tuple[int, ...], u: int, v: int) -> list[tuple[int, int]
     return ties
 
 
-# a labelled class, its automorphism generators and its edge count
-_Entry = tuple[Graph, list[list[int]], int]
+def _kept(child: Graph, u: int, v: int) -> tuple[bool, list[list[int]] | None]:
+    """Whether child, the parent plus uv, is kept, and its generators if
+    a search ran.  uv must lie in the orbit of the canonical deletion edge,
+    which maximises in turn the invariant of _deletion_ties, the sorted
+    cells of its ends in the child's equitable partition, and the sorted
+    labelled positions of its ends: only a tie on the first two costs a
+    search."""
+    ties = _deletion_ties(child.adj, u, v)
+    if ties is None:
+        return False, None
+    if len(ties) == 1:
+        return True, None
+    full = (1 << child.n) - 1
+    cells = _refine(child.adj, [full], [full])
+    index = {x: i for i, cell in enumerate(cells) for x in range(child.n) if cell >> x & 1}
+
+    def key(pair: tuple[int, int]) -> list[int]:
+        return sorted((index[pair[0]], index[pair[1]]))
+
+    top = max(map(key, ties))
+    if key((u, v)) != top:
+        return False, None
+    tops = [pair for pair in ties if key(pair) == top]
+    if len(tops) == 1:
+        return True, None
+    _, perm, gens = _label_search(child.n, child.adj, cells)
+    pos = _inverse(perm)
+    best = max(tops, key=lambda pair: sorted((pos[pair[0]], pos[pair[1]])))
+    return (u, v) in _pair_orbit(gens, best), gens
+
+
+# a class, its automorphism generators (None until searched), its edge count
+_Entry = tuple[Graph, list[list[int]] | None, int]
 
 
 def _complement_below_middle(g: Graph, m: int, c4_free: bool) -> list[Graph]:
     """The complement of an all-graph class with m edges, if m is below
-    half the vertex pairs; nothing otherwise.  The complement has the rest
-    of the pairs, so it lies above the middle edge count."""
-    if not c4_free and 2 * m < g.n * (g.n - 1) // 2:
-        full = (1 << g.n) - 1
+    half the vertex pairs and no vertex is adjacent to every other (else
+    the complement has an isolated vertex, and the order below gave it)."""
+    full = (1 << g.n) - 1
+    if (not c4_free and 2 * m < g.n * (g.n - 1) // 2
+            and all(a | 1 << v != full for v, a in enumerate(g.adj))):
         return [Graph(g.n, tuple(full ^ (1 << v) ^ a for v, a in enumerate(g.adj)))]
     return []
 
@@ -549,54 +555,51 @@ def _expand(entries: list[_Entry], c4_free: bool,
             frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
     """Every class below the entries in the augmentation tree, and the
     frontier: the entries reached with frontier edges, returned among the
-    classes but not expanded.  The all-graph tree is expanded only up to
-    the middle edge count, and each class reached below it comes with its
-    complement, so the classes above the middle are complements of
-    labelled classes."""
+    classes but not expanded.  An entry is searched for its generators only
+    when it has 2 candidate non-edges or more.  The all-graph tree stops at
+    the middle edge count, and its classes bring their complements."""
     found: list[Graph] = []
     reached: list[_Entry] = []
     stack = list(entries)
     while stack:
         entry = stack.pop()
         g, gens, m = entry
+        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
+            continue
         if frontier is not None and m >= frontier:
             reached.append(entry)
             continue
-        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
-            continue
-        for u, v in _non_edge_orbits(g, gens):
-            if c4_free and _creates_c4(g.adj, u, v):
-                continue
+        pairs = _non_edges(g, c4_free)
+        if len(pairs) > 1:
+            if gens is None:
+                gens = _label_search(g.n, g.adj)[2]
+            pairs = _orbit_reps(pairs, gens)
+        for u, v in pairs:
             child = add_edge(g, u, v)
-            ties = _deletion_ties(child.adj, u, v)
-            if ties is None:
-                continue
-            rep, sigma, child_gens = _labelled(child)
-            if len(ties) > 1:
-                # the canonical deletion edge: largest pair of positions
-                best = max(tuple(sorted((sigma[x], sigma[y]))) for x, y in ties)
-                added = tuple(sorted((sigma[u], sigma[v])))
-                if added not in _pair_orbit(child_gens, best):
-                    continue
-            found.append(rep)
-            found += _complement_below_middle(rep, m + 1, c4_free)
-            stack.append((rep, child_gens, m + 1))
+            kept, child_gens = _kept(child, u, v)
+            if kept:
+                found.append(child)
+                found += _complement_below_middle(child, m + 1, c4_free)
+                stack.append((child, child_gens, m + 1))
     return found, reached
 
 
 def _head(n: int, c4_free: bool, frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
-    """The family's classes with at most frontier edges (all of them for
-    None) and for all graphs their complements, the empty graph first, and
-    the frontier entries below which the rest of the family lies."""
-    root, _, gens = _labelled(new_graph(n, []))
-    found, reached = _expand([(root, gens, 0)], c4_free, frontier)
-    return [root, *_complement_below_middle(root, 0, c4_free), *found], reached
+    """The order below's classes plus a vertex, the classes grown from
+    them down to frontier edges (all of them for None), for all graphs with
+    complements, and the frontier entries below which the rest lies."""
+    below = _family(n - 1, c4_free) if n > 1 else (Graph(0, ()),)
+    roots = [(Graph(n, g.adj + (0,)), None, g.edge_count()) for g in below]
+    found, reached = _expand([root for root in roots if root[0].adj.count(0) <= 2],
+                             c4_free, frontier)
+    return [*(g for g, _, _ in roots),
+            *(h for g, _, m in roots for h in _complement_below_middle(g, m, c4_free)),
+            *found], reached
 
 
 def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
     """Every isomorphism class at order n, or every C4-free one, in (edge
-    count, adjacency) order: the classes _expand labels, and for all
-    graphs the complements of those below the middle edge count."""
+    count, adjacency) order: _head with no frontier."""
     return tuple(sorted(_head(n, c4_free)[0], key=lambda g: (g.edge_count(), g.adj)))
 
 

@@ -29,11 +29,11 @@ the family they read (enumeration._family_key), so one enumeration._pass
 over its classes serves every plan on it, and cuts the work into units:
 - each closed-form task runs whole, through run_task, as one unit;
 - given a pool of at least 2 workers, a family _split_depth names is
-  generated down to that edge count by the caller (its head), and the
-  frontier classes there are dealt into UNITS_PER_SPLIT units, each
-  expanding the subtrees below its classes.  The subtrees of McKay's
-  augmentation tree are disjoint and each class is labelled by its own
-  search, so the units together visit the family once;
+  grown from the order below down to that edge count by the caller (its
+  head), and the frontier classes there are dealt into UNITS_PER_SPLIT
+  units, each expanding the subtrees below its classes.  The subtrees of
+  McKay's augmentation tree are disjoint, so the units together visit the
+  family once (one that a head cached as its order below is read whole);
 - every other family is one unit, read from the family cached in the
   process that runs it, so checks on one family in one process (t2 and t4
   at one order, t1 and c1) share one generation across calls.
@@ -694,13 +694,11 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
     """The edge count at which a pool splits the family into subtree
     units, or None to keep it one unit.
 
-    The subtree sizes are heavy tailed.  At these depths the head holds 7
-    to 28 per cent of the family's classes (for all graphs, with the
-    complements of its classes), and the largest subtree below the
-    frontier, complements included, 18 per cent of the rest at n = 8 (2020
-    of 11474 classes), 21 at n = 7 and, C4-free, 23 at n = 9.  The largest
-    of the 8 units takes 26 per cent of the units' time at n = 8 and 29 at
-    n = 7 (BENCH_22.json)."""
+    The subtree sizes are heavy tailed.  At these depths the head holds 19
+    to 41 per cent of the family's classes, and the largest subtree below
+    the frontier 20 per cent of the rest at n = 8, 25 at n = 7 and, C4-free,
+    28 at n = 9; the largest of the 8 units takes 24 to 30 per cent of the
+    units' time."""
     if c4_free:
         return n - 2 if n >= 9 else None
     return n if n >= 7 else None
@@ -709,13 +707,10 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
 def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
     """The frontier entries dealt round robin into parts, least e_2 first.
 
-    The largest subtrees lie below frontier classes of small e_2, whose
-    degrees are spread evenly: by e_2 the three largest rank 2, 9 and 11 of
-    221 at n = 8, 2, 5 and 7 of 65 at n = 7 and, C4-free, 2, 4 and 5 of 103
-    at n = 9, so they go to different parts.  Handed to two workers in
-    unit order, the parts leave the busier worker 6 per cent fewer classes
-    than the entries dealt unsorted at n = 8, 4 per cent C4-free at n = 9
-    and under 1 per cent at n = 7 (BENCH_22.json)."""
+    The largest subtrees lie below frontier classes of small e_2: by e_2
+    the three largest rank 2, 9 and 11 of 872 at n = 8, 5, 4 and 2 of 110
+    at n = 7 and, C4-free, 4, 6 and 2 of 295 at n = 9, so they go to
+    different parts."""
     ordered = sorted(entries, key=lambda entry: ep(entry[0], 2))
     return [ordered[i::parts] for i in range(parts)]
 
@@ -740,8 +735,10 @@ def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
 
     The heads are generated first and every unit goes out in one map: the
     split families' subtree units, the whole families, then the tasks.  The
-    head classes are visited here while the units run."""
-    heads = {key: _head(*key, depth) for key, depth in split.items()}
+    head classes, and the split families a head cached as its order below,
+    are visited here while the units run."""
+    held = [key for key in split if (key[0] + 1, key[1]) in split]
+    heads = {key: _head(*key, depth) for key, depth in split.items() if key not in held}
     parts = [(key, _Unit(*key, families[key], part))
              for key, (_, entries) in heads.items() for part in _deal(entries, UNITS_PER_SPLIT)]
     whole = [key for key in families if key not in split]
@@ -750,6 +747,7 @@ def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
                                      *other]))
     found = {key: _probe_classes(key[0], families[key], classes)
              for key, (classes, _) in heads.items()}
+    found.update((key, _probe_classes(key[0], families[key], _family(*key))) for key in held)
     for key, _ in parts:
         for tracker, theirs in zip(found[key], next(results)):
             tracker.merge(theirs)

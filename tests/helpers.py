@@ -29,8 +29,8 @@ def every_class(n: int) -> tuple[Graph, ...]:
 
 def count_generations(monkeypatch) -> list[tuple[int, bool]]:
     """Empty the class cache for the test, and record the (n, c4_free) of
-    every family generated from the empty graph after that: whole, into
-    the cache, or as the head of a split."""
+    every family generated after that: whole, into the cache (the orders
+    below it first, if they are not cached), or as the head of a split."""
     generated: list[tuple[int, bool]] = []
     head = enumeration._head
 

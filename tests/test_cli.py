@@ -411,8 +411,17 @@ class TestVerify:
          "--p takes at most 1000 values of p; got 1000000000"),
         (("thresholds", "--pmax", "1000000000"),
          "--pmax takes at most 1000 values of p; got 999999999"),
+        # an exponent is refused by its value: its records' digits grow with it
+        (("lemma1", "--n", "7", "--p", "300000"),
+         "exponents stop at p=285714 at n=7; got p=300000"),
+        (("lemma1", "--n", "7,4001", "--p", "500"),
+         "exponents stop at p=499 at n=4001; got p=500"),
+        (("thm1", "--n", "4", "--p", "2,1002"), "exponents stop at p=1001; got p=1002"),
+        (("polarity", "--q", "2", "--p", "1000..1010"),
+         "exponents stop at p=1001; got p=1002"),
     ], ids=["lemma1", "lemma12", "lemma1-huge", "thresholds", "appendixA", "lemma1-p-huge",
-            "thm1-p-huge", "pmax-huge"])
+            "thm1-p-huge", "pmax-huge", "lemma1-p-large", "lemma1-p-large-at-n4001", "thm1-p-large",
+            "polarity-p-large"])
     def test_scan_above_its_cap_exits_two_before_running(self, capsys, monkeypatch, argv,
                                                          message):
         # caps are checked on the axis bounds, before any task is built
@@ -484,13 +493,15 @@ class TestVerify:
     ], ids=["p-twice", "n-twice", "k-twice", "q-twice", "first-kept"])
     def test_repeated_values_run_once(self, capsys, monkeypatch, argv, records, families):
         # a repeated value is kept once, in the order it first appears, and
-        # each (n, family) is generated once, from the empty graph
+        # each (n, family) is generated once, with the orders below it
         monkeypatch.delenv("DEGPOW_MAX_N", raising=False)
         generated = count_generations(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert out.splitlines() == records + [f"{len(records)}/{len(records)} checks passed"]
-        assert generated == families
+        assert [key for key in generated if key in families] == families
+        assert sorted(generated) == sorted({(k, c4_free) for n, c4_free in families
+                                            for k in range(1, n + 1)})
 
     def test_theorem_tasks_running_no_check_are_dropped(self, monkeypatch):
         # t4 with k runs at n >= k+1 only; the orders below run nothing
@@ -498,7 +509,7 @@ class TestVerify:
         args = build_parser().parse_args(["verify", "thm4", "--k", "3"])
         assert [kw["n"] for _, kw in _build_tasks(args)] == [4, 5, 6, 7, 8]
 
-    @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+    @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS), ids=" ".join)
     def test_report_digests_pinned(self, tmp_path, capsys, monkeypatch, argv):
         _report_guard(monkeypatch, argv)
         path = tmp_path / "r.json"

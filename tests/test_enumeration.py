@@ -18,7 +18,7 @@ from degpow.enumeration import (
     extremal_ep,
 )
 from degpow.families import complete_bipartite, cycle_graph, friendship, split_graph, wheel
-from degpow.graphs import add_edge, from_graph6, new_graph, permute, to_graph6
+from degpow.graphs import Graph, add_edge, from_graph6, new_graph, permute, to_graph6
 from degpow.structure import has_c4
 
 from helpers import all_labeled_graphs, every_class
@@ -32,7 +32,9 @@ CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
 # n = 4..8 -- mapped to (class count, sha256 of the concatenated sorted
 # canonical forms).  The digests were taken from the level-by-level
 # generator with per-level deduplication by canonical form, so they pin the
-# class sets independently of the generator that produces them now.
+# class sets independently of the generator that produces them now.  The
+# whole C4-free family at n = 9, which the one at n = 10 grows from, was
+# pinned from the generator that grew each order from the empty graph.
 PINNED_CLASS_SETS = {
     (1, False, False, 0): (1, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
     (2, False, False, 1): (2, "e14b77bb203317724ad98b20cf058c977a65f1fbb20c40b5b71b9f063f68c64a"),
@@ -48,6 +50,7 @@ PINNED_CLASS_SETS = {
     (7, True, False, 9): (117, "2eb2cd36894c1d0a5237e6dceb0d25e3687e1bb505d68e45e712d9c0628684d5"),
     (8, True, False, 10): (346, "49a1c4f436602a5ba7aef3a96d0fd1c48a0365048ded7a0b64e979f9a3c4c330"),
     (9, True, False, 12): (1220, "b7d11c7f5180dc10377a07d92ae20a2d368bb6b2d12fd0c3e83b6099876b129b"),
+    (9, True, False, 36): (1230, "12fb520b9b98454a6d1e110780ccb47232c2497d6ac1a5a3cf463893eca33d57"),
     (4, False, True, 6): (8, "803a3530333b6705e7a75dc2ce213c18e2daabbc62f47b3fe6007607eff8f451"),
     (5, False, True, 10): (18, "d54edae64f057892500b2815f9ed978a2abbb202b113ee453d30acdc5626275a"),
     (6, False, True, 15): (42, "1bbce2579ca205700e1cb5b2d27d17cce0498e30840ed25d2d8ac11246d06b7a"),
@@ -70,9 +73,9 @@ def searches(monkeypatch):
     counter = Counter()
     search = enumeration._label_search
 
-    def counting(n, adj):
+    def counting(n, adj, root=None):
         counter["calls"] += 1
-        return search(n, adj)
+        return search(n, adj, root)
 
     monkeypatch.setattr(enumeration, "_label_search", counting)
     monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
@@ -402,9 +405,10 @@ class TestClassSets:
     @pytest.mark.parametrize("key", EVEN_CYCLE_FREE_KEYS, ids=str)
     def test_pinned_class_set_by_route(self, key, route, searches):
         # own: a cold cache, so the request generates the whole C4-free
-        # family; filtered: that family is cached already and no search runs.
-        # Either way the class is read out of the C4-free family, and only
-        # that family is cached, never a filtered tuple.
+        # family, from the orders below it; filtered: that family is cached
+        # already and no search runs.  Either way the class is read out of
+        # the C4-free family, and only the C4-free families at n and below
+        # are cached, never a filtered tuple.
         n, c4_free, even_cycle_free, cap = key
         if route == "filtered":
             enumeration._CLASS_CACHE[(n, True)] = enumeration._generate(n, True)
@@ -412,7 +416,7 @@ class TestClassSets:
         pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
         assert enumerate_graphs(n, pred) == PINNED_CLASS_SETS[key][0]
         assert (searches["calls"] == calls) == (route == "filtered")
-        assert list(enumeration._CLASS_CACHE) == [(n, True)]
+        assert sorted(enumeration._CLASS_CACHE) == [(k, True) for k in range(1, n + 1)]
         self.check_pinned(key)
 
     @staticmethod
@@ -454,6 +458,17 @@ class TestClassSets:
         assert count == PINNED_CLASS_SETS[(7, False, True, 21)][0]
         assert searches["calls"] == generated
 
+    @pytest.mark.parametrize("n, c4_free", [(n, False) for n in range(2, 9)]
+                             + [(n, True) for n in range(2, 10)], ids=str)
+    def test_isolated_vertex_classes_are_the_order_below(self, n, c4_free):
+        # the classes at n with an isolated vertex are the classes at n - 1
+        # plus a vertex, each once
+        below = Counter(canonical_form(Graph(n, g.adj + (0,)))
+                        for g in enumeration._family(n - 1, c4_free))
+        here = Counter(canonical_form(g) for g in enumeration._family(n, c4_free) if 0 in g.adj)
+        assert set(below.values()) == {1}
+        assert here == below
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complements_mirror_the_family(self, n):
         # the family is closed under complement, each class's complement is
@@ -488,9 +503,10 @@ class TestAugmentation:
     @pytest.mark.parametrize("n, c4_free", [(n, False) for n in range(1, 8)]
                              + [(n, True) for n in range(1, 9)])
     def test_degree_rule_drops_only_rejected_orbits(self, n, c4_free):
-        # every class of the family as a parent: each dropped non-edge's
-        # child fails the deletion test, and the orbits returned are every
-        # non-edge orbit the rule keeps, each by its least pair
+        # every class of the family as a parent: each non-edge the degree
+        # rule drops has a child the deletion test rejects, and the pairs
+        # returned are the least of every non-edge orbit that covers the
+        # parent's isolated vertices, passes the rule and, C4-free, makes no C4
         for g in enumeration._family(n, c4_free):
             _, _, gens = enumeration._label_search(g.n, g.adj)
             non_edges = {pair for pair in itertools.combinations(range(n), 2)
@@ -498,21 +514,29 @@ class TestAugmentation:
             dropped = {pair for pair in non_edges if degree_rule_drops(g, *pair)}
             for u, v in dropped:
                 assert enumeration._deletion_ties(add_edge(g, u, v).adj, u, v) is None
+            dropped |= {(u, v) for u, v in non_edges
+                        if any(g.degree(x) == 0 for x in range(n) if x not in (u, v))
+                        or c4_free and has_c4(add_edge(g, u, v))}
             orbits = [orbit for orbit in pair_orbits(n, gens) if orbit <= non_edges]
             assert all(orbit <= dropped or not orbit & dropped for orbit in orbits)
             kept = sorted(min(orbit) for orbit in orbits if not orbit & dropped)
-            assert enumeration._non_edge_orbits(g, gens) == kept
+            assert enumeration._orbit_reps(enumeration._non_edges(g, c4_free), gens) == kept
 
-    @pytest.mark.parametrize("n, c4_free, deletion_tests, labellings",
-                             [(7, False, 806, 587), (8, False, 12636, 8521),
-                              (8, True, 604, 405)])
-    def test_work_counts_pinned(self, monkeypatch, n, c4_free, deletion_tests, labellings):
-        # deterministic counts; the all-graph tree is expanded only up to
-        # its middle edge count.  Without the degree rule every child of a
-        # non-edge orbit (C4-free ones only for C4-free families) gets a
-        # deletion test, 2,748, 62,560 and 1,739 of them; the rule drops
-        # only children the deletion test rejects, so the labelling searches
-        # do not change
+    @pytest.mark.parametrize("orders, c4_free, deletion_tests, labellings", [
+        ((7,), False, 625, 228), ((8,), False, 11116, 3021), ((8,), True, 431, 151),
+        (tuple(range(4, 9)), True, 601, 236),
+    ], ids=["n=7 all", "n=8 all", "n=8 C4-free", "n=4..8 C4-free"])
+    def test_work_counts_pinned(self, monkeypatch, orders, c4_free, deletion_tests, labellings):
+        # deterministic counts of generating the orders in turn, from a cache
+        # that holds the order below the first and the orders below that.
+        # The all-graph tree is expanded only up to its middle edge count,
+        # and a class is searched only for its generators, when it has 2
+        # candidate non-edges or more, or for a tie on its deletion edge
+        # that the cells of its equitable partition leave open.  Generated
+        # from the empty graph each, C4-free n = 4..8 took 858 deletion
+        # tests and 601 searches.
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        enumeration._family(orders[0] - 1, c4_free)
         counter = Counter()
         for name in ("_deletion_ties", "_label_search"):
             original = getattr(enumeration, name)
@@ -522,7 +546,8 @@ class TestAugmentation:
                 return original(*args)
 
             monkeypatch.setattr(enumeration, name, counting)
-        enumeration._generate(n, c4_free)
+        for n in orders:
+            enumeration._family(n, c4_free)
         assert counter == {"_deletion_ties": deletion_tests, "_label_search": labellings}
 
 

@@ -33,11 +33,16 @@ def _forms(n: int, c4_free: bool) -> dict:
 @pytest.mark.parametrize("n, c4_free, depth", SPLITS, ids=str)
 def test_subtrees_partition_the_family(n, c4_free, depth):
     head, entries = enumeration._head(n, c4_free, depth)
-    # every head class, or for all graphs its complement, has at most depth edges
+    # every head class, or for all graphs its complement, has an isolated
+    # vertex or at most depth edges; a frontier entry with more edges is the
+    # order below's class plus a vertex
     full = n * (n - 1) // 2
-    assert all(g.edge_count() <= depth or not c4_free and full - g.edge_count() <= depth
+    assert all(0 in g.adj or g.edge_count() <= depth
+               or not c4_free and (full - g.edge_count() <= depth
+                                   or any(a | 1 << v == (1 << n) - 1 for v, a in enumerate(g.adj)))
                for g in head)
-    assert all(m == depth and g in head for g, _, m in entries)
+    assert all((m == depth or m > depth and 0 in g.adj) and g.adj.count(0) <= 2 and g in head
+               for g, _, m in entries)
     below = {entry[0]: enumeration._expand([entry], c4_free)[0] for entry in entries}
     assert len(below) == len(entries)
     family = Counter(enumeration._family(n, c4_free))
@@ -65,15 +70,27 @@ def test_subtrees_partition_the_family(n, c4_free, depth):
             assert hashlib.sha256(b"".join(cut)).hexdigest() == digest
 
 
-def test_split_units_partition_the_n8_family():
-    # the largest family as run_grid splits it: the head and the units, each
-    # expanding its entries at once, hold each class once.  The family's
-    # forms are pinned by test_enumeration's check of this cached family.
-    head, entries = enumeration._head(8, False, verify._split_depth(8, False))
+def _split_union(n: int, c4_free: bool) -> Counter:
+    """The classes of the head and of the units, each expanding its
+    entries at once, as run_grid splits the family."""
+    head, entries = enumeration._head(n, c4_free, verify._split_depth(n, c4_free))
     union = Counter(head)
     for part in verify._deal(entries, verify.UNITS_PER_SPLIT):
-        union.update(enumeration._expand(part, False)[0])
-    assert union == Counter(enumeration._family(8, False))
+        union.update(enumeration._expand(part, c4_free)[0])
+    return union
+
+
+def test_split_units_partition_the_n8_family():
+    # the largest family as run_grid splits it holds each class once.  The
+    # family's forms are pinned by test_enumeration's check of this cached
+    # family.
+    assert _split_union(8, False) == Counter(enumeration._family(8, False))
+
+
+@pytest.mark.parametrize("n, c4_free", [(7, False), (9, True)], ids=str)
+def test_split_units_partition_the_family(n, c4_free):
+    # the other families run_grid splits, each grown from the order below
+    assert _split_union(n, c4_free) == Counter(enumeration._family(n, c4_free))
 
 
 # every class on 6 vertices with at most 7 edges; e_1 = 2m, so at p=1 every
@@ -145,10 +162,25 @@ class _ReversedPool:
 def test_grid_units_visit_each_class_once(monkeypatch, pool, heads):
     generated = count_generations(monkeypatch)
     expected = [record for task in TASKS for record in run_task(task)]
-    # t2 and t4 share the n=7 family, c1 and t1 the C4-free one at n=6
-    assert sorted(generated) == [(6, True), (7, False), (9, True)]
+    # t2 and t4 share the n=7 family, c1 and t1 the C4-free one at n=6, which
+    # t1 at n=9 grows from with the orders between
+    assert sorted(generated) == sorted([(n, False) for n in range(1, 8)]
+                                       + [(n, True) for n in range(1, 10)])
     generated.clear()
     # inline the grid reads the families cached above; a pool of two
     # generates the heads of the families it splits, and no family whole
     assert verify.run_grid(TASKS, 2, pool) == expected
     assert sorted(generated) == heads
+
+
+def test_split_family_a_head_caches_is_read_whole(monkeypatch):
+    # t4 at n=7 and 8: a pool splits both all-graph families, and the head at
+    # n=8 grows from the whole family at n=7, which is then read whole in
+    # this process, not split into a head and units again
+    tasks = [("theorem", {"thm": "t4", "n": n, "p_values": (2,), "k_values": (1,)})
+             for n in (7, 8)]
+    expected = [record for task in tasks for record in run_task(task)]
+    generated = count_generations(monkeypatch)
+    assert verify.run_grid(tasks, 2, _ReversedPool) == expected
+    assert generated[0] == (8, False)
+    assert sorted(generated) == [(n, False) for n in range(1, 9)]
