@@ -453,8 +453,6 @@ def _non_edges(g: Graph, c4_free: bool) -> list[tuple[int, int]]:
     adj = g.adj
     deg = [a.bit_count() for a in adj]
     isolated = sum(1 << x for x, d in enumerate(deg) if not d)
-    if isolated.bit_count() > 2:
-        return []
     # at_least[d]: the vertices of degree d or more; a non-edge uv has deg[v] <= n - 2
     at_least = [0] * (g.n + 1)
     for x, d in enumerate(deg):
