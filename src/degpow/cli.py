@@ -18,7 +18,8 @@ grids are verify.SUITES with the flags applied.  The closed-form scans
 have fixed caps instead (SCAN_CAPS): a lemma order or a threshold or
 appendix window above its cap is bad input, the all-desk grid included.
 A --p, --k or --q axis (or the p range --pmax gives) longer than AXIS_CAP,
-or an exponent above P_CAP, is bad input too.
+or an exponent above P_CAP (for a lemma, p*n above LEMMA_PN_CAP), is bad
+input too.
 """
 
 from __future__ import annotations
