@@ -522,21 +522,22 @@ class TestAugmentation:
             kept = sorted(min(orbit) for orbit in orbits if not orbit & dropped)
             assert enumeration._orbit_reps(enumeration._non_edges(g, c4_free), gens) == kept
 
-    @pytest.mark.parametrize("orders, c4_free, deletion_tests, labellings", [
-        ((7,), False, 625, 228), ((8,), False, 11116, 3021), ((8,), True, 431, 151),
-        (tuple(range(4, 9)), True, 601, 236),
+    @pytest.mark.parametrize("cached, orders, c4_free, deletion_tests, labellings", [
+        (6, (7,), False, 625, 228), (7, (8,), False, 11116, 3021), (7, (8,), True, 431, 151),
+        (0, tuple(range(4, 9)), True, 604, 239),
     ], ids=["n=7 all", "n=8 all", "n=8 C4-free", "n=4..8 C4-free"])
-    def test_work_counts_pinned(self, monkeypatch, orders, c4_free, deletion_tests, labellings):
+    def test_work_counts_pinned(self, monkeypatch, cached, orders, c4_free, deletion_tests,
+                                labellings):
         # deterministic counts of generating the orders in turn, from a cache
-        # that holds the order below the first and the orders below that.
-        # The all-graph tree is expanded only up to its middle edge count,
-        # and a class is searched only for its generators, when it has 2
-        # candidate non-edges or more, or for a tie on its deletion edge
-        # that the cells of its equitable partition leave open.  Generated
-        # from the empty graph each, C4-free n = 4..8 took 858 deletion
-        # tests and 601 searches.
+        # that holds the orders up to cached (none for 0), so the last row
+        # generates orders 1 to 3 too.  The all-graph tree is expanded only
+        # up to its middle edge count, and a class is searched only for its
+        # generators, when it has 2 candidate non-edges or more, or for a tie
+        # on its deletion edge that the cells of its equitable partition
+        # leave open
         monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
-        enumeration._family(orders[0] - 1, c4_free)
+        if cached:
+            enumeration._family(cached, c4_free)
         counter = Counter()
         for name in ("_deletion_ties", "_label_search"):
             original = getattr(enumeration, name)
