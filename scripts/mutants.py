@@ -151,23 +151,27 @@ MUTANTS = (
     Mutant("merge-drops-tied-witnesses", ENUMERATION,
            "self.maximisers[p] += other.maximisers[p]", "pass",
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),
+    # a subtree unit visits its frontier classes only
     Mutant("frontier-not-expanded", VERIFY,
-           "classes = _expand(unit.entries, unit.c4_free)[0]",
-           "classes = [entry[0] for entry in unit.entries]",
+           "_expand(unit.entries, unit.c4_free)[0])",
+           "[entry[0] for entry in unit.entries])",
            ("tests/test_grid.py::test_grid_units_visit_each_class_once",
             "tests/test_cli.py::test_report_digests_pinned_with_a_process_pool")),
+    # with no pool every family is read whole from the class cache
     Mutant("split-without-a-pool", VERIFY,
            "if pooled and (depth := _split_depth(*key)) is not None}",
            "if (depth := _split_depth(*key)) is not None}",
            ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
             "tests/test_grid.py::test_grid_units_visit_each_class_once")),
-    Mutant("held-family-split-again", VERIFY,
-           "for key, depth in split.items() if key not in held}",
-           "for key, depth in split.items()}",
+    # a family below the top of its kind is split too, and its head grown
+    # again, though the top's head cached it
+    Mutant("split-below-a-split-family", VERIFY,
+           "for key in sorted(tops.values(), key=lambda key: key[1])",
+           "for key in sorted(families, key=lambda key: key[1])",
            ("tests/test_grid.py::test_split_family_a_head_caches_is_read_whole",)),
-    Mutant("whole-family-not-cached", VERIFY,
-           "classes = _family(unit.n, unit.c4_free)",
-           "classes = _head(unit.n, unit.c4_free)[0]",
+    Mutant("unsplit-family-not-cached", VERIFY,
+           "heads[key][0] if key in heads else _family(*key))",
+           "heads[key][0] if key in heads else _head(*key)[0])",
            ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
             "tests/test_grid.py::test_grid_units_visit_each_class_once")),
     Mutant("forest-edge-count", STRUCTURE,
@@ -210,6 +214,22 @@ MUTANTS = (
            'for flag in ("p", "k", "q"):', 'for flag in ("p",):',
            ("tests/test_cli.py::TestVerify::"
             "test_axis_past_its_cap_refused_in_bounded_time_and_memory",)),
+    # len() refuses a range past sys.maxsize with an OverflowError
+    Mutant("axis-length-by-len", "src/degpow/cli.py",
+           "size = values.stop - values.start if isinstance(values, range) else len(values)",
+           "size = len(values)",
+           ("tests/test_cli.py::test_bad_input_exits_two_with_one_line",
+            "tests/test_cli_fuzz.py::test_main_exits_zero_one_or_two")),
+    Mutant("first-above-by-len", "src/degpow/cli.py",
+           "return first if first in values else None",
+           "return first if first < values.start + len(values) * values.step else None",
+           ("tests/test_cli.py::test_bad_input_exits_two_with_one_line",
+            "tests/test_cli_fuzz.py::test_main_exits_zero_one_or_two")),
+    Mutant("ep-exponent-uncapped", "src/degpow/cli.py",
+           """    if args.p > P_CAP:
+        raise UsageError(f"exponents stop at p={P_CAP}; got p={args.p}")
+""", "",
+           ("tests/test_cli.py::TestEp::test_p_above_cap_exits_two_before_reading",)),
     Mutant("exponent-uncapped", "src/degpow/cli.py",
            """    if too_large is not None:
         raise UsageError(f"exponents stop at p={cap}{at}; got p={too_large}")

@@ -19,7 +19,8 @@ have fixed caps instead (SCAN_CAPS): a lemma order or a threshold or
 appendix window above its cap is bad input, the all-desk grid included.
 A --p, --k or --q axis (or the p range --pmax gives) longer than AXIS_CAP,
 or an exponent above P_CAP (for a lemma, p*n above LEMMA_PN_CAP), is bad
-input too.
+input too, and so is an ep --p above P_CAP.  A range is read from its
+bounds, so one of any length is refused as fast as a short one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import io
 import json
 import os
 import sys
-from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -155,6 +155,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_ep(args: argparse.Namespace) -> int:
     if args.p < 1:
         raise UsageError(f"--p must be >= 1, got {args.p}")
+    if args.p > P_CAP:
+        raise UsageError(f"exponents stop at p={P_CAP}; got p={args.p}")
     values = [ep(g, args.p) for g in _read_graphs(args)]
     with _exact_digits():
         for value in values:
@@ -216,10 +218,11 @@ def _parse_range(flag: str, text: str) -> range | list[int]:
 
 def _first_above(values: range | list[int], bound: int) -> int | None:
     """The first value above bound, in order; an (increasing) range is
-    bisected, so its length costs nothing."""
+    read from its bounds, so its length costs nothing."""
     if isinstance(values, range):
-        i = bisect_right(values, bound)
-        return values[i] if i < len(values) else None
+        first = max(values.start, bound + 1)
+        first += (values.start - first) % values.step
+        return first if first in values else None
     return next((v for v in values if v > bound), None)
 
 
@@ -238,8 +241,10 @@ P_CAP, LEMMA_PN_CAP = AXIS_CAP + 1, 2_000_000
 
 
 def _check_axis(flag: str, axis: str, values: range | list[int]) -> None:
-    if len(values) > AXIS_CAP:
-        raise UsageError(f"--{flag} takes at most {AXIS_CAP} values of {axis}; got {len(values)}")
+    # a parsed range steps by 1, and len() refuses one past sys.maxsize
+    size = values.stop - values.start if isinstance(values, range) else len(values)
+    if size > AXIS_CAP:
+        raise UsageError(f"--{flag} takes at most {AXIS_CAP} values of {axis}; got {size}")
 
 
 def _enum_guard() -> int:

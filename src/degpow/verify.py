@@ -28,15 +28,17 @@ CLI all score theorems through it.  It groups the plans of a whole grid by
 the family they read (enumeration._family_key), so one enumeration._pass
 over its classes serves every plan on it, and cuts the work into units:
 - each closed-form task runs whole, through run_task, as one unit;
-- given a pool of at least 2 workers, a family _split_depth names is
-  grown from the order below down to that edge count by the caller (its
+- given a pool of at least 2 workers, the highest order of each kind
+  (all graphs, C4-free) is split when _split_depth names a depth for it:
+  the caller grows it from the order below down to that edge count (its
   head), and the frontier classes there are dealt into UNITS_PER_SPLIT
   units, each expanding the subtrees below its classes.  The subtrees of
   McKay's augmentation tree are disjoint, so the units together visit the
-  family once (one that a head cached as its order below is read whole);
-- every other family is one unit, read from the family cached in the
-  process that runs it, so checks on one family in one process (t2 and t4
-  at one order, t1 and c1) share one generation across calls.
+  family once.
+Every other family is read in the calling process, from the family
+cached there (the head caches each order below it), so checks on one
+family (t2 and t4 at one order, t1 and c1) share one generation across
+calls, and no unit reads the class cache.
 A unit returns records or trackers, never classes.  Each family's trackers
 are merged in unit order (ExtremalTracker.merge) and scored by
 _theorem_pass, so the records do not depend on who ran a unit.  Each check
@@ -681,13 +683,13 @@ _FamilyKey = tuple[int, bool]  # (n, c4_free)
 
 
 class _Unit(NamedTuple):
-    """The classes of one family below entries (the whole family for None),
-    visited by every probe grouped on the family."""
+    """The classes of one family below entries, visited by every probe
+    grouped on the family."""
 
     n: int
     c4_free: bool
     probes: list[_Probe]
-    entries: list[_Entry] | None
+    entries: list[_Entry]
 
 
 def _split_depth(n: int, c4_free: bool) -> int | None:
@@ -716,14 +718,10 @@ def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
 
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:
-    """One unit (picklable, for process pools): a family unit's trackers,
+    """One unit (picklable, for process pools): a subtree unit's trackers,
     one per probe, or a closed-form task's records."""
     if isinstance(unit, _Unit):
-        if unit.entries is None:
-            classes = _family(unit.n, unit.c4_free)
-        else:
-            classes = _expand(unit.entries, unit.c4_free)[0]
-        return _probe_classes(unit.n, unit.probes, classes)
+        return _probe_classes(unit.n, unit.probes, _expand(unit.entries, unit.c4_free)[0])
     return run_task(unit)
 
 
@@ -734,24 +732,18 @@ def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
     family's trackers per probe.
 
     The heads are generated first and every unit goes out in one map: the
-    split families' subtree units, the whole families, then the tasks.  The
-    head classes, and the split families a head cached as its order below,
-    are visited here while the units run."""
-    held = [key for key in split if (key[0] + 1, key[1]) in split]
-    heads = {key: _head(*key, depth) for key, depth in split.items() if key not in held}
+    split families' subtree units, then the tasks.  The head classes, and
+    every family not split, read whole from the class cache, are visited
+    here while the units run."""
+    heads = {key: _head(*key, depth) for key, depth in split.items()}
     parts = [(key, _Unit(*key, families[key], part))
              for key, (_, entries) in heads.items() for part in _deal(entries, UNITS_PER_SPLIT)]
-    whole = [key for key in families if key not in split]
-    results = iter(mapper(run_unit, [*(unit for _, unit in parts),
-                                     *(_Unit(*key, families[key], None) for key in whole),
-                                     *other]))
-    found = {key: _probe_classes(key[0], families[key], classes)
-             for key, (classes, _) in heads.items()}
-    found.update((key, _probe_classes(key[0], families[key], _family(*key))) for key in held)
+    results = iter(mapper(run_unit, [*(unit for _, unit in parts), *other]))
+    found = {key: _probe_classes(key[0], probes, heads[key][0] if key in heads else _family(*key))
+             for key, probes in families.items()}
     for key, _ in parts:
         for tracker, theirs in zip(found[key], next(results)):
             tracker.merge(theirs)
-    found.update((key, next(results)) for key in whole)
     return list(results), found
 
 
@@ -762,9 +754,10 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
     pool(max_workers=k) must give a context manager whose map returns the
     results in item order, like a process pool's.  The families are split
     only when a pool is given and workers is at least 2; the pool is used
-    with k the smaller of workers and the number of units, when that is
-    above 1.  Otherwise every unit runs in this process.  Every task is
-    planned before any unit runs.
+    with k the smaller of workers and the number of units (the closed-form
+    tasks and the subtree units), when that is above 1.  Otherwise every
+    unit runs in this process, which reads every family not split.  Every
+    task is planned before any unit runs.
     """
     families: dict[_FamilyKey, list[_Probe]] = {}
     layout = []  # per task: None, or (plan, family, probe index) per plan
@@ -784,11 +777,12 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
         layout.append(slots)
     other = [task for task, slots in zip(tasks, layout) if slots is None]
     pooled = pool is not None and workers > 1
-    # the largest families first: all graphs before C4-free, higher orders first
-    split = {key: depth for key in sorted(families, key=lambda key: (not key[1], key[0]),
-                                          reverse=True)
+    # the highest order of each kind, whose head caches every order below
+    # it, and the largest first: all graphs before C4-free
+    tops = {c4_free: (n, c4_free) for n, c4_free in sorted(families)}
+    split = {key: depth for key in sorted(tops.values(), key=lambda key: key[1])
              if pooled and (depth := _split_depth(*key)) is not None}
-    units = len(other) + len(families) + (UNITS_PER_SPLIT - 1) * len(split)
+    units = len(other) + UNITS_PER_SPLIT * len(split)
     if pooled and min(workers, units) > 1:
         with pool(max_workers=min(workers, units)) as executor:
             chunks, found = _run_units(executor.map, other, families, split)

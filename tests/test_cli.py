@@ -138,15 +138,19 @@ class TestEp:
         assert code == 0 and out.split() == ["36", "12"]
 
     def test_value_past_the_digit_limit_printed_whole(self, capsys):
-        # the star on 64 vertices at p=3000: 63**3000 + 63 has 5,398 digits,
-        # past the interpreter's default int-to-str limit of 4300
+        # the star on 64 vertices at p = P_CAP: 63**1001 + 63 has 1,802
+        # digits, past the least int-to-str limit the interpreter takes (640)
         _, g6, _ = run_cli(capsys, "construct", "star", "64")
         limit = sys.get_int_max_str_digits()
-        code, out, err = run_cli(capsys, "ep", "--g6", g6.strip(), "--p", "3000")
-        assert (code, err) == (0, "")
-        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "ep", "--g6", g6.strip(), "--p", str(cli_mod.P_CAP))
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
         with cli_mod._exact_digits():
-            assert out == f"{63**3000 + 63}\n"
+            assert out == f"{63**1001 + 63}\n"
 
     def test_format_flag_is_gone(self, capsys):
         # the input tells its format: graph6 bytes are 63-126, never a digit
@@ -171,6 +175,18 @@ class TestEp:
         code, out, err = run_cli(capsys, "ep", "--file", missing, "--p", p)
         assert code == 2 and out == ""
         assert err == f"degpow: error: --p must be >= 1, got {p}\n"
+
+    @pytest.mark.parametrize("p", [cli_mod.P_CAP + 1, 99999999999999999999])
+    def test_p_above_cap_exits_two_before_reading(self, tmp_path, capsys, p):
+        missing = str(tmp_path / "nonexistent" / "g.g6")
+        code, out, err = run_cli(capsys, "ep", "--file", missing, "--p", str(p))
+        assert code == 2 and out == ""
+        assert err == f"degpow: error: exponents stop at p={cli_mod.P_CAP}; got p={p}\n"
+
+    def test_p_at_cap_runs(self, capsys):
+        # e_p of the star K_{1,2}: 2^p + 2
+        code, out, _ = run_cli(capsys, "ep", "--g6", "Bg", "--p", str(cli_mod.P_CAP))
+        assert code == 0 and out == f"{2 ** cli_mod.P_CAP + 2}\n"
 
 
 class TestCheck:
@@ -579,6 +595,18 @@ class TestVerify:
 
 
 
+# a range or bound past sys.maxsize, which len() refuses
+HUGE = "99999999999999999999"
+HUGE_RANGES = [
+    ("verify", "thm3", "--n", f"8..{HUGE}"),
+    ("verify", "thm1", "--p", f"2..{HUGE}"),
+    ("verify", "lemma1", "--n", f"10..{HUGE}"),
+    ("verify", "polarity", "--q", f"2..{HUGE}"),
+    ("verify", "thm4", "--n", "8", "--k", f"1..{HUGE}"),
+    ("verify", "thresholds", "--pmax", HUGE, "--nmax", "7"),
+]
+
+
 @pytest.mark.parametrize("argv, max_n", [
     (("verify", "thm1", "--n", "9", "--p", "2"), None),
     (("verify", "thm2", "--n", "10"), None),
@@ -607,11 +635,13 @@ class TestVerify:
     (("check", "nosuch", "--g6", "C~"), None),
     ((), None),
     (("verify", "thm1", "--n", "-3..5"), None),
+    *[(argv, None) for argv in HUGE_RANGES],
 ], ids=["guard", "n10", "n10-max-n-10", "no-task", "missing-t", "wheel3", "no-family",
         "no-size", "no-graph", "bad-g6", "empty-stdin", "empty-stdin-check", "t4-k-above-n",
         "t4-n-below-k", "thm1-q", "polarity-n", "lemma1-pmax", "thm1-pair", "all-desk-n-p",
         "all-desk-nmax", "p-with-pmax", "jobs-not-int", "p-not-int", "no-suite",
-        "no-property", "no-command", "negative-range"])
+        "no-property", "no-command", "negative-range", "huge-n-thm3", "huge-p",
+        "huge-n-lemma1", "huge-q", "huge-k", "huge-pmax"])
 def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
     # exit 1 is kept for a failed verification record
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
@@ -627,7 +657,7 @@ def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
 @pytest.mark.parametrize("argv, jobs, workers", [
     (("thm2", "--n", "4..7", "--p", "2"), "5000", [4]),
     (("thm2", "--n", "4..7", "--p", "2"), "2", [2]),
-    (("thm2", "--n", "4..5", "--p", "2"), "3", [2]),
+    (("thm2", "--n", "4..5", "--p", "2"), "3", []),
     (("thm2", "--n", "4", "--p", "2"), "8", []),
     (("thm2", "--n", "4..7", "--p", "2"), "1", []),
     (("thm2", "--n", "7", "--p", "2"), "2", [2]),
@@ -637,10 +667,11 @@ def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
 ])
 def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
     # workers = min(--jobs, CPUs the process may run on, units), with 4
-    # CPUs here.  thm2 --n 4..7 is 11 units (n = 4, 5, 6 whole, n = 7 split
-    # in 8), --n 4..5 two, --n 4 one, and the one task at n = 7 eight; each
-    # of the 28 lemma1 tasks at p = 2, the 17 thresholds tasks and the 13
-    # appendixA tasks is a unit.  No process starts.
+    # CPUs here, and no pool for fewer than 2 units.  thm2 --n 4..7 is 8
+    # units (n = 7 split in 8; n = 4, 5, 6 are read in this process), --n
+    # 4..5 and --n 4 none, and the one task at n = 7 eight; each of the 28
+    # lemma1 tasks at p = 2, the 17 thresholds tasks and the 13 appendixA
+    # tasks is a unit.  No process starts.
     built = []
 
     class RecordingPool:
@@ -664,12 +695,18 @@ def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
     assert code == 0 and built == workers
 
 
+# the pinned reports that read every family in this process at any --jobs
+UNSPLIT = {("thm1", "--n", "4..8"), ("cor1",)}
+
+
 @pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("cor1", "--n", "9..10"),
                                   ("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")], ids=" ".join)
 def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv, jobs):
     # a real pool of --jobs workers, whatever the CPUs here: an odd count
-    # deals the units to the workers in another schedule
+    # deals the units to the workers in another schedule.  The C4-free
+    # families below n = 9 are never split, so thm1 --n 4..8 and cor1 start
+    # no pool: this process reads them
     _report_guard(monkeypatch, argv)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     built = []
@@ -682,5 +719,5 @@ def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
     path = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", str(jobs), "--json", str(path))
-    assert code == 0 and built == [jobs]
+    assert code == 0 and built == ([] if argv in UNSPLIT else [jobs])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]

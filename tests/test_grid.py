@@ -127,8 +127,8 @@ def test_empty_trackers_merge_to_an_empty_tracker():
     assert _state(merged) == ({1: None, 2: None, 3: None}, {1: (), 2: (), 3: ()}, 0)
 
 
-# two split families (all graphs at n=7, C4-free at n=9), one kept whole and
-# read by two checks (C4-free at n=6), and closed-form tasks between them
+# two split families (all graphs at n=7, C4-free at n=9), one read whole by
+# two checks (C4-free at n=6), and closed-form tasks between them
 TASKS = [
     ("theorem", {"thm": "t2", "n": 7, "p_values": (2, 3)}),
     *[("lemma", {"lemma": "lemma1", "n": n, "p": 3}) for n in range(7, 47, 2)],
@@ -174,9 +174,9 @@ def test_grid_units_visit_each_class_once(monkeypatch, pool, heads):
 
 
 def test_split_family_a_head_caches_is_read_whole(monkeypatch):
-    # t4 at n=7 and 8: a pool splits both all-graph families, and the head at
-    # n=8 grows from the whole family at n=7, which is then read whole in
-    # this process, not split into a head and units again
+    # t4 at n=7 and 8: a pool splits only the higher all-graph family, and
+    # the head at n=8 grows from the whole family at n=7, which is then read
+    # whole in this process, not split into a head and units
     tasks = [("theorem", {"thm": "t4", "n": n, "p_values": (2,), "k_values": (1,)})
              for n in (7, 8)]
     expected = [record for task in tasks for record in run_task(task)]
@@ -184,3 +184,32 @@ def test_split_family_a_head_caches_is_read_whole(monkeypatch):
     assert verify.run_grid(tasks, 2, _ReversedPool) == expected
     assert generated[0] == (8, False)
     assert sorted(generated) == [(n, False) for n in range(1, 9)]
+
+
+
+def _refuse(*args):
+    raise AssertionError("a unit reads a family")
+
+
+def test_pool_runs_only_subtree_units_and_closed_form_tasks():
+    # every family not split, the C4-free one at n=6 here, is read in this
+    # process; a unit expands the subtrees below its entries or runs a
+    # closed-form task, whatever the class cache holds
+    ran = []
+
+    class UnitsOnlyPool(_ReversedPool):
+        """Runs each map's items in this process with the family and head
+        generators refused."""
+
+        def map(self, fn, items):
+            items = list(items)
+            ran.append(len(items))
+            with pytest.MonkeyPatch.context() as patch:
+                for module in (enumeration, verify):
+                    patch.setattr(module, "_family", _refuse)
+                    patch.setattr(module, "_head", _refuse)
+                return [fn(item) for item in items]
+
+    expected = [record for task in TASKS for record in run_task(task)]
+    assert verify.run_grid(TASKS, 2, UnitsOnlyPool) == expected
+    assert ran == [2 * verify.UNITS_PER_SPLIT + 20]
