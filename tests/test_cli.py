@@ -183,11 +183,6 @@ class TestEp:
         assert code == 2 and out == ""
         assert err == f"degpow: error: exponents stop at p={cli_mod.P_CAP}; got p={p}\n"
 
-    def test_p_at_cap_runs(self, capsys):
-        # e_p of the star K_{1,2}: 2^p + 2
-        code, out, _ = run_cli(capsys, "ep", "--g6", "Bg", "--p", str(cli_mod.P_CAP))
-        assert code == 0 and out == f"{2 ** cli_mod.P_CAP + 2}\n"
-
 
 class TestCheck:
     def test_c4free_friendship(self, capsys):

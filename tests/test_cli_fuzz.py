@@ -35,6 +35,7 @@ VALUES = st.one_of(
     INTS.map(str),
     st.tuples(INTS, INTS).map(lambda r: f"{r[0]}..{r[1]}"),
     st.lists(INTS, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["..", "3..", "..5", "2,,3", ",", "4..5..6"]),
     GARBAGE,
 )
 # placeholders for paths in a fresh directory: a file, one below a missing
