@@ -169,6 +169,10 @@ MUTANTS = (
            "for key in sorted(tops.values(), key=lambda key: key[1])",
            "for key in sorted(families, key=lambda key: key[1])",
            ("tests/test_grid.py::test_split_family_a_head_caches_is_read_whole",)),
+    # the second split family's units are read as closed-form records
+    Mutant("merge-first-split-family-only", VERIFY,
+           "units[:UNITS_PER_SPLIT * len(heads)]", "units[:UNITS_PER_SPLIT]",
+           ("tests/test_grid.py::test_grid_units_visit_each_class_once",)),
     Mutant("unsplit-family-not-cached", VERIFY,
            "heads[key][0] if key in heads else _family(*key))",
            "heads[key][0] if key in heads else _head(*key)[0])",
@@ -216,8 +220,8 @@ MUTANTS = (
             "test_axis_past_its_cap_refused_in_bounded_time_and_memory",)),
     # len() refuses a range past sys.maxsize with an OverflowError
     Mutant("axis-length-by-len", "src/degpow/cli.py",
-           "size = values.stop - values.start if isinstance(values, range) else len(values)",
-           "size = len(values)",
+           "    if isinstance(values, range):\n        return max(0, -((values.start - values.stop)"
+           " // values.step))\n", "",
            ("tests/test_cli.py::test_bad_input_exits_two_with_one_line",
             "tests/test_cli_fuzz.py::test_main_exits_zero_one_or_two")),
     Mutant("first-above-by-len", "src/degpow/cli.py",
@@ -233,6 +237,11 @@ MUTANTS = (
     Mutant("exponent-uncapped", "src/degpow/cli.py",
            """    if too_large is not None:
         raise UsageError(f"exponents stop at p={cap}{at}; got p={too_large}")
+""", "",
+           ("tests/test_cli.py::TestVerify::test_scan_above_its_cap_exits_two_before_running",)),
+    Mutant("task-count-uncapped", "src/degpow/cli.py",
+           """    if tasks > AXIS_CAP:
+        raise UsageError(f"a {row.kind} row runs at most {AXIS_CAP} tasks; got {tasks}")
 """, "",
            ("tests/test_cli.py::TestVerify::test_scan_above_its_cap_exits_two_before_running",)),
     Mutant("exact-digits-not-lifted", "src/degpow/cli.py",

@@ -18,9 +18,10 @@ grids are verify.SUITES with the flags applied.  The closed-form scans
 have fixed caps instead (SCAN_CAPS): a lemma order or a threshold or
 appendix window above its cap is bad input, the all-desk grid included.
 A --p, --k or --q axis (or the p range --pmax gives) longer than AXIS_CAP,
-or an exponent above P_CAP (for a lemma, p*n above LEMMA_PN_CAP), is bad
-input too, and so is an ep --p above P_CAP.  A range is read from its
-bounds, so one of any length is refused as fast as a short one.
+a row of more than AXIS_CAP tasks, or an exponent above P_CAP (for a
+lemma, p*n above LEMMA_PN_CAP), is bad input too, and so is an ep --p
+above P_CAP.  A range is read from its bounds, so one of any length is
+refused as fast as a short one.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from math import prod
 from typing import NoReturn
 
 from . import structure
@@ -230,8 +232,9 @@ def _first_above(values: range | list[int], bound: int) -> int | None:
 # cap)
 SCAN_CAPS = {"lemma": ("n", 4001), "threshold": ("n_max", 9000), "appendixA": ("n_max", 16_000)}
 # the most values a --p, --k or --q axis (or --pmax's range) may hold: each
-# is a task or a value every theorem class is scored at.  Its length is
-# checked before any task or tuple of the axis is built.
+# is a task or a value every theorem class is scored at; and the most tasks
+# a row's axes may make.  Both are checked before any task or tuple of the
+# row is built.
 AXIS_CAP = 1000
 # the largest exponent: p*n at most LEMMA_PN_CAP for a lemma task, which
 # computes about n/2 values of p log10(n) digits, else the top of the
@@ -240,9 +243,15 @@ AXIS_CAP = 1000
 P_CAP, LEMMA_PN_CAP = AXIS_CAP + 1, 2_000_000
 
 
+def _size(values: range | list[int]) -> int:
+    # read from a range's bounds, since len() refuses one past sys.maxsize
+    if isinstance(values, range):
+        return max(0, -((values.start - values.stop) // values.step))
+    return len(values)
+
+
 def _check_axis(flag: str, axis: str, values: range | list[int]) -> None:
-    # a parsed range steps by 1, and len() refuses one past sys.maxsize
-    size = values.stop - values.start if isinstance(values, range) else len(values)
+    size = _size(values)
     if size > AXIS_CAP:
         raise UsageError(f"--{flag} takes at most {AXIS_CAP} values of {axis}; got {size}")
 
@@ -295,7 +304,8 @@ def _apply_flags(args: argparse.Namespace, row: GridRow, given: dict, guard: int
 
 def _check_cap(row: GridRow) -> None:
     """Refuse a closed-form scan row whose order or window passes its cap,
-    or a row whose exponent passes its cap."""
+    or a row whose exponent passes its cap or whose axes make more than
+    AXIS_CAP tasks."""
     if row.kind in SCAN_CAPS:
         key, cap = SCAN_CAPS[row.kind]
         too_large = _first_above(row.axes[key] if key in row.axes else [row.fixed[key]], cap)
@@ -308,6 +318,9 @@ def _check_cap(row: GridRow) -> None:
     too_large = _first_above(row.axes.get("p", row.fixed.get("p_values", ())), cap)
     if too_large is not None:
         raise UsageError(f"exponents stop at p={cap}{at}; got p={too_large}")
+    tasks = prod(_size(values) for values in row.axes.values())
+    if tasks > AXIS_CAP:
+        raise UsageError(f"a {row.kind} row runs at most {AXIS_CAP} tasks; got {tasks}")
 
 
 # the grid keys through which each verify flag reaches a GridRow; a JSON

@@ -154,12 +154,7 @@ def finite_field(q: int) -> FiniteField:
     if pk is None or q > 64:
         raise ValueError(f"{q} is not a supported prime power")
     p, k = pk
-    if k == 1:
-        red = (0, 1)  # x itself; unused for prime fields
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-        return FiniteField(q, p, 1, red, add, mul)
-    red = _smallest_irreducible(p, k)
+    red = _smallest_irreducible(p, k)  # x itself for a prime q
 
     def digits(e: int) -> tuple[int, ...]:
         return tuple((e // p**i) % p for i in range(k))

@@ -24,32 +24,33 @@ SUITES is the one default grid; the CLI only filters and overrides its
 rows.
 
 run_grid is the one theorem runner: run_task, brute_force_theorem and the
-CLI all score theorems through it.  It groups the plans of a whole grid by
-the family they read (enumeration._family_key), so one enumeration._pass
-over its classes serves every plan on it, and cuts the work into units:
-- each closed-form task runs whole, through run_task, as one unit;
-- given a pool of at least 2 workers, the highest order of each kind
-  (all graphs, C4-free) is split when _split_depth names a depth for it:
+CLI all score theorems through it.  It plans every task first and groups
+the plans of the whole grid by the family they read
+(enumeration._family_key), so one enumeration._pass over its classes
+serves every plan on it.  Then it builds one list of units:
+- given a pool of at least 2 workers, the highest order of each kind is
+  split when _split_depth names a depth for it, all graphs before C4-free:
   the caller grows it from the order below down to that edge count (its
-  head), and the frontier classes there are dealt into UNITS_PER_SPLIT
-  units, each expanding the subtrees below its classes.  The subtrees of
-  McKay's augmentation tree are disjoint, so the units together visit the
-  family once.
-Every other family is read in the calling process, from the family
-cached there (the head caches each order below it), so checks on one
-family (t2 and t4 at one order, t1 and c1) share one generation across
-calls, and no unit reads the class cache.
-A unit returns records or trackers, never classes.  Each family's trackers
-are merged in unit order (ExtremalTracker.merge) and scored by
-_theorem_pass, so the records do not depend on who ran a unit.  Each check
-has one tracker: Corollary 1's borrowed facts (its edge bound and its
-min-degree >= 1 subclass) are read off it too (_borrowed_facts).  This
-module starts no process: the caller passes a pool or every unit runs
-inline.
+  head), and the frontier entries there are dealt round robin into
+  UNITS_PER_SPLIT subtree units, each expanding the subtrees below its
+  entries.  The subtrees of McKay's augmentation tree are disjoint, so the
+  head and the units together visit the family once;
+- then each closed-form task, run whole through run_task.
+While the units run, the caller reads the heads and every family not split
+(from the class cache, where a head caches each order below it, so checks
+on one family share one generation across calls), and no unit reads the
+class cache.  A unit returns records or trackers, never classes.  Each
+family's trackers are merged in unit order (ExtremalTracker.merge) and
+scored by _theorem_pass, so the records do not depend on who ran a unit.
+Each check has one tracker: Corollary 1's borrowed facts (its edge bound
+and its min-degree >= 1 subclass) are read off it too (_borrowed_facts).
+This module starts no process: the caller passes a pool or every unit
+runs inline.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -699,22 +700,11 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
     The subtree sizes are heavy tailed.  At these depths the head holds 19
     to 41 per cent of the family's classes, and the largest subtree below
     the frontier 20 per cent of the rest at n = 8, 25 at n = 7 and, C4-free,
-    28 at n = 9; the largest of the 8 units takes 24 to 30 per cent of the
-    units' time."""
+    28 at n = 9; the largest of the 8 units, the frontier dealt round robin,
+    takes 23 to 29 per cent of the units' time."""
     if c4_free:
         return n - 2 if n >= 9 else None
     return n if n >= 7 else None
-
-
-def _deal(entries: list[_Entry], parts: int) -> list[list[_Entry]]:
-    """The frontier entries dealt round robin into parts, least e_2 first.
-
-    The largest subtrees lie below frontier classes of small e_2: by e_2
-    the three largest rank 2, 9 and 11 of 872 at n = 8, 5, 4 and 2 of 110
-    at n = 7 and, C4-free, 4, 6 and 2 of 295 at n = 9, so they go to
-    different parts."""
-    ordered = sorted(entries, key=lambda entry: ep(entry[0], 2))
-    return [ordered[i::parts] for i in range(parts)]
 
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:
@@ -725,75 +715,50 @@ def run_unit(unit: _Unit | tuple[str, dict]) -> list:
     return run_task(unit)
 
 
-def _run_units(mapper: Callable[..., Iterable], other: list[tuple[str, dict]],
-               families: dict[_FamilyKey, list[_Probe]],
-               split: dict[_FamilyKey, int]) -> tuple[list[list[VerificationRecord]], dict]:
-    """The records of each closed-form task, in grid order, and each
-    family's trackers per probe.
-
-    The heads are generated first and every unit goes out in one map: the
-    split families' subtree units, then the tasks.  The head classes, and
-    every family not split, read whole from the class cache, are visited
-    here while the units run."""
-    heads = {key: _head(*key, depth) for key, depth in split.items()}
-    parts = [(key, _Unit(*key, families[key], part))
-             for key, (_, entries) in heads.items() for part in _deal(entries, UNITS_PER_SPLIT)]
-    results = iter(mapper(run_unit, [*(unit for _, unit in parts), *other]))
-    found = {key: _probe_classes(key[0], probes, heads[key][0] if key in heads else _family(*key))
-             for key, probes in families.items()}
-    for key, _ in parts:
-        for tracker, theirs in zip(found[key], next(results)):
-            tracker.merge(theirs)
-    return list(results), found
-
-
 def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
              pool: Callable | None = None) -> list[VerificationRecord]:
     """Every task's records in task order, as run_task gives them.
 
     pool(max_workers=k) must give a context manager whose map returns the
-    results in item order, like a process pool's.  The families are split
-    only when a pool is given and workers is at least 2; the pool is used
-    with k the smaller of workers and the number of units (the closed-form
-    tasks and the subtree units), when that is above 1.  Otherwise every
-    unit runs in this process, which reads every family not split.  Every
-    task is planned before any unit runs.
+    results in item order, like a process pool's.  It is used, with k the
+    smaller of workers and the number of units, when k is above 1;
+    otherwise every unit runs in this process.  Every task is planned
+    before any unit runs.
     """
+    plans = [_theorem_plans(kw["thm"], kw["n"], kw["p_values"], kw.get("k_values"))
+             if kind == "theorem" else None for kind, kw in tasks]
     families: dict[_FamilyKey, list[_Probe]] = {}
-    layout = []  # per task: None, or (plan, family, probe index) per plan
-    for kind, kw in tasks:
-        if kind != "theorem":
-            layout.append(None)
-            continue
-        slots = []
-        for plan in _theorem_plans(kw["thm"], kw["n"], kw["p_values"], kw.get("k_values")):
-            _, _, spec, pred = plan
-            key = _family_key(kw["n"], pred)
-            probes = families.setdefault(key, [])
-            slots.append((plan, key, len(probes)))
+    for (_, kw), task_plans in zip(tasks, plans):
+        for _, _, spec, pred in task_plans or ():
             p_values = tuple(kw["p_values"])
             # p >= 2 is planned, so p = 1 is scored only for the borrowed facts
-            probes.append(_Probe(pred, p_values + (1,) if spec.borrowed_facts else p_values))
-        layout.append(slots)
-    other = [task for task, slots in zip(tasks, layout) if slots is None]
+            families.setdefault(_family_key(kw["n"], pred), []).append(
+                _Probe(pred, p_values + (1,) if spec.borrowed_facts else p_values))
     pooled = pool is not None and workers > 1
     # the highest order of each kind, whose head caches every order below
     # it, and the largest first: all graphs before C4-free
     tops = {c4_free: (n, c4_free) for n, c4_free in sorted(families)}
-    split = {key: depth for key in sorted(tops.values(), key=lambda key: key[1])
+    heads = {key: _head(*key, depth) for key in sorted(tops.values(), key=lambda key: key[1])
              if pooled and (depth := _split_depth(*key)) is not None}
-    units = len(other) + UNITS_PER_SPLIT * len(split)
-    if pooled and min(workers, units) > 1:
-        with pool(max_workers=min(workers, units)) as executor:
-            chunks, found = _run_units(executor.map, other, families, split)
-    else:
-        chunks, found = _run_units(map, other, families, split)
+    units: list = [_Unit(*key, families[key], entries[i::UNITS_PER_SPLIT])
+                   for key, (_, entries) in heads.items() for i in range(UNITS_PER_SPLIT)]
+    units += [task for task, task_plans in zip(tasks, plans) if task_plans is None]
+    workers = min(workers, len(units)) if pooled else 1
     records: list[VerificationRecord] = []
-    chunk = iter(chunks)
-    for (_, kw), slots in zip(tasks, layout):
-        if slots is None:
-            records += next(chunk)
-        else:
-            records += _p_major([_theorem_pass(plan, kw["n"], kw["p_values"], found[key][i])
-                                 for plan, key, i in slots])
+    with pool(max_workers=workers) if workers > 1 else nullcontext() as executor:
+        results = iter((executor.map if workers > 1 else map)(run_unit, units))
+        found = {key: _probe_classes(key[0], probes,
+                                     heads[key][0] if key in heads else _family(*key))
+                 for key, probes in families.items()}
+        for unit in units[:UNITS_PER_SPLIT * len(heads)]:
+            for tracker, theirs in zip(found[unit.n, unit.c4_free], next(results)):
+                tracker.merge(theirs)
+        trackers = {key: iter(found_here) for key, found_here in found.items()}
+        for (_, kw), task_plans in zip(tasks, plans):
+            if task_plans is None:
+                records += next(results)
+            else:
+                records += _p_major([_theorem_pass(plan, kw["n"], kw["p_values"],
+                                                   next(trackers[_family_key(kw["n"], plan[3])]))
+                                     for plan in task_plans])
     return records

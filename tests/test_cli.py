@@ -430,9 +430,13 @@ class TestVerify:
         (("thm1", "--n", "4", "--p", "2,1002"), "exponents stop at p=1001; got p=1002"),
         (("polarity", "--q", "2", "--p", "1000..1010"),
          "exponents stop at p=1001; got p=1002"),
+        # a row is refused by its task count, the product of its axes' sizes
+        (("lemma1", "--n", "7..401", "--p", "2..1000"),
+         "a lemma row runs at most 1000 tasks; got 197802"),
+        (("polarity", "--p", "2..1001"), "a polarity row runs at most 1000 tasks; got 8000"),
     ], ids=["lemma1", "lemma12", "lemma1-huge", "thresholds", "appendixA", "lemma1-p-huge",
             "thm1-p-huge", "pmax-huge", "lemma1-p-large", "lemma1-p-large-at-n4001", "thm1-p-large",
-            "polarity-p-large"])
+            "polarity-p-large", "lemma1-tasks", "polarity-tasks"])
     def test_scan_above_its_cap_exits_two_before_running(self, capsys, monkeypatch, argv,
                                                          message):
         # caps are checked on the axis bounds, before any task is built

@@ -47,7 +47,7 @@ def test_subtrees_partition_the_family(n, c4_free, depth):
     assert len(below) == len(entries)
     family = Counter(enumeration._family(n, c4_free))
     for parts in range(1, 5):
-        dealt = verify._deal(entries, parts)
+        dealt = [entries[i::parts] for i in range(parts)]
         assert len(dealt) == parts
         assert Counter(entry[0] for part in dealt for entry in part) == Counter(list(below))
         # the head and the parts' subtrees hold each class of the family once
@@ -75,8 +75,8 @@ def _split_union(n: int, c4_free: bool) -> Counter:
     entries at once, as run_grid splits the family."""
     head, entries = enumeration._head(n, c4_free, verify._split_depth(n, c4_free))
     union = Counter(head)
-    for part in verify._deal(entries, verify.UNITS_PER_SPLIT):
-        union.update(enumeration._expand(part, c4_free)[0])
+    for i in range(verify.UNITS_PER_SPLIT):
+        union.update(enumeration._expand(entries[i::verify.UNITS_PER_SPLIT], c4_free)[0])
     return union
 
 
