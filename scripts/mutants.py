@@ -148,6 +148,17 @@ MUTANTS = (
            "(ecf or cap < full,", "(ecf,",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_cli.py::TestVerify::test_report_digests_pinned")),
+    # a leaf bound whose row names no test admits every class
+    Mutant("degenerate-leaf-untested", ENUMERATION,
+           '("degenerate", 1, "{}_degenerate", "is_k_degenerate")',
+           '("degenerate", 1, "{}_degenerate", None)',
+           ("tests/test_verify.py::TestBruteForce::test_t4",
+            "tests/test_acceptance.py::test_criterion_07_theorem4_brute_force")),
+    Mutant("min-degree-least-raised", ENUMERATION,
+           '("min_degree", 0,', '("min_degree", 1,',
+           ("tests/test_enumeration.py::TestOrderAndCapChecks::test_least_bounds_admitted",
+            "tests/test_enumeration.py::TestOrderAndCapChecks::"
+            "test_bounds_refused_before_generation")),
     Mutant("merge-drops-tied-witnesses", ENUMERATION,
            "self.maximisers[p] += other.maximisers[p]", "pass",
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),

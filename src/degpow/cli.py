@@ -40,7 +40,7 @@ from math import prod
 from typing import NoReturn
 
 from . import structure
-from .enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
+from .enumeration import ENUM_HARD_CAP
 from .families import FAMILIES
 from .graphs import Graph, degree_sequence, ep, from_graph6, new_graph, to_graph6
 from .verify import (SUITES, THRESHOLD_PAIRS, GridRow, VerificationRecord, grid_tasks,
@@ -241,6 +241,7 @@ AXIS_CAP = 1000
 # longest p axis from 2.  At every cap the costliest task takes 1-5 s on a
 # 2-vCPU VM
 P_CAP, LEMMA_PN_CAP = AXIS_CAP + 1, 2_000_000
+ENUM_FAST_CAP = 8  # the default DEGPOW_MAX_N: the largest order a verify grid enumerates
 
 
 def _size(values: range | list[int]) -> int:

@@ -62,7 +62,6 @@ from . import structure
 from .graphs import Graph, add_edge, ep, permute, to_graph6
 
 ENUM_HARD_CAP = 10
-ENUM_FAST_CAP = 8  # the CLI's default guard
 
 
 def _canon_search(n: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -347,13 +346,27 @@ def _inverse(perm: list[int]) -> list[int]:
     return inverse
 
 
+# One row per SearchPredicate bound: field, least value, describe() label
+# and, for a leaf bound, the name of the structure test a finished graph
+# must pass, read off the module when a pass starts so that a wrapper set
+# there later (perfbench's tracer) is the one called.
+_BOUNDS = (
+    ("max_edges", 0, "max_edges={}", None),
+    ("min_degree", 0, "min_degree={}", "_has_min_degree"),
+    ("minimally_connected", 1, "minimally_{}_connected", "is_minimally_t_connected"),
+    ("minimally_edge_connected", 1, "minimally_{}_edge_connected",
+     "is_minimally_t_edge_connected"),
+    ("degenerate", 1, "{}_degenerate", "is_k_degenerate"),
+)
+
+
 @dataclass(frozen=True)
 class SearchPredicate:
     """Conjunction of hereditary prune filters and leaf filters.
 
     c4_free and even_cycle_free select the generated family and filter it,
     and max_edges cuts it; all three are monotone under edge addition.  The
-    rest apply to finished graphs only.
+    rest apply to finished graphs only.  _BOUNDS states each bound.
     """
 
     c4_free: bool = False
@@ -365,8 +378,7 @@ class SearchPredicate:
     degenerate: int | None = None
 
     def __post_init__(self) -> None:
-        for name, least in (("max_edges", 0), ("min_degree", 0), ("minimally_connected", 1),
-                            ("minimally_edge_connected", 1), ("degenerate", 1)):
+        for name, least, _, _ in _BOUNDS:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -377,38 +389,16 @@ class SearchPredicate:
             cap = min(cap, self.max_edges)
         return (self.c4_free, self.even_cycle_free, cap)
 
-    def leaf_ok(self, g: Graph) -> bool:
-        if self.min_degree is not None:
-            if min(a.bit_count() for a in g.adj) < self.min_degree:
-                return False
-        if self.minimally_connected is not None:
-            if not structure.is_minimally_t_connected(g, self.minimally_connected):
-                return False
-        if self.minimally_edge_connected is not None:
-            if not structure.is_minimally_t_edge_connected(g, self.minimally_edge_connected):
-                return False
-        if self.degenerate is not None:
-            if not structure.is_k_degenerate(g, self.degenerate):
-                return False
-        return True
+    def _leaf_tests(self) -> list[tuple[Callable[[Graph, int], bool], int]]:
+        """(test, value) per leaf bound set; g passes if every test(g, value)."""
+        return [(getattr(structure, test), value) for name, _, _, test in _BOUNDS
+                if test is not None and (value := getattr(self, name)) is not None]
 
     def describe(self) -> str:
-        parts = []
-        if self.c4_free:
-            parts.append("c4_free")
-        if self.even_cycle_free:
-            parts.append("even_cycle_free")
-        if self.max_edges is not None:
-            parts.append(f"max_edges={self.max_edges}")
-        if self.min_degree is not None:
-            parts.append(f"min_degree={self.min_degree}")
-        if self.minimally_connected is not None:
-            parts.append(f"minimally_{self.minimally_connected}_connected")
-        if self.minimally_edge_connected is not None:
-            parts.append(f"minimally_{self.minimally_edge_connected}_edge_connected")
-        if self.degenerate is not None:
-            parts.append(f"{self.degenerate}_degenerate")
-        return ",".join(parts) if parts else "all"
+        parts = [flag for flag in ("c4_free", "even_cycle_free") if getattr(self, flag)]
+        parts += [label.format(value) for name, _, label, _ in _BOUNDS
+                  if (value := getattr(self, name)) is not None]
+        return ",".join(parts) or "all"
 
 
 # the generated families, keyed by (n, c4_free)
@@ -621,18 +611,21 @@ def _pass(n: int, classes: Iterable[Graph],
     """One pass over classes of one family, in the order given, for every
     probe (a predicate and a visit) that reads it.  A probe's visit gets
     each class within its edge cap, and without an even cycle if it filters
-    them, that passes its leaf predicate.  A probe with neither a cap below
+    them, that passes its leaf tests.  A probe with neither a cap below
     the order's edge count nor a cycle filter takes every class uncut."""
     full = n * (n - 1) // 2
     tests = []
     for pred, visit in probes:
         _, ecf, cap = pred.hereditary_key(n)
-        tests.append((ecf or cap < full, ecf, cap, pred.leaf_ok, visit))
+        tests.append((ecf or cap < full, ecf, cap, pred._leaf_tests(), visit))
     for g in classes:
-        for cut, ecf, cap, leaf_ok, visit in tests:
+        for cut, ecf, cap, leaf_tests, visit in tests:
             if cut and (g.edge_count() > cap or ecf and structure.has_even_cycle(g)):
                 continue
-            if leaf_ok(g):
+            for test, value in leaf_tests:
+                if not test(g, value):
+                    break
+            else:
                 visit(g)
 
 

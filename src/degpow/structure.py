@@ -103,6 +103,10 @@ def _min_degree(g: Graph) -> int:
     return min(map(int.bit_count, g.adj))
 
 
+def _has_min_degree(g: Graph, d: int) -> bool:
+    return _min_degree(g) >= d
+
+
 # -- path counting ------------------------------------------------------------
 
 

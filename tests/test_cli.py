@@ -13,8 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import degpow.cli as cli_mod
-from degpow.cli import _build_tasks, _enum_guard, build_parser, main
-from degpow.enumeration import ENUM_FAST_CAP, ENUM_HARD_CAP
+from degpow.cli import ENUM_FAST_CAP, _build_tasks, _enum_guard, build_parser, main
+from degpow.enumeration import ENUM_HARD_CAP
 from degpow.families import FamilyId, construct
 from degpow.graphs import degree_sequence, from_graph6
 from degpow.verify import SUITES, grid_tasks, suite_rows
@@ -130,6 +130,13 @@ class TestEp:
         path.write_text("3\n0 1\n1 2\n")
         code, out, _ = run_cli(capsys, "ep", "--file", str(path), "--p", "2")
         assert code == 0 and out.strip() == "6"
+
+    def test_odd_edge_list_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text("3\n0 1\n1\n")
+        code, out, err = run_cli(capsys, "ep", "--file", str(path), "--p", "2")
+        assert code == 2 and out == ""
+        assert err == "degpow: error: edge list must contain whitespace-separated pairs\n"
 
     def test_graph6_lines_file(self, tmp_path, capsys):
         path = tmp_path / "graphs.g6"

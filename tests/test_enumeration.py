@@ -588,6 +588,15 @@ class TestOrderAndCapChecks:
         with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
             enumerate_graphs(8, SearchPredicate(**{field: value}))
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_extremal_p_below_one_refused_before_generation(self, monkeypatch, p):
+        def no_generation(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(enumeration, "_family", no_generation)
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            extremal_ep(5, p)
+
     def test_least_bounds_admitted(self):
         pred = SearchPredicate(max_edges=0, min_degree=0, minimally_connected=1,
                                minimally_edge_connected=1, degenerate=1)

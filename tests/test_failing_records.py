@@ -76,6 +76,11 @@ def _friendship_plus_one(mp):
                lambda fam, n, p: ep_closed_form(fam, n, p) + (fam.name == "friendship"))
 
 
+def _polarity_e2_plus_one(mp):
+    mp.setattr(verify_mod, "ep_closed_form",
+               lambda fam, n, p: ep_closed_form(fam, n, p) + (fam.name == "polarity" and p == 2))
+
+
 def _polarity_graph_has_c4(mp):
     mp.setattr(verify_mod, "has_c4", lambda g: True)
 
@@ -170,6 +175,26 @@ CASES = {
         '"[{""difference"": 322561, ""formula"": 322560, ""identity"": ""b""}]"',
         'polarity [p=3;q=8] fail value=322561\n'
         '  witness: [{"difference": 322561, "formula": 322560, "identity": "b"}]\n'),
+    "polarity-identity-a": (
+        _friendship_plus_one, lambda: polarity_check(8, 2),
+        ("polarity", "--q", "8", "--p", "2"),
+        {"check": "polarity", "params": {"q": 8, "p": 2}, "verdict": "fail", "value": 287,
+         "witness": [{"identity": "a", "difference": 287}],
+         "detail": {"n": 73, "e2_pg": 5760, "difference": 287, "constructed": False}},
+        'polarity,p=2;q=8,fail,287,"[{""difference"": 287, ""identity"": ""a""}]"',
+        'polarity [p=2;q=8] fail value=287\n'
+        '  witness: [{"difference": 287, "identity": "a"}]\n'),
+    # e_2(PG) one too large; at p = 3 identity (b) reads e_3 only, so (c) alone fails
+    "polarity-identity-c": (
+        _polarity_e2_plus_one, lambda: polarity_check(8, 3),
+        ("polarity", "--q", "8", "--p", "3"),
+        {"check": "polarity", "params": {"q": 8, "p": 3}, "verdict": "fail", "value": 322560,
+         "witness": [{"identity": "c", "e2_pg": 5761}],
+         "detail": {"n": 73, "e2_pg": 5761, "formula": 322560, "difference": 322560,
+                    "constructed": False}},
+        'polarity,p=3;q=8,fail,322560,"[{""e2_pg"": 5761, ""identity"": ""c""}]"',
+        'polarity [p=3;q=8] fail value=322560\n'
+        '  witness: [{"e2_pg": 5761, "identity": "c"}]\n'),
     "polarity-construction": (
         _polarity_graph_has_c4, lambda: polarity_check(2, 2),
         ("polarity", "--q", "2", "--p", "2"),

@@ -298,3 +298,5 @@ def test_construct_dispatch_errors():
         construct(FamilyId("nosuch"), 5)
     with pytest.raises(ValueError):
         ep_closed_form(FamilyId("polarity"), 6, 2)
+    with pytest.raises(ValueError, match="^p must be >= 1$"):
+        ep_closed_form(FamilyId("star"), 5, 0)

@@ -163,6 +163,15 @@ class TestGraph6:
         with pytest.raises(ValueError):
             from_graph6(b"")
 
+    @pytest.mark.parametrize("s, message", [
+        (b"~", "truncated graph6 header"),
+        (b"~?@", "truncated graph6 header"),
+        (b"~~???", "graph6 order beyond supported range"),
+    ])
+    def test_malformed_long_header(self, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_graph6(s)
+
     def test_against_networkx(self):
         # every class for n <= 6, and a seeded sample up to n = 64 that
         # includes the long header at n >= 63
@@ -202,6 +211,11 @@ class TestInducedSubgraph:
     def test_empty_selection(self):
         with pytest.raises(ValueError):
             induced_subgraph(K4, [])
+
+    @pytest.mark.parametrize("vertices", [[0, 4], [-1, 2]])
+    def test_vertex_out_of_range(self, vertices):
+        with pytest.raises(ValueError, match="^selected vertex out of range$"):
+            induced_subgraph(K4, vertices)
 
 
 @settings(max_examples=200, deadline=None)

@@ -105,6 +105,17 @@ class TestProp1Check:
             prop1_check((1,), (1,), 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: int_tuple((3, 1.5)), "entries must be ints, got 1.5"),
+    (lambda: int_tuple((2, True)), "entries must be ints, got True"),
+    (lambda: p_power_norm((2, 1), 0), "p must be >= 1"),
+    (lambda: prop1_check((2, 1), (2, 1, 1), 2), "length mismatch: 2 vs 3"),
+], ids=["float-entry", "bool-entry", "norm-p-below-one", "prop1-length-mismatch"])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=300, deadline=None)
 @given(tuples)
 def test_weak_majorization_reflexive(values):

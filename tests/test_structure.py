@@ -178,6 +178,8 @@ class TestMinimality:
     def test_t_validation(self):
         with pytest.raises(ValueError):
             is_minimally_t_connected(K4, 0)
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            is_minimally_t_edge_connected(K4, 0)
 
     def test_against_definition_exhaustive(self):
         # the per-edge check uses only the deleted edge's endpoint pair; the
@@ -314,6 +316,11 @@ class TestDegeneracy:
     def test_maximal_needs_enough_vertices(self):
         with pytest.raises(ValueError):
             is_maximal_k_degenerate(K4, 4)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_validation(self, k):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            is_k_degenerate(K4, k)
 
     def test_against_induced_subgraph_oracle(self):
         for n in range(1, 6):
