@@ -180,6 +180,13 @@ MUTANTS = (
            "for key in sorted(tops.values(), key=lambda key: key[1])",
            "for key in sorted(families, key=lambda key: key[1])",
            ("tests/test_grid.py::test_split_family_a_head_caches_is_read_whole",)),
+    # the all-graph family at n = 7 is split, and a pool started, though
+    # reading it in this process is faster
+    Mutant("all-graphs-split-from-n7", VERIFY,
+           "return n if n >= 8 else None", "return n if n >= 7 else None",
+           ("tests/test_grid.py::test_split_depths",
+            "tests/test_cli.py::test_pool_capped_at_task_count",
+            "tests/test_cli.py::test_pool_module_loaded_only_when_a_pool_starts")),
     # the second split family's units are read as closed-form records
     Mutant("merge-first-split-family-only", VERIFY,
            "units[:UNITS_PER_SPLIT * len(heads)]", "units[:UNITS_PER_SPLIT]",
@@ -222,6 +229,11 @@ MUTANTS = (
            "return t1, t2, _PartII(n, o)", "return t1, t2, dict(_PartII(n, o))",
            ("tests/test_verify.py::TestLemmaTuples::"
             "test_record_at_the_lemma_cap_holds_one_tuple_at_a_time",)),
+    # a run that starts no pool loads concurrent.futures and logging too
+    Mutant("pool-module-imported-up-front", "src/degpow/cli.py",
+           "from math import prod\n",
+           "from concurrent.futures import ProcessPoolExecutor\nfrom math import prod\n",
+           ("tests/test_cli.py::test_pool_module_loaded_only_when_a_pool_starts",)),
     Mutant("parse-range-materialised", "src/degpow/cli.py",
            "values = range(int(lo), int(hi) + 1)", "values = list(range(int(lo), int(hi) + 1))",
            ("tests/test_cli.py::TestVerify::test_range_flag_is_never_materialised",)),

@@ -33,7 +33,6 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from math import prod
@@ -378,6 +377,15 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _process_pool(max_workers: int):
+    """A process pool of max_workers, for run_grid: the module is imported
+    only when a run starts a pool, so a run without one loads neither it
+    nor logging."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
@@ -388,7 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _write(path, "", "a")
     started = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     # never more workers than CPUs to run them, nor (run_grid's cap) units
-    records = run_grid(tasks, min(args.jobs, _cpus()), ProcessPoolExecutor)
+    records = run_grid(tasks, min(args.jobs, _cpus()), _process_pool)
     finished = datetime.now(timezone.utc).isoformat() if args.timestamps else None
     with _exact_digits():
         if args.json:

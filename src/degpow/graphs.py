@@ -120,8 +120,9 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> Graph:
     Selected vertices are renumbered 0,1,... in increasing original order.
     """
     if isinstance(vertices, int):
-        bits = vertices
-        sel = [v for v in range(g.n) if (bits >> v) & 1]
+        if vertices < 0 or vertices >> g.n:
+            raise ValueError("selected vertex out of range")
+        sel = [v for v in range(g.n) if (vertices >> v) & 1]
     else:
         sel = sorted(set(vertices))
     if not sel:

@@ -697,14 +697,18 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
     """The edge count at which a pool splits the family into subtree
     units, or None to keep it one unit.
 
-    The subtree sizes are heavy tailed.  At these depths the head holds 19
-    to 41 per cent of the family's classes, and the largest subtree below
-    the frontier 20 per cent of the rest at n = 8, 25 at n = 7 and, C4-free,
-    28 at n = 9; the largest of the 8 units, the frontier dealt round robin,
-    takes 23 to 29 per cent of the units' time."""
+    A split pays from all graphs at n = 8 and C4-free graphs at n = 9: on
+    a 2-vCPU VM `verify thm4 --jobs 2` took 0.49 s split against 0.67 s at
+    --jobs 1, and `verify all-desk --jobs 2` 0.73 s against 0.96 s unsplit.
+    At n = 7 it does not: `verify thm2 --n 4..7 --jobs 2` took 0.143 s with
+    the family read in process against 0.184 s split (fresh processes,
+    medians of 25 alternated rounds).  The subtree sizes are heavy tailed:
+    the largest subtree below the frontier holds 20 per cent of the rest
+    at n = 8 and, C4-free, 28 at n = 9, and the largest of the 8 units,
+    the frontier dealt round robin, 23 to 29 per cent of the units' time."""
     if c4_free:
         return n - 2 if n >= 9 else None
-    return n if n >= 7 else None
+    return n if n >= 8 else None
 
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:

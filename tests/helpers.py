@@ -3,9 +3,10 @@
 These deliberately avoid the library's algorithms: connectivity is checked
 by removing vertex subsets, even cycles by a from-scratch DFS over paths,
 C4s by explicit 4-tuple search, so library results are checked against a
-second route everywhere it matters.  Two helpers call into the library's
-enumeration: every_class shares each order's class list across the test
-modules, and count_generations records which families a test generates.
+second route everywhere it matters.  Three helpers call into the library:
+every_class shares each order's class list across the test modules,
+count_generations records which families a test generates, and split_n7
+has a grid split the all-graph family at n = 7.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ def count_generations(monkeypatch) -> list[tuple[int, bool]]:
     monkeypatch.setattr(enumeration, "_head", counting)
     monkeypatch.setattr(verify, "_head", counting)
     return generated
+
+
+def split_n7(monkeypatch) -> None:
+    """Have verify.run_grid split the all-graph family at n = 7 as it splits
+    those from n = 8, at depth n, so a small grid runs all-graph subtree
+    units; the rest of verify._split_depth is kept."""
+    depth = verify._split_depth
+    monkeypatch.setattr(verify, "_split_depth",
+                        lambda n, c4_free: 7 if (n, c4_free) == (7, False) else depth(n, c4_free))
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:

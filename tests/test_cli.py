@@ -5,10 +5,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from degpow.families import FamilyId, construct
 from degpow.graphs import degree_sequence, from_graph6
 from degpow.verify import SUITES, grid_tasks, suite_rows
 
-from helpers import count_generations
+from helpers import count_generations, split_n7
 
 # sha256 of `verify ... --json`, pinned from the reports before the theorem
 # table replaced the per-theorem code
@@ -661,23 +663,22 @@ def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, max_n):
 
 
 @pytest.mark.parametrize("argv, jobs, workers", [
-    (("thm2", "--n", "4..7", "--p", "2"), "5000", [4]),
-    (("thm2", "--n", "4..7", "--p", "2"), "2", [2]),
+    (("thm2", "--n", "4..7", "--p", "2"), "5000", []),
+    (("thm2", "--n", "4..7", "--p", "2"), "2", []),
     (("thm2", "--n", "4..5", "--p", "2"), "3", []),
     (("thm2", "--n", "4", "--p", "2"), "8", []),
     (("thm2", "--n", "4..7", "--p", "2"), "1", []),
-    (("thm2", "--n", "7", "--p", "2"), "2", [2]),
+    (("thm2", "--n", "7", "--p", "2"), "2", []),
     (("lemma1", "--p", "2"), "5000", [4]),
     (("thresholds",), "2", [2]),
     (("appendixA",), "3", [3]),
 ])
 def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
     # workers = min(--jobs, CPUs the process may run on, units), with 4
-    # CPUs here, and no pool for fewer than 2 units.  thm2 --n 4..7 is 8
-    # units (n = 7 split in 8; n = 4, 5, 6 are read in this process), --n
-    # 4..5 and --n 4 none, and the one task at n = 7 eight; each of the 28
-    # lemma1 tasks at p = 2, the 17 thresholds tasks and the 13 appendixA
-    # tasks is a unit.  No process starts.
+    # CPUs here, and no pool for fewer than 2 units.  The thm2 grids are no
+    # units: no family below n = 8 is split, so this process reads them
+    # all; each of the 28 lemma1 tasks at p = 2, the 17 thresholds tasks and
+    # the 13 appendixA tasks is a unit.  No process starts.
     built = []
 
     class RecordingPool:
@@ -695,35 +696,69 @@ def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_mod, "_process_pool", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", jobs)
     assert code == 0 and built == workers
 
 
 # the pinned reports that read every family in this process at any --jobs
-UNSPLIT = {("thm1", "--n", "4..8"), ("cor1",)}
+UNSPLIT = {("thm1", "--n", "4..8"), ("cor1",), ("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")}
+
+
+def _pooled_report(tmp_path, capsys, monkeypatch, argv, jobs) -> tuple[list[int], str]:
+    """The worker counts of the pools a --jobs run builds, and its JSON
+    report's digest; a real pool of --jobs workers, whatever the CPUs here."""
+    _report_guard(monkeypatch, argv)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    built = []
+
+    def recording_pool(max_workers):
+        built.append(max_workers)
+        return ProcessPoolExecutor(max_workers)
+
+    monkeypatch.setattr(cli_mod, "_process_pool", recording_pool)
+    path = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", str(jobs), "--json", str(path))
+    assert code == 0
+    return built, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("cor1", "--n", "9..10"),
                                   ("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")], ids=" ".join)
 def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv, jobs):
-    # a real pool of --jobs workers, whatever the CPUs here: an odd count
-    # deals the units to the workers in another schedule.  The C4-free
-    # families below n = 9 are never split, so thm1 --n 4..8 and cor1 start
-    # no pool: this process reads them
-    _report_guard(monkeypatch, argv)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    built = []
+    # an odd worker count deals the units to the workers in another
+    # schedule.  No family below n = 8, nor a C4-free one below n = 9, is
+    # split, so the grids in UNSPLIT start no pool: this process reads them
+    built, digest = _pooled_report(tmp_path, capsys, monkeypatch, argv, jobs)
+    assert built == ([] if argv in UNSPLIT else [jobs])
+    assert digest == REPORT_DIGESTS[argv]
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            super().__init__(max_workers)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
-    path = tmp_path / "r.json"
-    code, _, _ = run_cli(capsys, "verify", *argv, "--jobs", str(jobs), "--json", str(path))
-    assert code == 0 and built == ([] if argv in UNSPLIT else [jobs])
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("argv", [("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")], ids=" ".join)
+def test_report_digests_pinned_with_the_n7_family_split(tmp_path, capsys, monkeypatch, argv,
+                                                         jobs):
+    # with the all-graph family at n = 7 split too, a real pool runs its
+    # subtree units, and the report is the same
+    split_n7(monkeypatch)
+    built, digest = _pooled_report(tmp_path, capsys, monkeypatch, argv, jobs)
+    assert built == [jobs]
+    assert digest == REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv, pooled", [(("thm2", "--n", "4..7"), False), (("thm3",), True)],
+                         ids=["thm2 --n 4..7", "thm3"])
+def test_pool_module_loaded_only_when_a_pool_starts(argv, pooled):
+    # in a fresh interpreter with 2 CPUs: thm2 --n 4..7 splits no family and
+    # has no closed-form task, so it starts no pool and loads neither
+    # concurrent.futures nor logging; thm3 splits the family at n = 8
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from degpow.cli import main\n"
+              f"code = main(['verify', *{list(argv)!r}, '--jobs', '2'])\n"
+              "print(code, *(name in sys.modules for name in ('concurrent.futures', 'logging')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == f"0 {pooled} {pooled}", run.stderr

@@ -422,9 +422,14 @@ class TestClassSets:
     @staticmethod
     def check_pinned(key):
         n, c4_free, even_cycle_free, cap = key
-        pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
-        reps = []
-        enumerate_graphs(n, pred, reps.append)
+        if c4_free or even_cycle_free or cap < n * (n - 1) // 2:
+            pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
+            reps = []
+            enumerate_graphs(n, pred, reps.append)
+        else:
+            # every graph: enumerate_graphs' representatives, built once per
+            # session
+            reps = list(every_class(n))
         # each representative's form and canonical graph from one search
         forms, canon = zip(*map(enumeration._canon_pair, reps))
         count, digest = PINNED_CLASS_SETS[key]

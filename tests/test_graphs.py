@@ -212,7 +212,7 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(K4, [])
 
-    @pytest.mark.parametrize("vertices", [[0, 4], [-1, 2]])
+    @pytest.mark.parametrize("vertices", [[0, 4], [-1, 2], 0b10001, -1])
     def test_vertex_out_of_range(self, vertices):
         with pytest.raises(ValueError, match="^selected vertex out of range$"):
             induced_subgraph(K4, vertices)

@@ -15,7 +15,7 @@ from degpow import enumeration, verify
 from degpow.enumeration import ExtremalTracker, SearchPredicate, canonical_form
 from degpow.verify import run_task
 
-from helpers import count_generations
+from helpers import count_generations, split_n7
 from test_enumeration import PINNED_CLASS_SETS
 
 # (n, c4_free, frontier depth): several depths per family, _split_depth's
@@ -80,16 +80,23 @@ def _split_union(n: int, c4_free: bool) -> Counter:
     return union
 
 
-def test_split_units_partition_the_n8_family():
-    # the largest family as run_grid splits it holds each class once.  The
-    # family's forms are pinned by test_enumeration's check of this cached
-    # family.
-    assert _split_union(8, False) == Counter(enumeration._family(8, False))
+# the families _split_depth splits among those Tier-1 reads (all graphs up
+# to n = 8, C4-free graphs up to n = 9), with their frontier depths
+SPLIT_DEPTHS = {(8, False): 8, (9, True): 7}
 
 
-@pytest.mark.parametrize("n, c4_free", [(7, False), (9, True)], ids=str)
+def test_split_depths():
+    depths = {(n, c4_free): verify._split_depth(n, c4_free)
+              for n in range(1, 10) for c4_free in (False, True) if c4_free or n <= 8}
+    assert {key: depth for key, depth in depths.items() if depth is not None} == SPLIT_DEPTHS
+
+
+@pytest.mark.parametrize("n, c4_free", list(SPLIT_DEPTHS), ids=str)
 def test_split_units_partition_the_family(n, c4_free):
-    # the other families run_grid splits, each grown from the order below
+    # each family as run_grid splits it, grown from the order below, holds
+    # each class once.  The families' forms are pinned by test_enumeration's
+    # checks of these cached families.
+    assert verify._split_depth(n, c4_free) == SPLIT_DEPTHS[n, c4_free]
     assert _split_union(n, c4_free) == Counter(enumeration._family(n, c4_free))
 
 
@@ -127,8 +134,9 @@ def test_empty_trackers_merge_to_an_empty_tracker():
     assert _state(merged) == ({1: None, 2: None, 3: None}, {1: (), 2: (), 3: ()}, 0)
 
 
-# two split families (all graphs at n=7, C4-free at n=9), one read whole by
-# two checks (C4-free at n=6), and closed-form tasks between them
+# one split family (C4-free at n=9; all graphs at n=7 too under split_n7),
+# two read whole by two checks each (all graphs at n=7, C4-free at n=6), and
+# closed-form tasks between them
 TASKS = [
     ("theorem", {"thm": "t2", "n": 7, "p_values": (2, 3)}),
     *[("lemma", {"lemma": "lemma1", "n": n, "p": 3}) for n in range(7, 47, 2)],
@@ -157,9 +165,14 @@ class _ReversedPool:
         return reversed([fn(item) for item in reversed(items)])
 
 
-@pytest.mark.parametrize("pool, heads", [(None, []), (_ReversedPool, [(7, False), (9, True)])],
-                         ids=["inline", "reversed"])
-def test_grid_units_visit_each_class_once(monkeypatch, pool, heads):
+@pytest.mark.parametrize("pool, split7, heads", [
+    (None, False, []),
+    (_ReversedPool, False, [(9, True)]),
+    (_ReversedPool, True, [(7, False), (9, True)]),
+], ids=["inline", "reversed", "reversed-n7-split"])
+def test_grid_units_visit_each_class_once(monkeypatch, pool, split7, heads):
+    if split7:
+        split_n7(monkeypatch)
     generated = count_generations(monkeypatch)
     expected = [record for task in TASKS for record in run_task(task)]
     # t2 and t4 share the n=7 family, c1 and t1 the C4-free one at n=6, which
@@ -168,15 +181,18 @@ def test_grid_units_visit_each_class_once(monkeypatch, pool, heads):
                                        + [(n, True) for n in range(1, 10)])
     generated.clear()
     # inline the grid reads the families cached above; a pool of two
-    # generates the heads of the families it splits, and no family whole
+    # generates the heads of the families it splits, and no family whole;
+    # under split_n7 it splits two, and merges the units of both
     assert verify.run_grid(TASKS, 2, pool) == expected
     assert sorted(generated) == heads
 
 
 def test_split_family_a_head_caches_is_read_whole(monkeypatch):
-    # t4 at n=7 and 8: a pool splits only the higher all-graph family, and
-    # the head at n=8 grows from the whole family at n=7, which is then read
-    # whole in this process, not split into a head and units
+    # t4 at n=7 and 8, with n=7 splittable too (split_n7): a pool splits
+    # only the higher all-graph family, and the head at n=8 grows from the
+    # whole family at n=7, which is then read whole in this process, not
+    # split into a head and units
+    split_n7(monkeypatch)
     tasks = [("theorem", {"thm": "t4", "n": n, "p_values": (2,), "k_values": (1,)})
              for n in (7, 8)]
     expected = [record for task in tasks for record in run_task(task)]
@@ -192,9 +208,10 @@ def _refuse(*args):
 
 
 def test_pool_runs_only_subtree_units_and_closed_form_tasks():
-    # every family not split, the C4-free one at n=6 here, is read in this
-    # process; a unit expands the subtrees below its entries or runs a
-    # closed-form task, whatever the class cache holds
+    # every family not split, the all-graph one at n=7 and the C4-free one
+    # at n=6 here, is read in this process; a unit expands the subtrees
+    # below its entries or runs a closed-form task, whatever the class cache
+    # holds
     ran = []
 
     class UnitsOnlyPool(_ReversedPool):
@@ -212,4 +229,4 @@ def test_pool_runs_only_subtree_units_and_closed_form_tasks():
 
     expected = [record for task in TASKS for record in run_task(task)]
     assert verify.run_grid(TASKS, 2, UnitsOnlyPool) == expected
-    assert ran == [2 * verify.UNITS_PER_SPLIT + 20]
+    assert ran == [verify.UNITS_PER_SPLIT + 20]

@@ -49,8 +49,9 @@ def test_no_parameter_named_large():
 
 
 def test_only_the_cli_imports_process_pools():
-    # importing concurrent.futures costs the task workloads about 20 ms of
-    # setup; the grid runner takes its pool from the CLI
+    # importing concurrent.futures costs about 20 ms of setup; the grid
+    # runner takes its pool from the CLI, which imports the module only
+    # when a run starts a pool
     def pool_import(node: ast.AST) -> bool:
         names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                  else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])

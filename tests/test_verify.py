@@ -3,7 +3,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpow import enumeration, verify
@@ -27,7 +27,7 @@ from degpow.verify import (
     validate_task,
 )
 
-from helpers import count_generations
+from helpers import count_generations, split_n7
 
 
 class TestVerificationRecord:
@@ -378,7 +378,9 @@ class TestSuites:
     def test_checks_on_one_family_share_its_generation(self, monkeypatch):
         # t2 and t4 read the all-graph family at n=7, t1 and c1 the C4-free
         # one at n=8: run one task after another, each family is generated
-        # once, with the orders below it
+        # once, with the orders below it.  With no pool, a family a pool
+        # splits (split_n7) is read whole too
+        split_n7(monkeypatch)
         generated = count_generations(monkeypatch)
         for task in (("theorem", {"thm": "t2", "n": 7, "p_values": (2,)}),
                      ("theorem", {"thm": "t4", "n": 7, "p_values": (2,), "k_values": (1, 2, 3)}),
@@ -486,6 +488,9 @@ BORROWED_CLASSES = {n: enumeration._generate(n, False) for n in (6, 7)}
     st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(1, 3).flatmap(lambda parts: st.lists(
         st.integers(-1, parts - 1), min_size=len(BORROWED_CLASSES[n]),
         max_size=len(BORROWED_CLASSES[n]))))))
+# every class on 6 vertices with at most 5 edges: the star K(1,5) is the one
+# maximiser, with no isolated vertex but five of degree 1
+@example((6, 5, [0] * len(BORROWED_CLASSES[6])))
 def test_borrowed_facts_match_a_restricted_tracker(case):
     # any subset of the classes (part -1 leaves a class out; a cap on the
     # edge count makes isolated vertices common among the maximisers),
