@@ -89,6 +89,11 @@ MUTANTS = (
            "                gens.append(gamma)\n            return\n", "            return\n",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestLabelSearch::test_generators_give_the_pair_orbits")),
+    # the twin branches the labelling search skips leave their
+    # transpositions unfound, so parents' non-edge orbits split
+    Mutant("twin-generators-dropped", ENUMERATION,
+           "gens = _twin_generators(n, tau)", "gens: list[list[int]] = []",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",)),
     Mutant("split-by-index", ENUMERATION,
            "for count in sorted(parts):", "for count in sorted(parts, key=parts.get):",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",

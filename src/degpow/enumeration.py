@@ -10,32 +10,32 @@ _canon_search.
 Generation labels classes by a cheaper canonical labelling instead
 (_label_search): equitable refinement by a splitter queue, then
 individualisation of the first non-singleton cell's vertices, with
-branches pruned by twins and by the orbits of the automorphisms found, as
-in McKay & Piperno.  The least leaf certificate (the relabelled adjacency)
-wins.  Its labelling is canonical, but not min-lex, so the min-lex form is
-computed only where it is printed or promised: for the witnesses an
-ExtremalTracker reports, and for the representatives enumerate_graphs
-visits.
+branches pruned by twins only.  The least leaf certificate (the relabelled
+adjacency) wins.  Its labelling is canonical, but not min-lex, so the
+min-lex form is computed only where it is printed or promised: for the
+witnesses an ExtremalTracker reports, and for the representatives
+enumerate_graphs visits.
 
-Each order grows from the cached order below: its classes with an
-isolated vertex are those at n - 1 plus a vertex, and the rest come from
-McKay's canonical augmentation (J. Algorithms 26 (1998) 306-324), depth
-first from the order-below classes with at most 2 isolated vertices
-(_non_edges).  A parent is extended by one non-edge per orbit of its
-automorphism group, and a child kept only if the added edge lies in the
-orbit of its canonical deletion edge (_kept).  A degree invariant rejects
-most children before any search, as in nauty's geng.  A class is kept as
-built and searched only where the answer is read: for generators, or for
-a deletion tie its equitable cells leave open.  Both families are closed
-under edge deletion, so every class is reached once.  All graphs are
-closed under complement too, so their tree stops at N/2 edges, N =
-n(n-1)/2 (_complement_below_middle).
+Each order grows from the cached order below by McKay's canonical
+augmentation (J. Algorithms 26 (1998) 306-324), depth first from the
+order-below classes plus a vertex, the classes with an isolated vertex; a
+child covers its parent's isolated vertices (_non_edges).  A parent is
+extended by one non-edge per orbit of its automorphism group, and a child
+kept only if the added edge lies in the orbit of its canonical deletion
+edge (_kept).  A degree invariant rejects most children before any
+search, as in nauty's geng.  A class is kept as built and searched only
+where the answer is read: for generators, or for a deletion tie its
+equitable cells leave open.  Both families are closed under edge
+deletion, so every class is reached once.  All graphs are closed under
+complement too, so their tree stops at N/2 edges, N = n(n-1)/2
+(_complement_below_middle).
 
-_expand grows the tree below a list of entries (a class, its generators or
-None, its edge count), stopping at a frontier edge count if given; _head
-is that expansion from the order below.  A representative is its parent's
-plus an edge, so a subtree expanded in any process yields the same
-classes, and the subtrees below distinct frontier classes are disjoint:
+_expand returns every class of the tree at and below a list of entries
+(a class, its generators or None, its edge count), less the entries it
+reaches at a frontier edge count, if given, which it returns unexpanded;
+_head is that expansion from the order below.  A representative is its
+parent's plus an edge, so a subtree expanded in any process yields the
+same classes, and the subtrees at distinct frontier entries are disjoint:
 verify.run_grid splits the large families so for a pool of workers.
 
 Two families are generated per order, each whole and uncapped: all graphs
@@ -206,21 +206,20 @@ def _label_search(
     vertex), and generators (vertex -> vertex) of the automorphism group.
 
     The root is the unit partition refined by degree (or root, if the
-    caller has it).  A node branches on
-    each vertex of its first non-singleton cell, individualised ahead of
-    the rest of it, unless the vertex is a twin of an explored sibling or
-    in the orbit of one under the generators so far that fix the node's
-    individualised vertices.  (A twin transposition from an individualised
-    vertex fixes no such node, so the twin test prunes what the orbits
-    miss.)  The least leaf certificate wins, and a leaf equal to the
-    incumbent gives an automorphism.  The certificate is not the min-lex
-    form.
+    caller has it).  A node branches on each vertex of its first
+    non-singleton cell, individualised ahead of the rest of it, unless the
+    vertex is a twin of an explored sibling.  The least leaf certificate
+    wins, and a leaf equal to the incumbent gives an automorphism; the twin
+    transpositions, whose leaves the twin test skips, seed the generators.
+    No branch is pruned by the orbits of the automorphisms found, as McKay
+    & Piperno do: that took the same time to generate the families at
+    n = 8 and 9 and saved about 4% at n = 10 (C4-free), too little for its
+    code.  The certificate is not the min-lex form.
     """
     tau = _transposition_automorphisms(n, adj)
     gens = _twin_generators(n, tau)
     best_cert: tuple[int, ...] | None = None
     best_perm: list[int] = []
-    prefix: list[int] = []
 
     def search(cells: list[int]) -> None:
         nonlocal best_cert, best_perm
@@ -254,34 +253,16 @@ def _label_search(
             low = mask & -mask
             v = low.bit_length() - 1
             mask ^= low
-            if explored and (tau[v] & explored or _vertex_orbit(gens, prefix, v) & explored):
+            if tau[v] & explored:
                 continue
             explored |= low
-            prefix.append(v)
             search(_refine(adj, cells[:i] + [low, target ^ low] + cells[i + 1:], [low]))
-            prefix.pop()
 
     full = (1 << n) - 1
     search(_refine(adj, [full], [full]) if root is None else root)
     if best_cert is None:
         raise RuntimeError(f"labelling search reached no leaf for n={n}")
     return best_cert, best_perm, gens
-
-
-def _vertex_orbit(gens: list[list[int]], fixed: list[int], v: int) -> int:
-    """The orbit of v, as a bitset, under the generators that fix every
-    vertex of fixed."""
-    stabiliser = [gamma for gamma in gens if all(gamma[x] == x for x in fixed)]
-    orbit = 1 << v
-    frontier = [v]
-    while frontier:
-        x = frontier.pop()
-        for gamma in stabiliser:
-            y = gamma[x]
-            if not (orbit >> y) & 1:
-                orbit |= 1 << y
-                frontier.append(y)
-    return orbit
 
 
 def _twin_generators(n: int, tau: list[int]) -> list[list[int]]:
@@ -541,21 +522,23 @@ def _complement_below_middle(g: Graph, m: int, c4_free: bool) -> list[Graph]:
 
 def _expand(entries: list[_Entry], c4_free: bool,
             frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
-    """Every class below the entries in the augmentation tree, and the
-    frontier: the entries reached with frontier edges, returned among the
-    classes but not expanded.  An entry is searched for its generators only
-    when it has 2 candidate non-edges or more.  The all-graph tree stops at
-    the middle edge count, and its classes bring their complements."""
+    """Every class in the tree at and below the entries, each with its
+    complement below the middle, and the frontier: the entries reached with
+    frontier edges or more, returned unexpanded and not among the classes.
+    An entry is searched for its generators only when it has 2 candidate
+    non-edges or more.  The all-graph tree stops at the middle edge count."""
     found: list[Graph] = []
     reached: list[_Entry] = []
     stack = list(entries)
     while stack:
         entry = stack.pop()
         g, gens, m = entry
-        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
-            continue
         if frontier is not None and m >= frontier:
             reached.append(entry)
+            continue
+        found.append(g)
+        found += _complement_below_middle(g, m, c4_free)
+        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
             continue
         pairs = _non_edges(g, c4_free)
         if len(pairs) > 1:
@@ -566,37 +549,28 @@ def _expand(entries: list[_Entry], c4_free: bool,
             child = add_edge(g, u, v)
             kept, child_gens = _kept(child, u, v)
             if kept:
-                found.append(child)
-                found += _complement_below_middle(child, m + 1, c4_free)
                 stack.append((child, child_gens, m + 1))
     return found, reached
 
 
 def _head(n: int, c4_free: bool, frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
-    """The order below's classes plus a vertex, the classes grown from
-    them down to frontier edges (all of them for None), for all graphs with
-    complements, and the frontier entries below which the rest lies."""
+    """_expand from the order below's classes plus a vertex: every class
+    at order n below frontier edges (all of them for None), for all graphs
+    with complements, and the frontier entries at and below which the rest
+    lies."""
     below = _family(n - 1, c4_free) if n > 1 else (Graph(0, ()),)
-    roots = [(Graph(n, g.adj + (0,)), None, g.edge_count()) for g in below]
-    found, reached = _expand([root for root in roots if root[0].adj.count(0) <= 2],
-                             c4_free, frontier)
-    return [*(g for g, _, _ in roots),
-            *(h for g, _, m in roots for h in _complement_below_middle(g, m, c4_free)),
-            *found], reached
-
-
-def _generate(n: int, c4_free: bool) -> tuple[Graph, ...]:
-    """Every isomorphism class at order n, or every C4-free one, in (edge
-    count, adjacency) order: _head with no frontier."""
-    return tuple(sorted(_head(n, c4_free)[0], key=lambda g: (g.edge_count(), g.adj)))
+    return _expand([(Graph(n, g.adj + (0,)), None, g.edge_count()) for g in below],
+                   c4_free, frontier)
 
 
 def _family(n: int, c4_free: bool) -> tuple[Graph, ...]:
-    """The family (n, c4_free) in _generate's order, generated once per
+    """Every isomorphism class at order n, or every C4-free one, in (edge
+    count, adjacency) order: _head with no frontier, generated once per
     process."""
     key = (n, c4_free)
     if key not in _CLASS_CACHE:
-        _CLASS_CACHE[key] = _generate(*key)
+        _CLASS_CACHE[key] = tuple(sorted(_head(n, c4_free)[0],
+                                         key=lambda g: (g.edge_count(), g.adj)))
     return _CLASS_CACHE[key]
 
 

@@ -12,7 +12,7 @@ Each check is one table row, and these tables and SUITES are the only
 places that state the checks:
 - THEOREMS, the brute-forced statements: per check id its least order,
   its graph class and its claimed extremal families.  A theorem task is
-  planned (validated) once, one plan per check (and per k for t4), and
+  planned (validated) once, one _Plan per check (and per k for t4), and
   every p is scored in one pass over the classes.
 - LEMMAS, the parity and least order of Lemma 1 and Lemma 1.2, whose
   comparison tuples one builder (lemma_tuples) states for both.
@@ -30,11 +30,11 @@ the plans of the whole grid by the family they read
 serves every plan on it.  Then it builds one list of units:
 - given a pool of at least 2 workers, the highest order of each kind is
   split when _split_depth names a depth for it, all graphs before C4-free:
-  the caller grows it from the order below down to that edge count (its
+  the caller grows it from the order below up to that edge count (its
   head), and the frontier entries there are dealt round robin into
-  UNITS_PER_SPLIT subtree units, each expanding the subtrees below its
-  entries.  The subtrees of McKay's augmentation tree are disjoint, so the
-  head and the units together visit the family once;
+  UNITS_PER_SPLIT subtree units, each visiting its entries and the
+  subtrees below them.  The subtrees of McKay's augmentation tree are
+  disjoint, so the head and the units together visit the family once;
 - then each closed-form task, run whole through run_task.
 While the units run, the caller reads the heads and every family not split
 (from the class cache, where a head caches each order below it, so checks
@@ -42,8 +42,9 @@ on one family share one generation across calls), and no unit reads the
 class cache.  A unit returns records or trackers, never classes.  Each
 family's trackers are merged in unit order (ExtremalTracker.merge) and
 scored by _theorem_pass, so the records do not depend on who ran a unit.
-Each check has one tracker: Corollary 1's borrowed facts (its edge bound
-and its min-degree >= 1 subclass) are read off it too (_borrowed_facts).
+Each plan has its own tracker, also for a task given twice: Corollary 1's
+borrowed facts (its edge bound and its min-degree >= 1 subclass) are read
+off it too (_borrowed_facts).
 This module starts no process: the caller passes a pool or every unit
 runs inline.
 """
@@ -226,7 +227,7 @@ class TheoremSpec(NamedTuple):
     The check runs at n >= least_n, plus k where it takes a degeneracy
     bound k.  predicate and families take (n, k), k None unless taken;
     families are the claimed extremal graphs of order n.  With borrowed
-    facts, the check's one tracker also confirms the two facts the
+    facts, the tracker of each plan also confirms the two facts the
     statement borrows (_borrowed_facts): at most _edge_cap(n) edges, and
     the min-degree >= 1 subclass has the same extremal set.
     """
@@ -270,8 +271,22 @@ def _theorem_checks(thm: str, n: int, k_values: Sequence[int] | None) -> list[tu
     return checks
 
 
-# one validated check instance: (check, k, spec, predicate)
-_Plan = tuple[str, int | None, TheoremSpec, SearchPredicate]
+class _Plan(NamedTuple):
+    """One validated check instance, picklable: the check id, the order, k
+    (None unless the check takes one), the predicate and the exponents
+    reported."""
+
+    check: str
+    n: int
+    k: int | None
+    pred: SearchPredicate
+    p_values: tuple[int, ...]
+
+    def tracker(self) -> ExtremalTracker:
+        """A fresh tracker over the exponents scored: p = 1 too for a check
+        with borrowed facts (every reported p is at least 2)."""
+        borrowed = THEOREMS[self.check].borrowed_facts
+        return ExtremalTracker(self.p_values + (1,) if borrowed else self.p_values)
 
 
 def _theorem_plan(check: str, n: int, p_values: Sequence[int], k: int | None) -> _Plan:
@@ -292,7 +307,7 @@ def _theorem_plan(check: str, n: int, p_values: Sequence[int], k: int | None) ->
         raise ValueError(f"{spec.title} needs n >= {least}")
     pred = spec.predicate(n, k)
     check_enumerable(n, pred)
-    return check, k, spec, pred
+    return _Plan(check, n, k, pred, tuple(p_values))
 
 
 def _theorem_plans(thm: str, n: int, p_values: Sequence[int],
@@ -304,20 +319,11 @@ def _theorem_plans(thm: str, n: int, p_values: Sequence[int],
     return [_theorem_plan(check, n, p_values, k) for check, k in checks]
 
 
-class _Probe(NamedTuple):
-    """What one plan asks of each class of its family, picklable: the
-    predicate and the exponents scored, p = 1 among them for a check with
-    borrowed facts."""
-
-    pred: SearchPredicate
-    p_values: tuple[int, ...]
-
-
-def _probe_classes(n: int, probes: Sequence[_Probe],
+def _probe_classes(n: int, plans: Sequence[_Plan],
                    classes: Iterable[Graph]) -> list[ExtremalTracker]:
-    """Every probe's tracker over classes of one family, from one _pass."""
-    trackers = [ExtremalTracker(probe.p_values) for probe in probes]
-    _pass(n, classes, [(probe.pred, tracker.visit) for probe, tracker in zip(probes, trackers)])
+    """A tracker per plan over classes of one family, from one _pass."""
+    trackers = [plan.tracker() for plan in plans]
+    _pass(n, classes, [(plan.pred, tracker.visit) for plan, tracker in zip(plans, trackers)])
     return trackers
 
 
@@ -333,15 +339,15 @@ def _borrowed_facts(tracker: ExtremalTracker, p: int) -> tuple[int, bool]:
     return (tracker.best[1] or 0) // 2, all(all(g.adj) for g in tracker.maximisers[p])
 
 
-def _theorem_pass(plan: _Plan, n: int, p_values: Sequence[int],
-                  tracker: ExtremalTracker) -> list[VerificationRecord]:
+def _theorem_pass(plan: _Plan, tracker: ExtremalTracker) -> list[VerificationRecord]:
     """The check's records, one per p, scored from its tracker.
 
     For each p the maximum and the complete witness set must equal those of
     the claimed extremal families (uniqueness included), and each family's
     closed form must equal e_p of its construction.
     """
-    check, k, spec, pred = plan
+    check, n, k, pred, p_values = plan
+    spec = THEOREMS[check]
     claimed = [(fam, canonical_graph(construct(fam, n))) for fam in spec.families(n, k)]
     examined = tracker.count
     records = []
@@ -684,12 +690,12 @@ _FamilyKey = tuple[int, bool]  # (n, c4_free)
 
 
 class _Unit(NamedTuple):
-    """The classes of one family below entries, visited by every probe
-    grouped on the family."""
+    """The classes of one family at and below entries, visited for every
+    plan grouped on the family."""
 
     n: int
     c4_free: bool
-    probes: list[_Probe]
+    plans: list[_Plan]
     entries: list[_Entry]
 
 
@@ -713,9 +719,9 @@ def _split_depth(n: int, c4_free: bool) -> int | None:
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:
     """One unit (picklable, for process pools): a subtree unit's trackers,
-    one per probe, or a closed-form task's records."""
+    one per plan, or a closed-form task's records."""
     if isinstance(unit, _Unit):
-        return _probe_classes(unit.n, unit.probes, _expand(unit.entries, unit.c4_free)[0])
+        return _probe_classes(unit.n, unit.plans, _expand(unit.entries, unit.c4_free)[0])
     return run_task(unit)
 
 
@@ -731,13 +737,9 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
     """
     plans = [_theorem_plans(kw["thm"], kw["n"], kw["p_values"], kw.get("k_values"))
              if kind == "theorem" else None for kind, kw in tasks]
-    families: dict[_FamilyKey, list[_Probe]] = {}
-    for (_, kw), task_plans in zip(tasks, plans):
-        for _, _, spec, pred in task_plans or ():
-            p_values = tuple(kw["p_values"])
-            # p >= 2 is planned, so p = 1 is scored only for the borrowed facts
-            families.setdefault(_family_key(kw["n"], pred), []).append(
-                _Probe(pred, p_values + (1,) if spec.borrowed_facts else p_values))
+    families: dict[_FamilyKey, list[_Plan]] = {}
+    for plan in chain.from_iterable(filter(None, plans)):
+        families.setdefault(_family_key(plan.n, plan.pred), []).append(plan)
     pooled = pool is not None and workers > 1
     # the highest order of each kind, whose head caches every order below
     # it, and the largest first: all graphs before C4-free
@@ -751,18 +753,18 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
     records: list[VerificationRecord] = []
     with pool(max_workers=workers) if workers > 1 else nullcontext() as executor:
         results = iter((executor.map if workers > 1 else map)(run_unit, units))
-        found = {key: _probe_classes(key[0], probes,
+        found = {key: _probe_classes(key[0], family_plans,
                                      heads[key][0] if key in heads else _family(*key))
-                 for key, probes in families.items()}
+                 for key, family_plans in families.items()}
         for unit in units[:UNITS_PER_SPLIT * len(heads)]:
             for tracker, theirs in zip(found[unit.n, unit.c4_free], next(results)):
                 tracker.merge(theirs)
         trackers = {key: iter(found_here) for key, found_here in found.items()}
-        for (_, kw), task_plans in zip(tasks, plans):
+        for task_plans in plans:
             if task_plans is None:
                 records += next(results)
             else:
-                records += _p_major([_theorem_pass(plan, kw["n"], kw["p_values"],
-                                                   next(trackers[_family_key(kw["n"], plan[3])]))
-                                     for plan in task_plans])
+                records += _p_major([
+                    _theorem_pass(plan, next(trackers[_family_key(plan.n, plan.pred)]))
+                    for plan in task_plans])
     return records

@@ -344,6 +344,39 @@ class TestLabelSearch:
                 assert permute(g, gamma) == g
             assert pair_orbits(g.n, gens) == pair_orbits(g.n, brute_automorphisms(g))
 
+    @pytest.mark.parametrize("g, order", [
+        (new_graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                   + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]), 120),
+        (cycle_graph(10), 20),
+        (new_graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b]), 48),
+        (new_graph(10, [(i, j + 5) for i in range(5) for j in range(5) if i != j]), 240),
+    ], ids=["petersen", "C10", "cube", "K55-minus-matching"])
+    def test_generators_generate_the_group_of_twin_free_transitive_graphs(self, g, order):
+        # no twins, and one vertex orbit: the branches below a node differ
+        # only by automorphisms the search must find, not by twins.  The
+        # generators close to the whole group, of the order known for each
+        rng = random.Random(order)
+        g = shuffled(g, rng)
+        assert not any(enumeration._transposition_automorphisms(g.n, g.adj))
+        _, _, gens = enumeration._label_search(g.n, g.adj)
+        for gamma in gens:
+            assert permute(g, gamma) == g
+        assert group_order(g.n, gens) == order
+
+
+def group_order(n, gens):
+    """The order of the permutation group gens generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        sigma = frontier.pop()
+        for gamma in gens:
+            image = tuple(gamma[x] for x in sigma)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return len(group)
+
 
 class TestEnumeration:
     def test_unfiltered_counts_small(self):
@@ -411,7 +444,7 @@ class TestClassSets:
         # are cached, never a filtered tuple.
         n, c4_free, even_cycle_free, cap = key
         if route == "filtered":
-            enumeration._CLASS_CACHE[(n, True)] = enumeration._generate(n, True)
+            enumeration._family(n, True)
         calls = searches["calls"]
         pred = SearchPredicate(c4_free=c4_free, even_cycle_free=even_cycle_free, max_edges=cap)
         assert enumerate_graphs(n, pred) == PINNED_CLASS_SETS[key][0]
@@ -528,24 +561,25 @@ class TestAugmentation:
             kept = sorted(min(orbit) for orbit in orbits if not orbit & dropped)
             assert enumeration._orbit_reps(enumeration._non_edges(g, c4_free), gens) == kept
 
-    @pytest.mark.parametrize("cached, orders, c4_free, deletion_tests, labellings", [
-        (6, (7,), False, 625, 228), (7, (8,), False, 11116, 3021), (7, (8,), True, 431, 151),
-        (0, tuple(range(4, 9)), True, 604, 239),
+    @pytest.mark.parametrize("cached, orders, c4_free, deletion_tests, labellings, refinements", [
+        (6, (7,), False, 625, 228, 952), (7, (8,), False, 11116, 3021, 11815),
+        (7, (8,), True, 431, 151, 936), (0, tuple(range(4, 9)), True, 604, 239, 1402),
     ], ids=["n=7 all", "n=8 all", "n=8 C4-free", "n=4..8 C4-free"])
     def test_work_counts_pinned(self, monkeypatch, cached, orders, c4_free, deletion_tests,
-                                labellings):
+                                labellings, refinements):
         # deterministic counts of generating the orders in turn, from a cache
         # that holds the orders up to cached (none for 0), so the last row
         # generates orders 1 to 3 too.  The all-graph tree is expanded only
         # up to its middle edge count, and a class is searched only for its
         # generators, when it has 2 candidate non-edges or more, or for a tie
         # on its deletion edge that the cells of its equitable partition
-        # leave open
+        # leave open.  Refinement, run at each search node and for each
+        # deletion tie the invariant leaves, is the dominant cost
         monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
         if cached:
             enumeration._family(cached, c4_free)
         counter = Counter()
-        for name in ("_deletion_ties", "_label_search"):
+        for name in ("_deletion_ties", "_label_search", "_refine"):
             original = getattr(enumeration, name)
 
             def counting(*args, name=name, original=original):
@@ -555,7 +589,8 @@ class TestAugmentation:
             monkeypatch.setattr(enumeration, name, counting)
         for n in orders:
             enumeration._family(n, c4_free)
-        assert counter == {"_deletion_ties": deletion_tests, "_label_search": labellings}
+        assert counter == {"_deletion_ties": deletion_tests, "_label_search": labellings,
+                           "_refine": refinements}
 
 
 class TestNetworkxOracle:

@@ -35,13 +35,14 @@ def test_subtrees_partition_the_family(n, c4_free, depth):
     head, entries = enumeration._head(n, c4_free, depth)
     # every head class, or for all graphs its complement, has an isolated
     # vertex or at most depth edges; a frontier entry with more edges is the
-    # order below's class plus a vertex
+    # order below's class plus a vertex, and the unit expanding a frontier
+    # entry visits it, not the head
     full = n * (n - 1) // 2
     assert all(0 in g.adj or g.edge_count() <= depth
                or not c4_free and (full - g.edge_count() <= depth
                                    or any(a | 1 << v == (1 << n) - 1 for v, a in enumerate(g.adj)))
                for g in head)
-    assert all((m == depth or m > depth and 0 in g.adj) and g.adj.count(0) <= 2 and g in head
+    assert all((m == depth or m > depth and 0 in g.adj) and g not in head
                for g, _, m in entries)
     below = {entry[0]: enumeration._expand([entry], c4_free)[0] for entry in entries}
     assert len(below) == len(entries)
@@ -102,7 +103,7 @@ def test_split_units_partition_the_family(n, c4_free):
 
 # every class on 6 vertices with at most 7 edges; e_1 = 2m, so at p=1 every
 # class of the largest edge count in a part is a maximiser
-CLASSES = [g for g in enumeration._generate(6, False) if g.edge_count() <= 7]
+CLASSES = [g for g in enumeration._family(6, False) if g.edge_count() <= 7]
 P_VALUES = (1, 2, 3)
 
 

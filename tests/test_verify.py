@@ -480,7 +480,7 @@ class TestOnePass:
 
 
 # the all-graph classes on 6 and 7 vertices
-BORROWED_CLASSES = {n: enumeration._generate(n, False) for n in (6, 7)}
+BORROWED_CLASSES = {n: enumeration._family(n, False) for n in (6, 7)}
 
 
 @settings(max_examples=40, deadline=None)
