@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check the largest generated families against their pinned class sets,
-and the n = 9 theorem reports read from them against their pinned JSON.
+their class counts against Polya's theorem, and the n = 9 theorem reports
+read from them against their pinned JSON.
 
     python scripts/check_n9_classes.py
 
@@ -11,12 +12,17 @@ form and compares the class count and the sha256 of the concatenated
 sorted forms with the pinned values, in the format of
 tests/test_enumeration.py's PINNED_CLASS_SETS.  Each order is grown from
 the one below it, so these pins cover the classes the recursion chains
-through.  Then it runs `verify thm2 --n 9`, `thm3 --n 9` and `thm4 --n 9`
-in this process under DEGPOW_MAX_N=9, so they read the cached all-graph
-family, and compares the sha256 of each JSON report with its pin; no
-other check pins them.  Exits 1 on a mismatch.  The run takes a few
-minutes; the forms cost about 0.5 ms per class at n = 9 and 1.6 ms at
-n = 10.
+through.  The n = 9 all-graph classes are counted per edge count against
+g(9, m) by Polya's theorem (tests/helpers.py's graph_counts), and the
+12,005,168 classes on 10 vertices that check_enumerable's refusal and the
+README state against the sum of g(10, m).  The labelling searches and
+_refine calls that grow the n = 9 all-graph family from the order below
+are printed beside its pins.  Then it runs `verify thm2 --n 9`,
+`thm3 --n 9` and `thm4 --n 9` in this process under DEGPOW_MAX_N=9, so
+they read the cached all-graph family, and compares the sha256 of each
+JSON report with its pin; no other check pins them.  Exits 1 on a
+mismatch.  The run takes a few minutes; the forms cost about 0.5 ms per
+class at n = 9 and 1.6 ms at n = 10.
 """
 
 from __future__ import annotations
@@ -28,9 +34,15 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
+from pathlib import Path
 
 from degpow import enumeration
 from degpow.cli import main as degpow_main
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from helpers import graph_counts  # noqa: E402
 
 # (n, c4_free) -> (class count, sha256 of the sorted min-lex forms); all
 # graphs on 9 vertices are OEIS A000088.  Both were taken from the
@@ -71,22 +83,76 @@ def check_reports() -> int:
     return wrong
 
 
+def counted_family(n: int, c4_free: bool) -> tuple[tuple, Counter]:
+    """The family, grown from the order below (generated first), and the
+    labelling searches and _refine calls that growing it took."""
+    enumeration._family(n - 1, c4_free)
+    counter: Counter = Counter()
+    originals = {name: getattr(enumeration, name) for name in ("_label_search", "_refine")}
+
+    def counting(name):
+        def call(*args):
+            counter[name] += 1
+            return originals[name](*args)
+        return call
+
+    for name in originals:
+        setattr(enumeration, name, counting(name))
+    try:
+        return enumeration._family(n, c4_free), counter
+    finally:
+        for name, original in originals.items():
+            setattr(enumeration, name, original)
+
+
+def check_counts(family: tuple) -> int:
+    """Compare the n = 9 classes per edge count, and the n = 10 total the
+    refusal message and README state, with Polya's counts; return the
+    number that differ."""
+    wrong = 0
+    per_edge_count = Counter(g.edge_count() for g in family)
+    expected = dict(enumerate(graph_counts(9)))
+    print(f"n = 9, all graphs, classes per edge count by Polya's theorem: "
+          f"{'match' if per_edge_count == expected else 'differ'}")
+    if per_edge_count != expected:
+        print(f"mismatch: n = 9 classes per edge count {dict(sorted(per_edge_count.items()))}, "
+              f"expected {expected}", file=sys.stderr)
+        wrong += 1
+    stated = f"{sum(graph_counts(10)):,}"
+    try:
+        enumeration.check_enumerable(10, enumeration.SearchPredicate())
+        refusal = ""
+    except ValueError as error:
+        refusal = str(error)
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    print(f"n = 10, all graphs: {stated} classes by Polya's theorem")
+    if stated not in refusal or f"{stated} classes" not in readme:
+        print(f"mismatch: check_enumerable's refusal and README must state {stated} classes",
+              file=sys.stderr)
+        wrong += 1
+    return wrong
+
+
 def main() -> int:
     wrong = 0
     for (n, c4_free), (count, pinned) in PINNED.items():
         start = time.perf_counter()
-        family = enumeration._family(n, c4_free)
+        family, work = counted_family(n, c4_free)
         generated = time.perf_counter()
         forms = sorted(enumeration.canonical_form(g) for g in family)
         digest = hashlib.sha256(b"".join(forms)).hexdigest()
         distinct = len(set(forms))
         name = f"n = {n}, {'C4-free' if c4_free else 'all graphs'}"
         print(f"{name}: classes {len(family)}, distinct forms {distinct}, sha256 {digest}")
+        print(f"grown from the order below: {work['_label_search']} labelling searches, "
+              f"{work['_refine']} _refine calls")
         print(f"generation {generated - start:.1f} s, forms {time.perf_counter() - generated:.1f} s")
         if len(family) != count or distinct != count or digest != pinned:
             print(f"mismatch: {name} expected {count} classes with sha256 {pinned}",
                   file=sys.stderr)
             wrong += 1
+        if (n, c4_free) == (9, False):
+            wrong += check_counts(family)
     wrong += check_reports()
     return 1 if wrong else 0
 

@@ -90,7 +90,7 @@ MUTANTS = (
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestLabelSearch::test_generators_give_the_pair_orbits")),
     # the twin branches the labelling search skips leave their
-    # transpositions unfound, so parents' non-edge orbits split
+    # transpositions unfound, so parents' vertex-set orbits split
     Mutant("twin-generators-dropped", ENUMERATION,
            "gens = _twin_generators(n, tau)", "gens: list[list[int]] = []",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",)),
@@ -99,43 +99,67 @@ MUTANTS = (
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestLabelSearch::"
             "test_certificate_invariant_under_relabelling")),
-    Mutant("degree-test-too-strict", ENUMERATION,
-           "at_least[deg[v] + 2] and not adj[v] & at_least[deg[u] + 2]",
-           "at_least[deg[v] + 1] and not adj[v] & at_least[deg[u] + 1]",
+    # a set that leaves the new vertex of least degree is dropped
+    Mutant("degree-rule-too-strict", ENUMERATION,
+           "free = [x for x, d in enumerate(deg) if d >= k]",
+           "free = [x for x, d in enumerate(deg) if d > k]",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestAugmentation::"
             "test_degree_rule_drops_only_rejected_orbits")),
-    Mutant("degree-test-one-sided", ENUMERATION,
-           " and not adj[v] & at_least[deg[u] + 2]", "",
-           ("tests/test_enumeration.py::TestAugmentation::test_work_counts_pinned",
+    # a set one larger than the least degree allows reaches _kept, which
+    # reads the new vertex's degree as the least
+    Mutant("degree-rule-one-too-loose", ENUMERATION,
+           "top = min(deg, default=-1) + 1", "top = min(deg, default=-1) + 2",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
+            "tests/test_enumeration.py::TestAugmentation::"
+            "test_degree_rule_drops_only_rejected_orbits")),
+    Mutant("c4-rule-dropped", ENUMERATION,
+           "if not (c4_free and any(g.adj[x] & g.adj[y]", "if not (False and any(g.adj[x] & g.adj[y]",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestAugmentation::"
             "test_degree_rule_drops_only_rejected_orbits")),
     Mutant("middle-level-mirrored", ENUMERATION,
-           "(not c4_free and 2 * m < g.n * (g.n - 1) // 2",
-           "(not c4_free and 2 * m <= g.n * (g.n - 1) // 2",
+           "if not c4_free and 4 * (m + s.bit_count()) < n * (n - 1):",
+           "if not c4_free and 4 * (m + s.bit_count()) <= n * (n - 1):",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
-    Mutant("expanded-past-the-middle", ENUMERATION,
-           """        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
-            continue
+    Mutant("grown-past-the-middle", ENUMERATION,
+           """    if not c4_free:
+        top = min(top, (g.n + 1) * g.n // 4 - g.edge_count())
 """, "",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
             "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
-    # a class with a dominating vertex has a complement with an isolated
-    # vertex, which the order below already gave
-    Mutant("dominating-complement-kept", ENUMERATION,
-           "\n            and all(a | 1 << v != full for v, a in enumerate(g.adj))", "",
+    # the complement of the empty graph, K_n, is lost at every order
+    Mutant("one-complement-dropped", ENUMERATION,
+           "if not c4_free and 4 * (m + s.bit_count()) < n * (n - 1):",
+           "if not c4_free and 0 < 4 * (m + s.bit_count()) < n * (n - 1):",
+           ("tests/test_enumeration.py::TestClassSets::test_classes_per_edge_count_by_polya",)),
+    # every candidate set is taken, not one per orbit
+    Mutant("orbits-not-pruned", ENUMERATION,
+           "        if len(sets) > 1:\n            gens = _generators(g)",
+           "        if False:\n            gens = _generators(g)",
+           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",)),
+    # shortcut 1 taken when some cell, not every cell, is a twin class
+    Mutant("twin-generators-for-a-cell-not-twins", ENUMERATION,
+           "if all(cell & ~tau[(cell & -cell).bit_length() - 1] == cell & -cell",
+           "if any(cell & ~tau[(cell & -cell).bit_length() - 1] == cell & -cell",
+           ("tests/test_enumeration.py::TestAugmentation::"
+            "test_twin_generators_give_the_search_orbits",)),
+    # shortcut 2 accepts when the ties but the least are twins of v
+    Mutant("kept-for-a-tie-not-a-twin", ENUMERATION,
+           "for x in structure._bits(mask))", "for x in structure._bits(mask & (mask - 1)))",
+           ("tests/test_enumeration.py::TestAugmentation::"
+            "test_kept_agrees_with_the_full_search",)),
+    Mutant("neighbour-degrees-not-maximised", ENUMERATION,
+           """            if key > target:
+                return False
+""", "",
            ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
-            "tests/test_enumeration.py::TestClassSets::test_complements_mirror_the_family")),
-    # a child with an isolated vertex is the order below's class plus a vertex
-    Mutant("parent-not-covering", ENUMERATION,
-           "        and not isolated & ~(1 << u | 1 << v)\n", "",
-           ("tests/test_enumeration.py::TestClassSets::test_pinned_class_set",
-            "tests/test_enumeration.py::TestClassSets::"
-            "test_isolated_vertex_classes_are_the_order_below")),
-    # every tie on the deletion invariant then costs a search
+            "tests/test_enumeration.py::TestAugmentation::"
+            "test_kept_agrees_with_the_full_search")),
+    # every tie on the degree keys then costs a search
     Mutant("cell-key-ignored", ENUMERATION,
-           "return sorted((index[pair[0]], index[pair[1]]))", "return [0, 0]",
+           "last = next(cell for cell in reversed(cells) if cell & ties)", "last = full",
            ("tests/test_enumeration.py::TestAugmentation::test_work_counts_pinned",)),
     # the cut rows name a test on each route through _pass: enumerate_graphs
     # or extremal_ep, and run_task or run_grid
@@ -167,38 +191,36 @@ MUTANTS = (
     Mutant("merge-drops-tied-witnesses", ENUMERATION,
            "self.maximisers[p] += other.maximisers[p]", "pass",
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),
-    # a subtree unit visits its frontier classes only
-    Mutant("frontier-not-expanded", VERIFY,
-           "_expand(unit.entries, unit.c4_free)[0])",
-           "[entry[0] for entry in unit.entries])",
+    # a unit visits its parents, not their children
+    Mutant("unit-visits-its-parents", VERIFY,
+           "_children(unit.n, unit.parents, unit.c4_free))", "unit.parents)",
            ("tests/test_grid.py::test_grid_units_visit_each_class_once",
             "tests/test_cli.py::test_report_digests_pinned_with_a_process_pool")),
     # with no pool every family is read whole from the class cache
     Mutant("split-without-a-pool", VERIFY,
-           "if pooled and (depth := _split_depth(*key)) is not None}",
-           "if (depth := _split_depth(*key)) is not None}",
+           "if pooled and _splits(*key)]", "if _splits(*key)]",
            ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
             "tests/test_grid.py::test_grid_units_visit_each_class_once")),
-    # a family below the top of its kind is split too, and its head grown
-    # again, though the top's head cached it
+    # a family below the top of its kind is split too, though the top's
+    # order below cached it
     Mutant("split-below-a-split-family", VERIFY,
            "for key in sorted(tops.values(), key=lambda key: key[1])",
            "for key in sorted(families, key=lambda key: key[1])",
-           ("tests/test_grid.py::test_split_family_a_head_caches_is_read_whole",)),
+           ("tests/test_grid.py::test_family_below_a_split_family_is_read_whole",)),
     # the all-graph family at n = 7 is split, and a pool started, though
     # reading it in this process is faster
     Mutant("all-graphs-split-from-n7", VERIFY,
-           "return n if n >= 8 else None", "return n if n >= 7 else None",
-           ("tests/test_grid.py::test_split_depths",
+           "return n >= (9 if c4_free else 8)", "return n >= (9 if c4_free else 7)",
+           ("tests/test_grid.py::test_split_families",
             "tests/test_cli.py::test_pool_capped_at_task_count",
             "tests/test_cli.py::test_pool_module_loaded_only_when_a_pool_starts")),
     # the second split family's units are read as closed-form records
     Mutant("merge-first-split-family-only", VERIFY,
-           "units[:UNITS_PER_SPLIT * len(heads)]", "units[:UNITS_PER_SPLIT]",
+           "units[:UNITS_PER_SPLIT * len(split)]", "units[:UNITS_PER_SPLIT]",
            ("tests/test_grid.py::test_grid_units_visit_each_class_once",)),
     Mutant("unsplit-family-not-cached", VERIFY,
-           "heads[key][0] if key in heads else _family(*key))",
-           "heads[key][0] if key in heads else _head(*key)[0])",
+           "() if key in split else _family(*key))",
+           "() if key in split else _children(key[0], _family(key[0] - 1, key[1]), key[1]))",
            ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
             "tests/test_grid.py::test_grid_units_visit_each_class_once")),
     Mutant("forest-edge-count", STRUCTURE,

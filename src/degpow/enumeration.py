@@ -17,26 +17,24 @@ witnesses an ExtremalTracker reports, and for the representatives
 enumerate_graphs visits.
 
 Each order grows from the cached order below by McKay's canonical
-augmentation (J. Algorithms 26 (1998) 306-324), depth first from the
-order-below classes plus a vertex, the classes with an isolated vertex; a
-child covers its parent's isolated vertices (_non_edges).  A parent is
-extended by one non-edge per orbit of its automorphism group, and a child
-kept only if the added edge lies in the orbit of its canonical deletion
-edge (_kept).  A degree invariant rejects most children before any
-search, as in nauty's geng.  A class is kept as built and searched only
-where the answer is read: for generators, or for a deletion tie its
-equitable cells leave open.  Both families are closed under edge
-deletion, so every class is reached once.  All graphs are closed under
-complement too, so their tree stops at N/2 edges, N = n(n-1)/2
-(_complement_below_middle).
+augmentation by vertices (J. Algorithms 26 (1998) 306-324), as nauty's
+geng grows graphs: a child is a class of the order below plus a vertex v
+joined to a set S (_candidate_sets).  S leaves v of least degree, and for
+C4-free graphs no two vertices of S share a neighbour.  One S is taken per
+orbit of the parent's automorphism group, and a child is kept only if v
+lies in the orbit of its canonical deletion vertex (_kept).  Both families
+are closed under vertex deletion, so every class is reached once, from its
+canonical parent.  Two exact twin shortcuts keep searches off the common
+cases: a parent whose equitable cells are each one twin class takes its
+twin transpositions as generators (_generators), and a child is kept
+without a search once its deletion ties are twins of v.  All graphs are
+closed under complement too, so their children stop at N/2 edges,
+N = n(n-1)/2, and each class below that brings its complement.
 
-_expand returns every class of the tree at and below a list of entries
-(a class, its generators or None, its edge count), less the entries it
-reaches at a frontier edge count, if given, which it returns unexpanded;
-_head is that expansion from the order below.  A representative is its
-parent's plus an edge, so a subtree expanded in any process yields the
-same classes, and the subtrees at distinct frontier entries are disjoint:
-verify.run_grid splits the large families so for a pool of workers.
+_children returns the classes whose canonical parents are in a list of
+classes of the order below, so disjoint lists of parents give disjoint
+classes, whatever process grows them: verify.run_grid splits the large
+families so for a pool of workers.
 
 Two families are generated per order, each whole and uncapped: all graphs
 and the C4-free graphs, each in (edge count, adjacency) order, and kept
@@ -56,10 +54,11 @@ top order only for the C4-free and even-cycle-free families (all graphs on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import structure
-from .graphs import Graph, add_edge, ep, permute, to_graph6
+from .graphs import Graph, ep, permute, to_graph6
 
 ENUM_HARD_CAP = 10
 
@@ -386,190 +385,134 @@ class SearchPredicate:
 _CLASS_CACHE: dict[tuple[int, bool], tuple[Graph, ...]] = {}
 
 
-def _creates_c4(adj: tuple[int, ...], u: int, v: int) -> bool:
-    # parent is C4-free and uv is a non-edge; any new C4 runs through uv
-    au = adj[u]
-    mask = adj[v]
-    while mask:
-        low = mask & -mask
-        if adj[low.bit_length() - 1] & au:
-            return True
-        mask ^= low
-    return False
-
-
-def _pair_orbit(gens: list[list[int]], pair: tuple[int, int]) -> set[tuple[int, int]]:
-    """The orbit of a vertex pair (u < v) under the group gens generate."""
-    orbit = {pair}
-    frontier = [pair]
+def _orbit(gens: list[list[int]], mask: int) -> set[int]:
+    """The orbit of a vertex set (a bitset) under the group gens generate."""
+    orbit = {mask}
+    frontier = [mask]
     while frontier:
-        a, b = frontier.pop()
+        current = frontier.pop()
         for gamma in gens:
-            x, y = gamma[a], gamma[b]
-            image = (x, y) if x < y else (y, x)
+            image = sum(1 << gamma[x] for x in structure._bits(current))
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
     return orbit
 
 
-def _non_edges(g: Graph, c4_free: bool) -> list[tuple[int, int]]:
-    """The non-edges uv (u < v) whose child may be kept: covering every
-    isolated vertex of g (deleting an edge never un-isolates one), making
-    no C4 if c4_free, and passing the degree rule: in g's degrees uv gets
-    the degree sum deg[u] + deg[v] + 2 and an edge xu deg[x] + deg[u] + 1,
-    so u with a neighbour of degree deg[v] + 2, or v with one of deg[u] + 2,
-    makes _deletion_ties reject the child.  Orbits are kept or dropped
-    whole."""
-    adj = g.adj
-    deg = [a.bit_count() for a in adj]
-    isolated = sum(1 << x for x, d in enumerate(deg) if not d)
-    # at_least[d]: the vertices of degree d or more; a non-edge uv has deg[v] <= n - 2
-    at_least = [0] * (g.n + 1)
-    for x, d in enumerate(deg):
-        at_least[d] |= 1 << x
-    for d in range(g.n - 1, -1, -1):
-        at_least[d] |= at_least[d + 1]
-    return [
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not (adj[u] >> v) & 1
-        and not isolated & ~(1 << u | 1 << v)
-        and not adj[u] & at_least[deg[v] + 2] and not adj[v] & at_least[deg[u] + 2]
-        and not (c4_free and _creates_c4(adj, u, v))
-    ]
-
-
-def _orbit_reps(pairs: list[tuple[int, int]], gens: list[list[int]]) -> list[tuple[int, int]]:
-    """The least pair of each orbit of gens in pairs, a union of orbits."""
-    seen: set[tuple[int, int]] = set()
-    reps: list[tuple[int, int]] = []
-    for pair in pairs:
-        if pair not in seen:
-            reps.append(pair)
-            seen |= _pair_orbit(gens, pair)
-    return reps
-
-
-def _deletion_ties(adj: tuple[int, ...], u: int, v: int) -> list[tuple[int, int]] | None:
-    """Edges xy (x < y) whose invariant equals uv's, or None if some edge's
-    invariant exceeds it.  The invariant orders edges by degree sum, then
-    smaller degree, then common neighbours."""
-    deg = [a.bit_count() for a in adj]
-    du, dv = deg[u], deg[v]
-    target = ((du + dv) << 8) | (min(du, dv) << 4) | (adj[u] & adj[v]).bit_count()
-    ties: list[tuple[int, int]] = []
-    for x, ax in enumerate(adj):
-        dx = deg[x]
-        mask = ax >> (x + 1)
-        y = x + 1
-        while mask:
-            if mask & 1:
-                dy = deg[y]
-                value = ((dx + dy) << 8) | (min(dx, dy) << 4) | (ax & adj[y]).bit_count()
-                if value > target:
-                    return None
-                if value == target:
-                    ties.append((x, y))
-            mask >>= 1
-            y += 1
-    return ties
-
-
-def _kept(child: Graph, u: int, v: int) -> tuple[bool, list[list[int]] | None]:
-    """Whether child, the parent plus uv, is kept, and its generators if
-    a search ran.  uv must lie in the orbit of the canonical deletion edge,
-    which maximises in turn the invariant of _deletion_ties, the sorted
-    cells of its ends in the child's equitable partition, and the sorted
-    labelled positions of its ends: only a tie on the first two costs a
-    search."""
-    ties = _deletion_ties(child.adj, u, v)
-    if ties is None:
-        return False, None
-    if len(ties) == 1:
-        return True, None
-    full = (1 << child.n) - 1
-    cells = _refine(child.adj, [full], [full])
-    index = {x: i for i, cell in enumerate(cells) for x in range(child.n) if cell >> x & 1}
-
-    def key(pair: tuple[int, int]) -> list[int]:
-        return sorted((index[pair[0]], index[pair[1]]))
-
-    top = max(map(key, ties))
-    if key((u, v)) != top:
-        return False, None
-    tops = [pair for pair in ties if key(pair) == top]
-    if len(tops) == 1:
-        return True, None
-    _, perm, gens = _label_search(child.n, child.adj, cells)
-    pos = _inverse(perm)
-    best = max(tops, key=lambda pair: sorted((pos[pair[0]], pos[pair[1]])))
-    return (u, v) in _pair_orbit(gens, best), gens
-
-
-# a class, its automorphism generators (None until searched), its edge count
-_Entry = tuple[Graph, list[list[int]] | None, int]
-
-
-def _complement_below_middle(g: Graph, m: int, c4_free: bool) -> list[Graph]:
-    """The complement of an all-graph class with m edges, if m is below
-    half the vertex pairs and no vertex is adjacent to every other (else
-    the complement has an isolated vertex, and the order below gave it)."""
+def _generators(g: Graph) -> list[list[int]]:
+    """Generators of g's automorphism group.  When every cell of g's
+    equitable partition is one twin class, the group, which keeps each
+    cell, is the product of the symmetric groups on the cells, so the twin
+    transpositions generate it and no search runs."""
     full = (1 << g.n) - 1
-    if (not c4_free and 2 * m < g.n * (g.n - 1) // 2
-            and all(a | 1 << v != full for v, a in enumerate(g.adj))):
-        return [Graph(g.n, tuple(full ^ (1 << v) ^ a for v, a in enumerate(g.adj)))]
-    return []
+    cells = _refine(g.adj, [full], [full])
+    tau = _transposition_automorphisms(g.n, g.adj)
+    if all(cell & ~tau[(cell & -cell).bit_length() - 1] == cell & -cell for cell in cells):
+        return _twin_generators(g.n, tau)
+    return _label_search(g.n, g.adj, cells)[2]
 
 
-def _expand(entries: list[_Entry], c4_free: bool,
-            frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
-    """Every class in the tree at and below the entries, each with its
-    complement below the middle, and the frontier: the entries reached with
-    frontier edges or more, returned unexpanded and not among the classes.
-    An entry is searched for its generators only when it has 2 candidate
-    non-edges or more.  The all-graph tree stops at the middle edge count."""
+def _candidate_sets(g: Graph, c4_free: bool) -> list[int]:
+    """The vertex sets S (bitsets) a new vertex v may be joined to: v must
+    be of least degree in the child, so every x has deg(x) >= |S| - [x in
+    S]; the child of an all-graph parent has at most half the vertex pairs
+    as edges, and C4-free, no two vertices of S share a neighbour.  The
+    sets are a union of orbits of g's automorphism group."""
+    deg = [a.bit_count() for a in g.adj]
+    top = min(deg, default=-1) + 1
+    if not c4_free:
+        top = min(top, (g.n + 1) * g.n // 4 - g.edge_count())
+    sets = []
+    for k in range(top + 1):
+        forced = sum(1 << x for x, d in enumerate(deg) if d == k - 1)
+        if forced.bit_count() > k:
+            continue
+        free = [x for x, d in enumerate(deg) if d >= k]
+        for chosen in combinations(free, k - forced.bit_count()):
+            s = forced | sum(1 << x for x in chosen)
+            if not (c4_free and any(g.adj[x] & g.adj[y]
+                                    for x, y in combinations(structure._bits(s), 2))):
+                sets.append(s)
+    return sets
+
+
+def _twins_of(adj: tuple[int, ...], v: int, mask: int) -> bool:
+    """Whether every vertex of mask is v or a twin of v."""
+    return all(adj[x] & ~(1 << v) == adj[v] & ~(1 << x) for x in structure._bits(mask))
+
+
+def _kept(adj: tuple[int, ...]) -> bool:
+    """Whether the child, whose last vertex v is of least degree, is kept:
+    v must lie in the orbit of the canonical deletion vertex.  Among the
+    vertices of least degree, that vertex has in turn the greatest
+    neighbour degrees sorted descending, the last cell of the child's
+    equitable partition, and the last labelled position.  Ties left that
+    are all twins of v are in its orbit, so only a tie past the cells on
+    vertices that are not twins costs a search."""
+    n = len(adj)
+    v = n - 1
+    deg = [a.bit_count() for a in adj]
+    target = sorted((deg[y] for y in structure._bits(adj[v])), reverse=True)
+    ties = 0
+    for x, d in enumerate(deg):
+        if d == deg[v]:
+            key = sorted((deg[y] for y in structure._bits(adj[x])), reverse=True)
+            if key > target:
+                return False
+            if key == target:
+                ties |= 1 << x
+    if _twins_of(adj, v, ties):
+        return True
+    full = (1 << n) - 1
+    cells = _refine(adj, [full], [full])
+    last = next(cell for cell in reversed(cells) if cell & ties)
+    if not last >> v & 1:
+        return False
+    ties &= last
+    if _twins_of(adj, v, ties):
+        return True
+    _, perm, gens = _label_search(n, adj, cells)
+    best = max(structure._bits(ties), key=_inverse(perm).__getitem__)
+    return 1 << v in _orbit(gens, 1 << best)
+
+
+def _children(n: int, parents: Iterable[Graph], c4_free: bool) -> list[Graph]:
+    """The classes of order n whose canonical parent, the class less its
+    canonical deletion vertex, is among parents, classes of order n - 1.
+    A parent is searched for its generators only when it has 2 candidate
+    sets or more, and one set per orbit is taken.  An all-graph class with
+    fewer edges than half the N vertex pairs brings its complement."""
     found: list[Graph] = []
-    reached: list[_Entry] = []
-    stack = list(entries)
-    while stack:
-        entry = stack.pop()
-        g, gens, m = entry
-        if frontier is not None and m >= frontier:
-            reached.append(entry)
-            continue
-        found.append(g)
-        found += _complement_below_middle(g, m, c4_free)
-        if not c4_free and 2 * (m + 1) > g.n * (g.n - 1) // 2:
-            continue
-        pairs = _non_edges(g, c4_free)
-        if len(pairs) > 1:
-            if gens is None:
-                gens = _label_search(g.n, g.adj)[2]
-            pairs = _orbit_reps(pairs, gens)
-        for u, v in pairs:
-            child = add_edge(g, u, v)
-            kept, child_gens = _kept(child, u, v)
-            if kept:
-                stack.append((child, child_gens, m + 1))
-    return found, reached
-
-
-def _head(n: int, c4_free: bool, frontier: int | None = None) -> tuple[list[Graph], list[_Entry]]:
-    """_expand from the order below's classes plus a vertex: every class
-    at order n below frontier edges (all of them for None), for all graphs
-    with complements, and the frontier entries at and below which the rest
-    lies."""
-    below = _family(n - 1, c4_free) if n > 1 else (Graph(0, ()),)
-    return _expand([(Graph(n, g.adj + (0,)), None, g.edge_count()) for g in below],
-                   c4_free, frontier)
+    full = (1 << n) - 1
+    for g in parents:
+        m = g.edge_count()
+        sets = _candidate_sets(g, c4_free)
+        if len(sets) > 1:
+            gens = _generators(g)
+            seen: set[int] = set()
+            reps = []
+            for s in sets:
+                if s not in seen:
+                    reps.append(s)
+                    seen |= _orbit(gens, s)
+            sets = reps
+        for s in sets:
+            adj = tuple(a | (s >> x & 1) << (n - 1) for x, a in enumerate(g.adj)) + (s,)
+            if _kept(adj):
+                found.append(Graph(n, adj))
+                if not c4_free and 4 * (m + s.bit_count()) < n * (n - 1):
+                    found.append(Graph(n, tuple(full ^ 1 << x ^ a for x, a in enumerate(adj))))
+    return found
 
 
 def _family(n: int, c4_free: bool) -> tuple[Graph, ...]:
     """Every isomorphism class at order n, or every C4-free one, in (edge
-    count, adjacency) order: _head with no frontier, generated once per
-    process."""
+    count, adjacency) order: the children of every class at order n - 1,
+    generated once per process."""
     key = (n, c4_free)
     if key not in _CLASS_CACHE:
-        _CLASS_CACHE[key] = tuple(sorted(_head(n, c4_free)[0],
+        below = _family(n - 1, c4_free) if n > 1 else (Graph(0, ()),)
+        _CLASS_CACHE[key] = tuple(sorted(_children(n, below, c4_free),
                                          key=lambda g: (g.edge_count(), g.adj)))
     return _CLASS_CACHE[key]
 

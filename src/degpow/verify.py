@@ -29,19 +29,19 @@ the plans of the whole grid by the family they read
 (enumeration._family_key), so one enumeration._pass over its classes
 serves every plan on it.  Then it builds one list of units:
 - given a pool of at least 2 workers, the highest order of each kind is
-  split when _split_depth names a depth for it, all graphs before C4-free:
-  the caller grows it from the order below up to that edge count (its
-  head), and the frontier entries there are dealt round robin into
-  UNITS_PER_SPLIT subtree units, each visiting its entries and the
-  subtrees below them.  The subtrees of McKay's augmentation tree are
-  disjoint, so the head and the units together visit the family once;
+  split when _splits says so, all graphs before C4-free: the caller
+  generates the order below, whose classes are dealt round robin into
+  UNITS_PER_SPLIT units, each visiting the children of its parents
+  (enumeration._children).  Every class has one canonical parent, so the
+  units together visit the family once;
 - then each closed-form task, run whole through run_task.
-While the units run, the caller reads the heads and every family not split
-(from the class cache, where a head caches each order below it, so checks
-on one family share one generation across calls), and no unit reads the
-class cache.  A unit returns records or trackers, never classes.  Each
-family's trackers are merged in unit order (ExtremalTracker.merge) and
-scored by _theorem_pass, so the records do not depend on who ran a unit.
+While the units run, the caller reads every family not split (from the
+class cache, where the order below a split family caches each order
+below it, so checks on one family share one generation across calls),
+and no unit reads the class cache.  A unit returns records or trackers,
+never classes.  Each family's trackers are merged in unit order
+(ExtremalTracker.merge) and scored by _theorem_pass, so the records do not
+depend on who ran a unit.
 Each plan has its own tracker, also for a task given twice: Corollary 1's
 borrowed facts (its edge bound and its min-degree >= 1 subclass) are read
 off it too (_borrowed_facts).
@@ -59,11 +59,9 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .enumeration import (
     ExtremalTracker,
     SearchPredicate,
-    _Entry,
-    _expand,
+    _children,
     _family,
     _family_key,
-    _head,
     _pass,
     canonical_graph,
     check_enumerable,
@@ -690,38 +688,36 @@ _FamilyKey = tuple[int, bool]  # (n, c4_free)
 
 
 class _Unit(NamedTuple):
-    """The classes of one family at and below entries, visited for every
-    plan grouped on the family."""
+    """The classes of one family whose canonical parents are parents, a
+    slice of the order below, visited for every plan grouped on the
+    family."""
 
     n: int
     c4_free: bool
     plans: list[_Plan]
-    entries: list[_Entry]
+    parents: tuple[Graph, ...]
 
 
-def _split_depth(n: int, c4_free: bool) -> int | None:
-    """The edge count at which a pool splits the family into subtree
-    units, or None to keep it one unit.
+def _splits(n: int, c4_free: bool) -> bool:
+    """Whether a pool splits the family into units of parents.
 
-    A split pays from all graphs at n = 8 and C4-free graphs at n = 9: on
-    a 2-vCPU VM `verify thm4 --jobs 2` took 0.49 s split against 0.67 s at
-    --jobs 1, and `verify all-desk --jobs 2` 0.73 s against 0.96 s unsplit.
-    At n = 7 it does not: `verify thm2 --n 4..7 --jobs 2` took 0.143 s with
-    the family read in process against 0.184 s split (fresh processes,
-    medians of 25 alternated rounds).  The subtree sizes are heavy tailed:
-    the largest subtree below the frontier holds 20 per cent of the rest
-    at n = 8 and, C4-free, 28 at n = 9, and the largest of the 8 units,
-    the frontier dealt round robin, 23 to 29 per cent of the units' time."""
-    if c4_free:
-        return n - 2 if n >= 9 else None
-    return n if n >= 8 else None
+    A split pays from all graphs at n = 8: on a 2-vCPU VM at --jobs 2,
+    `verify all-desk` took 0.52 s split against 0.81 s with no family
+    split, and `verify thm4` 0.31 s against 0.44 s.  At n = 7 it does not:
+    `verify thm2 --n 4..7 --jobs 2` took 0.121 s with the family read in
+    process against 0.143 s split.  C4-free families are split from n = 9,
+    where it no longer pays: `verify cor1 --n 9..10 --jobs 2` took 0.52 s
+    split against 0.48 s with them read whole (medians of 10-12 alternated
+    rounds in fresh processes).  The largest of the 8 units takes 14 per
+    cent of the family's time at n = 8 and 9."""
+    return n >= (9 if c4_free else 8)
 
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:
-    """One unit (picklable, for process pools): a subtree unit's trackers,
+    """One unit (picklable, for process pools): a family unit's trackers,
     one per plan, or a closed-form task's records."""
     if isinstance(unit, _Unit):
-        return _probe_classes(unit.n, unit.plans, _expand(unit.entries, unit.c4_free)[0])
+        return _probe_classes(unit.n, unit.plans, _children(unit.n, unit.parents, unit.c4_free))
     return run_task(unit)
 
 
@@ -741,22 +737,22 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
     for plan in chain.from_iterable(filter(None, plans)):
         families.setdefault(_family_key(plan.n, plan.pred), []).append(plan)
     pooled = pool is not None and workers > 1
-    # the highest order of each kind, whose head caches every order below
-    # it, and the largest first: all graphs before C4-free
+    # the highest order of each kind, whose order below caches every order
+    # below it, and the largest first: all graphs before C4-free
     tops = {c4_free: (n, c4_free) for n, c4_free in sorted(families)}
-    heads = {key: _head(*key, depth) for key in sorted(tops.values(), key=lambda key: key[1])
-             if pooled and (depth := _split_depth(*key)) is not None}
-    units: list = [_Unit(*key, families[key], entries[i::UNITS_PER_SPLIT])
-                   for key, (_, entries) in heads.items() for i in range(UNITS_PER_SPLIT)]
+    split = [key for key in sorted(tops.values(), key=lambda key: key[1])
+             if pooled and _splits(*key)]
+    units: list = [_Unit(n, c4_free, families[n, c4_free],
+                         _family(n - 1, c4_free)[i::UNITS_PER_SPLIT])
+                   for n, c4_free in split for i in range(UNITS_PER_SPLIT)]
     units += [task for task, task_plans in zip(tasks, plans) if task_plans is None]
     workers = min(workers, len(units)) if pooled else 1
     records: list[VerificationRecord] = []
     with pool(max_workers=workers) if workers > 1 else nullcontext() as executor:
         results = iter((executor.map if workers > 1 else map)(run_unit, units))
-        found = {key: _probe_classes(key[0], family_plans,
-                                     heads[key][0] if key in heads else _family(*key))
+        found = {key: _probe_classes(key[0], family_plans, () if key in split else _family(*key))
                  for key, family_plans in families.items()}
-        for unit in units[:UNITS_PER_SPLIT * len(heads)]:
+        for unit in units[:UNITS_PER_SPLIT * len(split)]:
             for tracker, theirs in zip(found[unit.n, unit.c4_free], next(results)):
                 tracker.merge(theirs)
         trackers = {key: iter(found_here) for key, found_here in found.items()}

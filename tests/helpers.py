@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: connectivity is checked
 by removing vertex subsets, even cycles by a from-scratch DFS over paths,
-C4s by explicit 4-tuple search, so library results are checked against a
-second route everywhere it matters.  Three helpers call into the library:
+C4s by explicit 4-tuple search, class counts by Polya's theorem, so
+library results are checked against a second route everywhere it matters.
+Three helpers call into the library:
 every_class shares each order's class list across the test modules,
 count_generations records which families a test generates, and split_n7
 has a grid split the all-graph family at n = 7.
@@ -11,8 +12,10 @@ has a grid split the all-graph family at n = 7.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import combinations
+from math import factorial, gcd, lcm, prod
 
 from degpow import enumeration, verify
 from degpow.enumeration import enumerate_graphs
@@ -30,28 +33,64 @@ def every_class(n: int) -> tuple[Graph, ...]:
 
 def count_generations(monkeypatch) -> list[tuple[int, bool]]:
     """Empty the class cache for the test, and record the (n, c4_free) of
-    every family generated after that: whole, into the cache (the orders
-    below it first, if they are not cached), or as the head of a split."""
+    every family generated after that, once per enumeration._children
+    call: whole, into the cache (the orders below it first, if they are
+    not cached), or once per unit of a split."""
     generated: list[tuple[int, bool]] = []
-    head = enumeration._head
+    children = enumeration._children
 
-    def counting(n, c4_free, *frontier):
+    def counting(n, parents, c4_free):
         generated.append((n, c4_free))
-        return head(n, c4_free, *frontier)
+        return children(n, parents, c4_free)
 
     monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
-    monkeypatch.setattr(enumeration, "_head", counting)
-    monkeypatch.setattr(verify, "_head", counting)
+    monkeypatch.setattr(enumeration, "_children", counting)
+    monkeypatch.setattr(verify, "_children", counting)
     return generated
 
 
 def split_n7(monkeypatch) -> None:
     """Have verify.run_grid split the all-graph family at n = 7 as it splits
-    those from n = 8, at depth n, so a small grid runs all-graph subtree
-    units; the rest of verify._split_depth is kept."""
-    depth = verify._split_depth
-    monkeypatch.setattr(verify, "_split_depth",
-                        lambda n, c4_free: 7 if (n, c4_free) == (7, False) else depth(n, c4_free))
+    those from n = 8, so a small grid runs all-graph units; the rest of
+    verify._splits is kept."""
+    splits = verify._splits
+    monkeypatch.setattr(verify, "_splits",
+                        lambda n, c4_free: (n, c4_free) == (7, False) or splits(n, c4_free))
+
+
+def _partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most largest, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def graph_counts(n: int) -> list[int]:
+    """g(n, m) for m = 0 .. n(n-1)/2: the isomorphism classes of graphs
+    with n vertices and m edges, by Polya's theorem.  A permutation of cycle
+    type (k1, k2, ...) permutes the vertex pairs in cycles: (k - 1) // 2 of
+    length k within a cycle of length k, plus one of length k/2 for even k,
+    and gcd(r, s) of length lcm(r, s) between two cycles of lengths r and s.
+    Each pair cycle of length L contributes 1 + x^L, and the n!/z
+    permutations of a type each count the product (Harary & Palmer,
+    Graphical Enumeration, 1973, ch. 4)."""
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for parts in _partitions(n):
+        lengths = []
+        for i, k in enumerate(parts):
+            lengths += [k] * ((k - 1) // 2) + [k // 2] * (1 - k % 2)
+            lengths += [length for r in parts[i + 1:] for length in [lcm(k, r)] * gcd(k, r)]
+        poly = [1] + [0] * (len(total) - 1)
+        for length in lengths:
+            for m in range(len(poly) - 1, length - 1, -1):
+                poly[m] += poly[m - length]
+        z = prod(k ** a * factorial(a) for k, a in Counter(parts).items())
+        for m, c in enumerate(poly):
+            total[m] += c * factorial(n) // z
+    return [t // factorial(n) for t in total]
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:

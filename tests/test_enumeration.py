@@ -21,7 +21,7 @@ from degpow.families import complete_bipartite, cycle_graph, friendship, split_g
 from degpow.graphs import Graph, add_edge, from_graph6, new_graph, permute, to_graph6
 from degpow.structure import has_c4
 
-from helpers import all_labeled_graphs, every_class
+from helpers import all_labeled_graphs, every_class, graph_counts
 
 # distinct isomorphism classes of simple graphs, n = 1..8
 CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -509,6 +509,27 @@ class TestClassSets:
         assert here == below
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_classes_per_edge_count_by_polya(self, n):
+        # per edge count m, the family holds g(n, m) classes by Polya's
+        # theorem, and g(n, m) - g(n - 1, m) of them have no isolated
+        # vertex: the rest are the order below's classes plus a vertex
+        family = enumeration._family(n, False)
+        counts, below = graph_counts(n), graph_counts(n - 1)
+        assert Counter(g.edge_count() for g in family) == dict(enumerate(counts))
+        without = Counter(g.edge_count() for g in family if 0 not in g.adj)
+        assert [without[m] for m in range(len(counts))] == [
+            count - (below[m] if m < len(below) else 0) for m, count in enumerate(counts)]
+
+    def test_class_totals_by_polya(self):
+        # OEIS A000088 to n = 10: the generated orders, and the n = 10
+        # total that check_enumerable's refusal of all graphs states
+        totals = [sum(graph_counts(n)) for n in range(1, 11)]
+        assert totals[:8] == list(CLASS_COUNTS)
+        with pytest.raises(ValueError) as refused:
+            enumeration.check_enumerable(10, SearchPredicate())
+        assert f"are {totals[9]:,} classes" in str(refused.value)
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_complements_mirror_the_family(self, n):
         # the family is closed under complement, each class's complement is
         # another class once, and the middle edge count, which complement
@@ -525,61 +546,138 @@ class TestClassSets:
         assert len(middle) == MIDDLE_LEVEL_COUNTS.get(n, 0)
 
 
-def degree_rule_drops(g, u, v):
-    """The parent-side deletion rule on the non-edge uv, from the parent's
-    degrees: some neighbour of u has degree above deg(v) + 1, or some
-    neighbour of v above deg(u) + 1."""
-    deg = [g.degree(x) for x in range(g.n)]
-    top = [max((deg[y] for y in range(g.n) if g.has_edge(x, y)), default=0)
-           for x in range(g.n)]
-    return top[u] > deg[v] + 1 or top[v] > deg[u] + 1
+def with_vertex(g, s):
+    """g plus a vertex joined to the vertex set s (a bitset)."""
+    return Graph(g.n + 1, tuple(a | (s >> x & 1) << g.n for x, a in enumerate(g.adj)) + (s,))
+
+
+def set_orbits(n, gens):
+    """Partition of the vertex sets (bitsets) into orbits of the group gens
+    generate."""
+    parent = list(range(1 << n))
+
+    def find(mask):
+        while parent[mask] != mask:
+            mask = parent[mask]
+        return mask
+
+    for gamma in gens:
+        for mask in range(1 << n):
+            image = sum(1 << gamma[x] for x in range(n) if mask >> x & 1)
+            parent[find(image)] = find(mask)
+    classes = {}
+    for mask in range(1 << n):
+        classes.setdefault(find(mask), set()).add(mask)
+    return {frozenset(c) for c in classes.values()}
+
+
+def kept_by_full_search(adj):
+    """_kept without its twin shortcuts: the canonical deletion vertex by
+    the same three keys, and a labelling search for the generators that
+    always runs."""
+    n = len(adj)
+    deg = [a.bit_count() for a in adj]
+    least = [x for x in range(n) if deg[x] == min(deg)]
+
+    def key(x):
+        return sorted((deg[y] for y in range(n) if adj[x] >> y & 1), reverse=True)
+
+    ties = [x for x in least if key(x) == max(map(key, least))]
+    full = (1 << n) - 1
+    cells = enumeration._refine(adj, [full], [full])
+    index = {x: i for i, cell in enumerate(cells) for x in range(n) if cell >> x & 1}
+    ties = [x for x in ties if index[x] == max(index[y] for y in ties)]
+    _, perm, gens = enumeration._label_search(n, adj, cells)
+    pos = enumeration._inverse(perm)
+    best = max(ties, key=pos.__getitem__)
+    return any(1 << n - 1 in orbit and 1 << best in orbit for orbit in set_orbits(n, gens))
+
+
+# every class of both families at n <= 7 and the C4-free ones at n = 8
+SHORTCUT_FAMILIES = [(n, False) for n in range(1, 8)] + [(n, True) for n in range(1, 9)]
 
 
 class TestAugmentation:
-    """The degree rule that drops non-edge orbits before their child is
-    built, and the work generation does with it."""
+    """The rules that drop a parent's vertex sets before their child is
+    built, the two twin shortcuts, and the work generation does with them."""
 
-    @pytest.mark.parametrize("n, c4_free", [(n, False) for n in range(1, 8)]
-                             + [(n, True) for n in range(1, 9)])
+    @pytest.mark.parametrize("n, c4_free", SHORTCUT_FAMILIES)
     def test_degree_rule_drops_only_rejected_orbits(self, n, c4_free):
-        # every class of the family as a parent: each non-edge the degree
-        # rule drops has a child the deletion test rejects, and the pairs
-        # returned are the least of every non-edge orbit that covers the
-        # parent's isolated vertices, passes the rule and, C4-free, makes no C4
+        # every class of the family as a parent: the candidate sets are
+        # exactly those whose child keeps the new vertex of least degree
+        # (a child where it is not is rejected, since the canonical deletion
+        # vertex is of least degree), with at most half the vertex pairs as
+        # edges for all graphs and no C4 for C4-free ones; and they are a
+        # union of orbits of the parent's group
+        pairs = (n + 1) * n // 2
         for g in enumeration._family(n, c4_free):
+            expected = []
+            for s in range(1 << n):
+                child = with_vertex(g, s)
+                deg = [a.bit_count() for a in child.adj]
+                if (deg[n] == min(deg) and (c4_free or 2 * child.edge_count() <= pairs)
+                        and not (c4_free and has_c4(child))):
+                    expected.append(s)
+            sets = enumeration._candidate_sets(g, c4_free)
+            assert sorted(sets) == expected
             _, _, gens = enumeration._label_search(g.n, g.adj)
-            non_edges = {pair for pair in itertools.combinations(range(n), 2)
-                         if not g.has_edge(*pair)}
-            dropped = {pair for pair in non_edges if degree_rule_drops(g, *pair)}
-            for u, v in dropped:
-                assert enumeration._deletion_ties(add_edge(g, u, v).adj, u, v) is None
-            dropped |= {(u, v) for u, v in non_edges
-                        if any(g.degree(x) == 0 for x in range(n) if x not in (u, v))
-                        or c4_free and has_c4(add_edge(g, u, v))}
-            orbits = [orbit for orbit in pair_orbits(n, gens) if orbit <= non_edges]
-            assert all(orbit <= dropped or not orbit & dropped for orbit in orbits)
-            kept = sorted(min(orbit) for orbit in orbits if not orbit & dropped)
-            assert enumeration._orbit_reps(enumeration._non_edges(g, c4_free), gens) == kept
+            assert all(orbit <= set(sets) or not orbit & set(sets)
+                       for orbit in set_orbits(n, gens))
+
+    @pytest.mark.parametrize("n, c4_free", SHORTCUT_FAMILIES)
+    def test_twin_generators_give_the_search_orbits(self, n, c4_free):
+        # shortcut 1: the generators of every class, whether the twin
+        # transpositions or a search found them, move the vertex sets as
+        # the labelling search's do; the shortcut is taken somewhere
+        taken = 0
+        for g in enumeration._family(n, c4_free):
+            gens = enumeration._generators(g)
+            for gamma in gens:
+                assert permute(g, gamma) == g
+            assert set_orbits(n, gens) == set_orbits(n, enumeration._label_search(n, g.adj)[2])
+            taken += gens == enumeration._twin_generators(
+                n, enumeration._transposition_automorphisms(n, g.adj))
+        assert taken > 0
+
+    @pytest.mark.parametrize("n, c4_free", SHORTCUT_FAMILIES)
+    def test_kept_agrees_with_the_full_search(self, n, c4_free):
+        # shortcut 2: every class with each of its least-degree vertices
+        # moved last as the new vertex v; _kept decides as the search that
+        # always runs does, and keeps v for exactly one orbit of vertices
+        for g in enumeration._family(n, c4_free):
+            least = min(g.adj, key=int.bit_count).bit_count()
+            kept = 0
+            for v in range(n):
+                if g.adj[v].bit_count() == least:
+                    h = permute(g, [x - (x > v) if x != v else n - 1 for x in range(n)])
+                    decision = enumeration._kept(h.adj)
+                    assert decision == kept_by_full_search(h.adj)
+                    kept |= decision << v
+            low = kept & -kept
+            orbits = set_orbits(n, enumeration._label_search(n, g.adj)[2])
+            assert low and sum(next(orbit for orbit in orbits if low in orbit)) == kept
 
     @pytest.mark.parametrize("cached, orders, c4_free, deletion_tests, labellings, refinements", [
-        (6, (7,), False, 625, 228, 952), (7, (8,), False, 11116, 3021, 11815),
-        (7, (8,), True, 431, 151, 936), (0, tuple(range(4, 9)), True, 604, 239, 1402),
-    ], ids=["n=7 all", "n=8 all", "n=8 C4-free", "n=4..8 C4-free"])
+        (6, (7,), False, 714, 103, 699), (7, (8,), False, 10428, 872, 6554),
+        (7, (8,), True, 539, 102, 928), (0, tuple(range(4, 9)), True, 788, 163, 1377),
+        (0, (8,), False, 11268, 1005, 7461),
+    ], ids=["n=7 all", "n=8 all", "n=8 C4-free", "n=4..8 C4-free", "n=1..8 all"])
     def test_work_counts_pinned(self, monkeypatch, cached, orders, c4_free, deletion_tests,
                                 labellings, refinements):
         # deterministic counts of generating the orders in turn, from a cache
-        # that holds the orders up to cached (none for 0), so the last row
-        # generates orders 1 to 3 too.  The all-graph tree is expanded only
-        # up to its middle edge count, and a class is searched only for its
-        # generators, when it has 2 candidate non-edges or more, or for a tie
-        # on its deletion edge that the cells of its equitable partition
-        # leave open.  Refinement, run at each search node and for each
+        # that holds the orders up to cached (none for 0), so the last two
+        # rows generate every order from 1.  The all-graph children stop at
+        # the middle edge count, and a class is searched only for its
+        # parent's generators, when it has 2 candidate sets or more and its
+        # cells are not all twin classes, or for a tie on its deletion vertex
+        # that neither its equitable cells nor its twins settle.  Refinement,
+        # run at each search node, for each such parent and for each
         # deletion tie the invariant leaves, is the dominant cost
         monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
         if cached:
             enumeration._family(cached, c4_free)
         counter = Counter()
-        for name in ("_deletion_ties", "_label_search", "_refine"):
+        for name in ("_kept", "_label_search", "_refine"):
             original = getattr(enumeration, name)
 
             def counting(*args, name=name, original=original):
@@ -589,10 +687,8 @@ class TestAugmentation:
             monkeypatch.setattr(enumeration, name, counting)
         for n in orders:
             enumeration._family(n, c4_free)
-        assert counter == {"_deletion_ties": deletion_tests, "_label_search": labellings,
+        assert counter == {"_kept": deletion_tests, "_label_search": labellings,
                            "_refine": refinements}
-
-
 class TestNetworkxOracle:
     def test_atlas_matches_enumeration(self):
         nx = pytest.importorskip("networkx")
