@@ -18,11 +18,16 @@ g(9, m) by Polya's theorem (tests/helpers.py's graph_counts), and the
 README state against the sum of g(10, m).  The labelling searches and
 _refine calls that grow the n = 9 all-graph family from the order below
 are printed beside its pins.  Then it runs `verify thm2 --n 9`,
-`thm3 --n 9` and `thm4 --n 9` in this process under DEGPOW_MAX_N=9, so
-they read the cached all-graph family, and compares the sha256 of each
-JSON report with its pin; no other check pins them.  Exits 1 on a
-mismatch.  The run takes a few minutes; the forms cost about 0.5 ms per
-class at n = 9 and 1.6 ms at n = 10.
+`thm3 --n 9` and `thm4 --n 9` in this process under DEGPOW_MAX_N=9 and
+compares the sha256 of each JSON report with its pin; no other check pins
+them.  A grid never reads the n = 9 all-graph family from the class
+cache: each report grows it again, unit by unit, from the cached n = 8
+family, which adds about 10-15 s.  Last, `verify thm3 --n 9 --p 2
+--jobs 1` runs in a fresh interpreter, whose peak RSS must stay under
+MEMORY_MB: this process holds the pinned families, so it cannot see how
+much the grid holds.  Exits 1 on a mismatch.  The run takes a few
+minutes; the forms cost about 0.5 ms per class at n = 9 and 1.6 ms at
+n = 10.
 """
 
 from __future__ import annotations
@@ -31,12 +36,14 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
+import degpow
 from degpow import enumeration
 from degpow.cli import main as degpow_main
 
@@ -58,6 +65,12 @@ REPORTS = {
     "thm3": "a265679a299a4ef0451a3fead46c881de519f8876512e93e4a3dc979cd55f583",
     "thm4": "647f35e47e24fce1bcb3a895848ad1a027946c6e4cba9041ef4881f4bbc2b871",
 }
+
+# the most a fresh `verify MEMORY_ARGV` may hold, in MB of peak RSS: the grid
+# grows the n = 9 family unit by unit and keeps none of it (32 MB on a
+# 2-vCPU VM; 133 MB with the family read whole from the class cache)
+MEMORY_MB = 64
+MEMORY_ARGV = ["verify", "thm3", "--n", "9", "--p", "2", "--jobs", "1"]
 
 
 def check_reports() -> int:
@@ -81,6 +94,29 @@ def check_reports() -> int:
                       file=sys.stderr)
                 wrong += 1
     return wrong
+
+
+def check_memory() -> int:
+    """Run MEMORY_ARGV in a fresh interpreter under DEGPOW_MAX_N=9 and
+    return 1 unless it exits 0 with a peak RSS of at most MEMORY_MB.  The
+    peak is the child's VmHWM (Linux): its ru_maxrss would also count the
+    pages of this process it was forked from."""
+    script = ("from degpow.cli import main\n"
+              f"code = main({MEMORY_ARGV!r})\n"
+              "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+              "           if line.startswith('VmHWM:')))\n"
+              "raise SystemExit(code)")
+    env = dict(os.environ, DEGPOW_MAX_N="9", PYTHONPATH=str(Path(degpow.__file__).parents[1]))
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    peak_mb = int(run.stdout.split()[-1]) / 1024 if run.returncode == 0 else None
+    print(f"{' '.join(MEMORY_ARGV)} in a fresh process: exit {run.returncode}, peak RSS "
+          f"{peak_mb and round(peak_mb, 1)} MB, {time.perf_counter() - start:.1f} s")
+    if peak_mb is None or peak_mb > MEMORY_MB:
+        print(f"mismatch: {' '.join(MEMORY_ARGV)} must exit 0 within {MEMORY_MB} MB of peak RSS"
+              f"\n{run.stderr}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def counted_family(n: int, c4_free: bool) -> tuple[tuple, Counter]:
@@ -154,6 +190,7 @@ def main() -> int:
         if (n, c4_free) == (9, False):
             wrong += check_counts(family)
     wrong += check_reports()
+    wrong += check_memory()
     return 1 if wrong else 0
 
 

@@ -193,34 +193,38 @@ MUTANTS = (
            ("tests/test_grid.py::test_merged_trackers_equal_one_tracker",)),
     # a unit visits its parents, not their children
     Mutant("unit-visits-its-parents", VERIFY,
-           "_children(unit.n, unit.parents, unit.c4_free))", "unit.parents)",
+           "_children(unit.n, unit.parents, False))", "unit.parents)",
            ("tests/test_grid.py::test_grid_units_visit_each_class_once",
+            "tests/test_cli.py::test_report_digests_pinned_with_the_n7_family_split")),
+    # with one worker the family is read whole from the class cache
+    Mutant("split-only-with-a-pool", VERIFY,
+           "split = UNITS_PER_SPLIT if top[0] >= _SPLIT_FROM else 0",
+           "split = UNITS_PER_SPLIT if top[0] >= _SPLIT_FROM and pool and workers > 1 else 0",
+           ("tests/test_grid.py::test_split_family_grown_by_units_with_one_worker",
+            "tests/test_grid.py::test_split_families",
+            "tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation")),
+    # the highest C4-free family is split from n = 9 where a grid reads no
+    # all-graph family, and a pool started, though reading it whole is faster
+    Mutant("c4-free-family-split", VERIFY,
+           """    top = max((key for key in families if not key[1]), default=(0, False))
+    split = UNITS_PER_SPLIT if top[0] >= _SPLIT_FROM else 0
+    units: list = [_Unit(top[0], families[top], _family(top[0] - 1, False)[i::UNITS_PER_SPLIT])""",
+           """    top = max(families, key=lambda key: (not key[1], key[0]), default=(0, False))
+    split = UNITS_PER_SPLIT if top[0] >= (9 if top[1] else _SPLIT_FROM) else 0
+    units: list = [_Unit(top[0], families[top], _family(top[0] - 1, top[1])[i::UNITS_PER_SPLIT])""",
+           ("tests/test_grid.py::test_split_families",
             "tests/test_cli.py::test_report_digests_pinned_with_a_process_pool")),
-    # with no pool every family is read whole from the class cache
-    Mutant("split-without-a-pool", VERIFY,
-           "if pooled and _splits(*key)]", "if _splits(*key)]",
-           ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
-            "tests/test_grid.py::test_grid_units_visit_each_class_once")),
-    # a family below the top of its kind is split too, though the top's
-    # order below cached it
-    Mutant("split-below-a-split-family", VERIFY,
-           "for key in sorted(tops.values(), key=lambda key: key[1])",
-           "for key in sorted(families, key=lambda key: key[1])",
-           ("tests/test_grid.py::test_family_below_a_split_family_is_read_whole",)),
     # the all-graph family at n = 7 is split, and a pool started, though
     # reading it in this process is faster
     Mutant("all-graphs-split-from-n7", VERIFY,
-           "return n >= (9 if c4_free else 8)", "return n >= (9 if c4_free else 7)",
+           "_SPLIT_FROM = 8", "_SPLIT_FROM = 7",
            ("tests/test_grid.py::test_split_families",
             "tests/test_cli.py::test_pool_capped_at_task_count",
             "tests/test_cli.py::test_pool_module_loaded_only_when_a_pool_starts")),
-    # the second split family's units are read as closed-form records
-    Mutant("merge-first-split-family-only", VERIFY,
-           "units[:UNITS_PER_SPLIT * len(split)]", "units[:UNITS_PER_SPLIT]",
-           ("tests/test_grid.py::test_grid_units_visit_each_class_once",)),
     Mutant("unsplit-family-not-cached", VERIFY,
-           "() if key in split else _family(*key))",
-           "() if key in split else _children(key[0], _family(key[0] - 1, key[1]), key[1]))",
+           "() if split and key == top else _family(*key))",
+           "() if split and key == top else _children(key[0], _family(key[0] - 1, key[1]),"
+           " key[1]))",
            ("tests/test_verify.py::TestSuites::test_checks_on_one_family_share_its_generation",
             "tests/test_grid.py::test_grid_units_visit_each_class_once")),
     Mutant("forest-edge-count", STRUCTURE,

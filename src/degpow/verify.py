@@ -28,20 +28,21 @@ CLI all score theorems through it.  It plans every task first and groups
 the plans of the whole grid by the family they read
 (enumeration._family_key), so one enumeration._pass over its classes
 serves every plan on it.  Then it builds one list of units:
-- given a pool of at least 2 workers, the highest order of each kind is
-  split when _splits says so, all graphs before C4-free: the caller
-  generates the order below, whose classes are dealt round robin into
-  UNITS_PER_SPLIT units, each visiting the children of its parents
-  (enumeration._children).  Every class has one canonical parent, so the
-  units together visit the family once;
+- the highest all-graph order, from _SPLIT_FROM up, is split at every
+  --jobs: the caller generates the order below, whose classes are dealt
+  round robin into UNITS_PER_SPLIT units, each visiting the children of
+  its parents (enumeration._children).  Every class has one canonical
+  parent, so the units together visit the family once, and the family is
+  never held whole nor put in the class cache;
 - then each closed-form task, run whole through run_task.
-While the units run, the caller reads every family not split (from the
-class cache, where the order below a split family caches each order
-below it, so checks on one family share one generation across calls),
-and no unit reads the class cache.  A unit returns records or trackers,
-never classes.  Each family's trackers are merged in unit order
-(ExtremalTracker.merge) and scored by _theorem_pass, so the records do not
-depend on who ran a unit.
+The units run on the pool, or else one at a time in this process, as
+they are merged.  Before that the caller reads every family not split
+from the class cache, where the order below the split family caches each
+order below it, so checks on an unsplit family share one generation
+across calls; no unit reads the class cache.  A unit returns records or
+trackers, never classes.  The split family's trackers are merged in unit
+order (ExtremalTracker.merge) and scored by _theorem_pass, so the records
+do not depend on who ran a unit.
 Each plan has its own tracker, also for a task given twice: Corollary 1's
 borrowed facts (its edge bound and its min-degree >= 1 subclass) are read
 off it too (_borrowed_facts).
@@ -686,38 +687,34 @@ UNITS_PER_SPLIT = 8
 
 _FamilyKey = tuple[int, bool]  # (n, c4_free)
 
+# The least all-graph order run_grid splits, at every --jobs.  Split, a
+# grid holds about an eighth of the family at a time: `DEGPOW_MAX_N=9
+# verify thm3 --n 9 --p 2 --jobs 1` peaked at 32 MB RSS against 133 MB
+# with the family read whole from the class cache.  On a pool of 2 at
+# n = 8, `verify all-desk` took 0.52 s split against 0.81 s with no family
+# split; at n = 7 the split does not pay (`verify thm2 --n 4..7 --jobs 2`
+# 0.121 s read in process against 0.143 s split).  C4-free families are
+# not split: `verify cor1 --n 9..10 --jobs 2` ran faster split in one
+# session and whole in another (README).  2-vCPU VM, medians of 5-20
+# alternated rounds in fresh processes.
+_SPLIT_FROM = 8
+
 
 class _Unit(NamedTuple):
-    """The classes of one family whose canonical parents are parents, a
-    slice of the order below, visited for every plan grouped on the
-    family."""
+    """The all-graph classes of order n whose canonical parents are
+    parents, a slice of the order below, visited for every plan grouped on
+    the family."""
 
     n: int
-    c4_free: bool
     plans: list[_Plan]
     parents: tuple[Graph, ...]
-
-
-def _splits(n: int, c4_free: bool) -> bool:
-    """Whether a pool splits the family into units of parents.
-
-    A split pays from all graphs at n = 8: on a 2-vCPU VM at --jobs 2,
-    `verify all-desk` took 0.52 s split against 0.81 s with no family
-    split, and `verify thm4` 0.31 s against 0.44 s.  At n = 7 it does not:
-    `verify thm2 --n 4..7 --jobs 2` took 0.121 s with the family read in
-    process against 0.143 s split.  C4-free families are split from n = 9,
-    where it no longer pays: `verify cor1 --n 9..10 --jobs 2` took 0.52 s
-    split against 0.48 s with them read whole (medians of 10-12 alternated
-    rounds in fresh processes).  The largest of the 8 units takes 14 per
-    cent of the family's time at n = 8 and 9."""
-    return n >= (9 if c4_free else 8)
 
 
 def run_unit(unit: _Unit | tuple[str, dict]) -> list:
     """One unit (picklable, for process pools): a family unit's trackers,
     one per plan, or a closed-form task's records."""
     if isinstance(unit, _Unit):
-        return _probe_classes(unit.n, unit.plans, _children(unit.n, unit.parents, unit.c4_free))
+        return _probe_classes(unit.n, unit.plans, _children(unit.n, unit.parents, False))
     return run_task(unit)
 
 
@@ -736,24 +733,21 @@ def run_grid(tasks: Sequence[tuple[str, dict]], workers: int = 1,
     families: dict[_FamilyKey, list[_Plan]] = {}
     for plan in chain.from_iterable(filter(None, plans)):
         families.setdefault(_family_key(plan.n, plan.pred), []).append(plan)
-    pooled = pool is not None and workers > 1
-    # the highest order of each kind, whose order below caches every order
-    # below it, and the largest first: all graphs before C4-free
-    tops = {c4_free: (n, c4_free) for n, c4_free in sorted(families)}
-    split = [key for key in sorted(tops.values(), key=lambda key: key[1])
-             if pooled and _splits(*key)]
-    units: list = [_Unit(n, c4_free, families[n, c4_free],
-                         _family(n - 1, c4_free)[i::UNITS_PER_SPLIT])
-                   for n, c4_free in split for i in range(UNITS_PER_SPLIT)]
+    # the highest all-graph order, whose order below caches every order below it
+    top = max((key for key in families if not key[1]), default=(0, False))
+    split = UNITS_PER_SPLIT if top[0] >= _SPLIT_FROM else 0
+    units: list = [_Unit(top[0], families[top], _family(top[0] - 1, False)[i::UNITS_PER_SPLIT])
+                   for i in range(split)]
     units += [task for task, task_plans in zip(tasks, plans) if task_plans is None]
-    workers = min(workers, len(units)) if pooled else 1
+    workers = min(workers, len(units)) if pool is not None else 1
     records: list[VerificationRecord] = []
     with pool(max_workers=workers) if workers > 1 else nullcontext() as executor:
         results = iter((executor.map if workers > 1 else map)(run_unit, units))
-        found = {key: _probe_classes(key[0], family_plans, () if key in split else _family(*key))
+        found = {key: _probe_classes(key[0], family_plans,
+                                     () if split and key == top else _family(*key))
                  for key, family_plans in families.items()}
-        for unit in units[:UNITS_PER_SPLIT * len(split)]:
-            for tracker, theirs in zip(found[unit.n, unit.c4_free], next(results)):
+        for _ in range(split):
+            for tracker, theirs in zip(found[top], next(results)):
                 tracker.merge(theirs)
         trackers = {key: iter(found_here) for key, found_here in found.items()}
         for task_plans in plans:

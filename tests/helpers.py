@@ -7,7 +7,7 @@ library results are checked against a second route everywhere it matters.
 Three helpers call into the library:
 every_class shares each order's class list across the test modules,
 count_generations records which families a test generates, and split_n7
-has a grid split the all-graph family at n = 7.
+has a grid split the all-graph family from n = 7.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ def count_generations(monkeypatch) -> list[tuple[int, bool]]:
 
 
 def split_n7(monkeypatch) -> None:
-    """Have verify.run_grid split the all-graph family at n = 7 as it splits
-    those from n = 8, so a small grid runs all-graph units; the rest of
-    verify._splits is kept."""
-    splits = verify._splits
-    monkeypatch.setattr(verify, "_splits",
-                        lambda n, c4_free: (n, c4_free) == (7, False) or splits(n, c4_free))
+    """Have verify.run_grid split the highest all-graph family it reads from
+    n = 7 (it splits it from n = 8), so a small grid runs all-graph units."""
+    monkeypatch.setattr(verify, "_SPLIT_FROM", 7)
 
 
 def _partitions(n: int, largest: int | None = None):

@@ -28,8 +28,8 @@ from helpers import count_generations, split_n7
 REPORT_DIGESTS = {
     ("thm1", "--n", "4..8"): "27a6d052df3f665130cfb22386817c271070b97c0d9b6becd86b77143bd43ead",
     ("cor1",): "402e5d84f50bde42dde6a3b8d95e2fc9151bb3f3fa377897fd2fc2801fd5bd21",
-    # c1 on the C4-free families of n = 9 and 10, which a pool splits and
-    # all-desk does not reach for c1; run with DEGPOW_MAX_N=10 (REPORT_MAX_N)
+    # c1 on the C4-free families of n = 9 and 10, which all-desk does not
+    # reach for c1; run with DEGPOW_MAX_N=10 (REPORT_MAX_N)
     ("cor1", "--n", "9..10"): "27d778dd067d47389635f4a0b39b9dff671eec3abe419aa127d5d435167443f3",
     ("thm2", "--n", "4..7"): "3e6490b306241566c5b85d96f1b910d848241349d5bc5349cd062bb421071345",
     ("thm4", "--n", "2..7"): "2aef61a27fe9ec5154d87118c774e36878bbb39b9b70d4c019ba2c5edbba99bf",
@@ -702,7 +702,8 @@ def test_pool_capped_at_task_count(capsys, monkeypatch, argv, jobs, workers):
 
 
 # the pinned reports that read every family in this process at any --jobs
-UNSPLIT = {("thm1", "--n", "4..8"), ("cor1",), ("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")}
+UNSPLIT = {("thm1", "--n", "4..8"), ("cor1",), ("cor1", "--n", "9..10"), ("thm2", "--n", "4..7"),
+           ("thm4", "--n", "2..7")}
 
 
 def _pooled_report(tmp_path, capsys, monkeypatch, argv, jobs) -> tuple[list[int], str]:
@@ -727,9 +728,9 @@ def _pooled_report(tmp_path, capsys, monkeypatch, argv, jobs) -> tuple[list[int]
 @pytest.mark.parametrize("argv", [("thm1", "--n", "4..8"), ("cor1",), ("cor1", "--n", "9..10"),
                                   ("thm2", "--n", "4..7"), ("thm4", "--n", "2..7")], ids=" ".join)
 def test_report_digests_pinned_with_a_process_pool(tmp_path, capsys, monkeypatch, argv, jobs):
-    # an odd worker count deals the units to the workers in another
-    # schedule.  No family below n = 8, nor a C4-free one below n = 9, is
-    # split, so the grids in UNSPLIT start no pool: this process reads them
+    # at 2 and 3 workers alike: no all-graph family below n = 8, nor any
+    # C4-free one, is split, so the grids in UNSPLIT, which have no
+    # closed-form task, start no pool: this process reads them
     built, digest = _pooled_report(tmp_path, capsys, monkeypatch, argv, jobs)
     assert built == ([] if argv in UNSPLIT else [jobs])
     assert digest == REPORT_DIGESTS[argv]

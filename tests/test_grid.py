@@ -3,6 +3,8 @@ exactly, and run_grid gives run_task's records whoever runs its units."""
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -48,31 +50,76 @@ def test_subtrees_partition_the_family(n, c4_free, cap):
         assert _state(merged) == _state(whole)
 
 
-def _split_union(n: int, c4_free: bool) -> Counter:
-    """The classes of the units, as run_grid splits the family."""
-    parents = enumeration._family(n - 1, c4_free)
-    return Counter(chain.from_iterable(
-        enumeration._children(n, parents[i::verify.UNITS_PER_SPLIT], c4_free)
-        for i in range(verify.UNITS_PER_SPLIT)))
+# the families Tier-1 reads (all graphs up to n = 8, C4-free graphs up to
+# n = 9), and those a grid splits among them
+READ = [(n, False) for n in range(2, 9)] + [(n, True) for n in range(4, 10)]
+SPLIT_FAMILIES = [(8, False)]
 
 
-# the families a pool splits among those Tier-1 reads (all graphs up to
-# n = 8, C4-free graphs up to n = 9)
-SPLIT_FAMILIES = [(8, False), (9, True)]
+def _reading(n: int, c4_free: bool) -> list[tuple[str, dict]]:
+    """A grid of one theorem task, which reads the family (n, c4_free)."""
+    if c4_free:
+        return [("theorem", {"thm": "c1", "n": n, "p_values": (2,)})]
+    return [("theorem", {"thm": "t4", "n": n, "p_values": (2,), "k_values": (1,)})]
 
 
-def test_split_families():
-    assert [(n, c4_free) for n in range(1, 10) for c4_free in (False, True)
-            if (c4_free or n <= 8) and verify._splits(n, c4_free)] == SPLIT_FAMILIES
+def test_split_families(monkeypatch):
+    # with one worker from an empty class cache, then given a pool: a grid
+    # grows a split family once per unit each time it reads it, and reads
+    # every other family whole, generated once into the cache
+    generated = count_generations(monkeypatch)
+    for workers, pool in ((1, None), (2, _ReversedPool)):
+        grown = {}
+        for n, c4_free in READ:
+            enumeration._family(n - 1, c4_free)
+            generated.clear()
+            verify.run_grid(_reading(n, c4_free), workers, pool)
+            grown[n, c4_free] = list(generated)
+        assert grown == {key: [key] * verify.UNITS_PER_SPLIT if key in SPLIT_FAMILIES
+                         else [key] if pool is None else [] for key in READ}
 
 
-@pytest.mark.parametrize("n, c4_free", SPLIT_FAMILIES, ids=str)
-def test_split_units_partition_the_family(n, c4_free):
-    # each family as run_grid splits it, grown from the order below, holds
-    # each class once.  The families' forms are pinned by test_enumeration's
-    # checks of these cached families.
-    assert verify._splits(n, c4_free)
-    assert _split_union(n, c4_free) == Counter(enumeration._family(n, c4_free))
+@pytest.mark.parametrize("n, c4_free", [(8, False), (9, True)], ids=str)
+def test_split_units_partition_the_family(monkeypatch, n, c4_free):
+    # a grid reading the family, with one worker and given a pool, visits
+    # each class once: the all-graph family at n = 8 through the units its
+    # order below is dealt into, the C4-free one at n = 9 whole.  The
+    # families' forms are pinned by test_enumeration's checks of these
+    # cached families
+    visited: Counter = Counter()
+    probe = verify._probe_classes
+
+    def visiting(order, plans, classes):
+        classes = list(classes)
+        visited.update(classes)
+        return probe(order, plans, classes)
+
+    monkeypatch.setattr(verify, "_probe_classes", visiting)
+    for workers, pool in ((1, None), (2, _ReversedPool)):
+        visited.clear()
+        verify.run_grid(_reading(n, c4_free), workers, pool)
+        assert visited == Counter(enumeration._family(n, c4_free))
+
+
+def test_split_family_grown_by_units_with_one_worker(monkeypatch):
+    # with one worker too the grid grows the all-graph family at n = 8 by
+    # its units, one at a time, and neither caches it nor holds it whole:
+    # the grid's traced peak, the orders below included, stays under what
+    # the family's tuple, graphs and adjacency tuples alone take
+    generated = count_generations(monkeypatch)
+    tracemalloc.start()
+    try:
+        records = verify.run_grid([("theorem", {"thm": "t3", "n": 8, "p_values": (2,)})], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [record.verdict for record in records] == ["pass"]
+    assert generated == [(n, False) for n in range(1, 8)] + [(8, False)] * verify.UNITS_PER_SPLIT
+    assert (7, False) in enumeration._CLASS_CACHE
+    assert (8, False) not in enumeration._CLASS_CACHE
+    family = enumeration._family(8, False)
+    held = sys.getsizeof(family) + sum(sys.getsizeof(g) + sys.getsizeof(g.adj) for g in family)
+    assert len(family) == 12346 and peak < held
 
 
 # every class on 6 vertices with at most 7 edges; e_1 = 2m, so at p=1 every
@@ -109,8 +156,8 @@ def test_empty_trackers_merge_to_an_empty_tracker():
     assert _state(merged) == ({1: None, 2: None, 3: None}, {1: (), 2: (), 3: ()}, 0)
 
 
-# one split family (C4-free at n=9; all graphs at n=7 too under split_n7),
-# two read whole by two checks each (all graphs at n=7, C4-free at n=6), and
+# two families read by two checks each (all graphs at n=7, split under
+# split_n7, and C4-free at n=6), one read by one (C4-free at n=9), and
 # closed-form tasks between them
 TASKS = [
     ("theorem", {"thm": "t2", "n": 7, "p_values": (2, 3)}),
@@ -140,31 +187,35 @@ class _ReversedPool:
         return reversed([fn(item) for item in reversed(items)])
 
 
-@pytest.mark.parametrize("pool, split7, split", [
-    (None, False, []),
-    (_ReversedPool, False, [(9, True)]),
-    (_ReversedPool, True, [(7, False), (9, True)]),
-], ids=["inline", "reversed", "reversed-n7-split"])
-def test_grid_units_visit_each_class_once(monkeypatch, pool, split7, split):
+@pytest.mark.parametrize("pool, split7", [
+    (None, False),
+    (_ReversedPool, False),
+    (_ReversedPool, True),
+    (None, True),
+], ids=["inline", "reversed", "reversed-n7-split", "inline-n7-split"])
+def test_grid_units_visit_each_class_once(monkeypatch, pool, split7):
     if split7:
         split_n7(monkeypatch)
     generated = count_generations(monkeypatch)
     expected = [record for task in TASKS for record in run_task(task)]
-    # t2 and t4 share the n=7 family, c1 and t1 the C4-free one at n=6, which
-    # t1 at n=9 grows from with the orders between
-    assert sorted(generated) == sorted([(n, False) for n in range(1, 8)]
+    # t2 and t4 read the n=7 family, c1 and t1 the C4-free one at n=6, which
+    # t1 at n=9 grows from with the orders between.  A family read whole is
+    # generated once; under split_n7 the n=7 family is grown by units each
+    # time a task reads it, and never cached
+    split = [(7, False)] * verify.UNITS_PER_SPLIT if split7 else []
+    assert sorted(generated) == sorted([(n, False) for n in range(1, 7)] + split * 2
+                                       + [(7, False)] * (not split7)
                                        + [(n, True) for n in range(1, 10)])
     generated.clear()
-    # inline the grid reads the families cached above; given a pool of
-    # two, each of the units of a split family generates its share of it,
-    # and no family is generated whole; under split_n7 it splits two, and
-    # merges the units of both
+    # the grid reads the families cached above, and grows the split one by
+    # its units again, inline or given a pool of two; no C4-free family is
+    # split
     assert verify.run_grid(TASKS, 2, pool) == expected
-    assert sorted(generated) == [key for key in split for _ in range(verify.UNITS_PER_SPLIT)]
+    assert generated == split
 
 
 def test_family_below_a_split_family_is_read_whole(monkeypatch):
-    # t4 at n=7 and 8, with n=7 splittable too (split_n7): a pool splits
+    # t4 at n=7 and 8, with n=7 splittable too (split_n7): a grid splits
     # only the higher all-graph family, whose units take their parents from
     # the whole family at n=7, which is then read whole in this process,
     # not split too
@@ -181,11 +232,11 @@ def _refuse(*args):
     raise AssertionError("a unit reads a family")
 
 
-def test_pool_runs_only_subtree_units_and_closed_form_tasks():
-    # every family not split, the all-graph one at n=7 and the C4-free one
-    # at n=6 here, is read in this process; a unit generates the children
-    # of its parents or runs a closed-form task, whatever the class cache
-    # holds
+def test_pool_runs_only_subtree_units_and_closed_form_tasks(monkeypatch):
+    # every family not split, the C4-free ones at n = 6 and 9 here, is read
+    # in this process; with the all-graph family at n = 7 split
+    # (split_n7), a unit generates the children of its parents or runs a
+    # closed-form task, whatever the class cache holds
     ran = []
 
     class UnitsOnlyPool(_ReversedPool):
@@ -201,5 +252,6 @@ def test_pool_runs_only_subtree_units_and_closed_form_tasks():
                 return [fn(item) for item in items]
 
     expected = [record for task in TASKS for record in run_task(task)]
+    split_n7(monkeypatch)
     assert verify.run_grid(TASKS, 2, UnitsOnlyPool) == expected
     assert ran == [verify.UNITS_PER_SPLIT + 20]

@@ -12,6 +12,7 @@ from degpow.families import FamilyId, ep_closed_form
 from degpow.majorization import p_power_norm
 from degpow.verify import (
     THEOREMS,
+    UNITS_PER_SPLIT,
     VerificationRecord,
     appendix_a_scan,
     brute_force_theorem,
@@ -377,9 +378,11 @@ class TestSuites:
 
     def test_checks_on_one_family_share_its_generation(self, monkeypatch):
         # t2 and t4 read the all-graph family at n=7, t1 and c1 the C4-free
-        # one at n=8: run one task after another, each family is generated
-        # once, with the orders below it.  With no pool, a family a pool
-        # splits (split_n7) is read whole too
+        # one at n=8, run one task after another.  The C4-free family, not
+        # split, is generated once across the calls, with the orders below
+        # it; the all-graph one, split from n = 7 (split_n7), is grown by its
+        # units in each grid that reads it, from the order below, generated
+        # once
         split_n7(monkeypatch)
         generated = count_generations(monkeypatch)
         for task in (("theorem", {"thm": "t2", "n": 7, "p_values": (2,)}),
@@ -387,7 +390,8 @@ class TestSuites:
                      ("theorem", {"thm": "t1", "n": 8, "p_values": (2,)}),
                      ("theorem", {"thm": "c1", "n": 8, "p_values": (2,)})):
             assert all(record.verdict == "pass" for record in run_task(task))
-        assert sorted(generated) == sorted([(n, False) for n in range(1, 8)]
+        assert sorted(generated) == sorted([(n, False) for n in range(1, 7)]
+                                           + [(7, False)] * 2 * UNITS_PER_SPLIT
                                            + [(n, True) for n in range(1, 9)])
 
     def test_brute_force_theorem_refuses_k_it_does_not_take(self):
